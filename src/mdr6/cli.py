@@ -82,13 +82,17 @@ def cmd_repair(args) -> int:
         "disk_index": report.disk_index,
         "shard": report.shard_path,
         "stripes": report.stripe_count,
+        "xor_count": report.xor_count,
         "blocks_read_per_shard": {str(d): n for d, n in sorted(report.blocks_read_per_shard.items())},
         "bytes_read_per_shard": {str(d): n for d, n in sorted(report.bytes_read_per_shard.items())},
     }
     if args.json:
         print(json.dumps(payload))
     else:
-        print(f"repaired shard {report.disk_index} -> {report.shard_path}")
+        print(
+            f"repaired shard {report.disk_index} -> {report.shard_path}: "
+            f"{report.stripe_count} stripes, {report.xor_count} block XORs"
+        )
         for d in sorted(report.blocks_read_per_shard):
             print(
                 f"  read from shard {d}: {report.blocks_read_per_shard[d]} blocks"
@@ -99,7 +103,7 @@ def cmd_repair(args) -> int:
 
 def cmd_decode(args) -> int:
     code = _load_code_arg(args)
-    report = shards.decode_file(args.shard_dir, args.out, code=code, meter=args.meter)
+    report = shards.decode_file(args.shard_dir, args.out, code=code)
     payload = {
         "missing": list(report.missing),
         "stripes": report.stripe_count,

@@ -1,15 +1,17 @@
 """Stripe encode/decode/repair for MDR codes.
 
-Blocks are byte strings of one fixed size per stripe.  Three execution
+Blocks are byte strings of one fixed size per stripe.  Two execution
 paths coexist on purpose:
 
 * ``encode_naive`` / ``decode`` evaluate the generator relations directly
-  and act as the reference for everything else;
-* ``encode`` runs a prefix-sharing XOR schedule that hits the minimum
-  2(k-1) XORs per stripe row;
-* ``repair_plan`` / ``execute_repair`` rebuild a single disk from the
-  minimum read set, and ``build_repair_schedule`` does the same with the
-  minimum (k-1) average XORs per lost block.
+  and act as the reference for everything else; ``decode`` also rebuilds
+  up to two lost columns of shard files;
+* every other linear map is an ``XorSchedule`` run by ``execute_schedule``:
+  ``build_encode_schedule`` fills P and Q (the minimum 2(k-1) XORs per
+  stripe row for recursion-built codes), and ``repair_plan`` pairs the
+  schedule that rebuilds one disk with the minimum read set it consumes
+  (the minimum (k-1) average XORs per lost block for recursion-built
+  codes).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .code import MdrCode, generator_submatrices, is_recursive_mdr
-from .f2 import BitMatrix, IndexSet
+from .f2 import BitMatrix
 
 Buffer = tuple  # ("in", disk, row) | ("tmp", ...) | ("out", disk, row)
 
@@ -37,7 +39,7 @@ def xor_blocks(blocks: Iterable[bytes], size: int) -> bytes:
 
 class Stripe:
     """One r x (k+2) block array.  Disk columns are present or absent as a
-    whole; reads can be metered for I/O accounting."""
+    whole."""
 
     def __init__(self, k: int, r: int, block_size: int):
         if k < 1 or r < 1 or block_size < 1:
@@ -46,8 +48,6 @@ class Stripe:
         self.r = r
         self.block_size = block_size
         self._cols: list[list[bytes | None]] = [[None] * r for _ in range(k + 2)]
-        self.meter_reads = False
-        self.reads: set[tuple[int, int]] = set()
 
     @classmethod
     def from_data_columns(
@@ -83,8 +83,6 @@ class Stripe:
         data = self._cols[disk - 1][row - 1]
         if data is None:
             raise ValueError(f"block ({disk},{row}) is missing")
-        if self.meter_reads:
-            self.reads.add((disk, row))
         return data
 
     def column(self, disk: int) -> list[bytes]:
@@ -100,9 +98,6 @@ class Stripe:
     def erase_disk(self, disk: int) -> None:
         self._check_pos(disk, 1)
         self._cols[disk - 1] = [None] * self.r
-
-    def reset_meter(self) -> None:
-        self.reads = set()
 
     def copy(self) -> "Stripe":
         dup = Stripe(self.k, self.r, self.block_size)
@@ -238,13 +233,38 @@ def _q_sources(t: int, base: int, prefix_ref) -> dict[int, list[Buffer]]:
     return out
 
 
+def _q_row_ops(code: MdrCode) -> list[XorOp]:
+    """Q row j as the XOR of the data blocks that row j of each A_i
+    selects; valid for any code."""
+    a_mats = generator_submatrices(code)
+    ops = []
+    for j in range(code.r):
+        sources: list[Buffer] = []
+        for disk, a in enumerate(a_mats, start=1):
+            cur = a.row_bits[j]
+            while cur:
+                low = cur & -cur
+                sources.append(("in", disk, low.bit_length()))
+                cur ^= low
+        ops.append(XorOp(("out", code.k + 2, j + 1), tuple(sources)))
+    return ops
+
+
 def build_encode_schedule(code: MdrCode) -> XorSchedule:
-    """Minimum-XOR encode: P by left-to-right prefix sums whose
-    intermediates are retained and reused by the Q recursion, for a total
-    of 2(k-1) XORs per stripe row."""
-    if not is_recursive_mdr(code):
-        raise ValueError("encode schedules exist only for recursion-built codes")
+    """Encode schedule for any code.
+
+    Recursion-built codes get the minimum-XOR schedule: P by left-to-right
+    prefix sums whose intermediates are retained and reused by the Q
+    recursion, for a total of 2(k-1) XORs per stripe row.  Any other code
+    gets P as row XORs and Q by direct A-row ops.
+    """
     k, r = code.k, code.r
+    if not is_recursive_mdr(code):
+        p_ops = [
+            XorOp(("out", k + 1, row), tuple(("in", d, row) for d in range(1, k + 1)))
+            for row in range(1, r + 1)
+        ]
+        return XorSchedule("encode", k, r, None, tuple(p_ops + _q_row_ops(code)))
 
     def prefix_ref(t: int, row: int) -> Buffer:
         if t == 1:
@@ -274,27 +294,24 @@ def execute_schedule(
     """Run a schedule over byte blocks; returns outputs and the number of
     two-input XORs actually executed."""
     env: dict[Buffer, int] = {}
+    for buf, data in inputs.items():
+        if len(data) != block_size:
+            raise ValueError(f"input {buf} has {len(data)} bytes, not {block_size}")
+        env[buf] = int.from_bytes(data, "little")
     executed = 0
-
-    def resolve(buf: Buffer) -> int:
-        if buf in env:
-            return env[buf]
-        if buf[0] == "in":
-            data = inputs.get(buf)
-            if data is None:
-                raise ValueError(f"schedule input {buf} not supplied")
-            val = int.from_bytes(data, "little")
-            env[buf] = val
-            return val
-        raise ValueError(f"schedule source {buf} used before definition")
-
     for op in schedule.ops:
-        if not op.sources:
+        sources = op.sources
+        if not sources:
             raise ValueError("schedule op with no sources")
-        acc = resolve(op.sources[0])
-        for src in op.sources[1:]:
-            acc ^= resolve(src)
-            executed += 1
+        try:
+            acc = env[sources[0]]
+            for src in sources[1:]:
+                acc ^= env[src]
+        except KeyError as exc:
+            raise ValueError(
+                f"schedule source {exc.args[0]} not supplied or used before definition"
+            ) from None
+        executed += len(sources) - 1
         env[op.target] = acc
 
     outputs = {
@@ -308,8 +325,6 @@ def execute_schedule(
 def encode(code: MdrCode, data: Stripe, schedule: XorSchedule) -> Stripe:
     """Schedule-driven encode; byte-identical to encode_naive."""
     if schedule.kind != "encode" or (schedule.k, schedule.r) != (code.k, code.r):
-        raise ValueError("schedule does not match this code")
-    if not is_recursive_mdr(code):
         raise ValueError("schedule does not match this code")
     if (data.k, data.r) != (code.k, code.r):
         raise ValueError("stripe shape does not match code")
@@ -434,135 +449,95 @@ def decode(code: MdrCode, stripe: Stripe, erased: ErasurePattern) -> Stripe:
 
 @dataclass(frozen=True)
 class RepairPlan:
-    """Which blocks to read and the linear recipe to rebuild one disk.
-
-    For a basic disk: rows basic_rows come back via row parity and rows
-    solve_rows via the restricted-B equation, using solver_inverse (the
-    inverse of B_i on (q_rows, complement(basic_rows))) and coeff_blocks
-    (every B_j restricted to (q_rows, basic_rows)).  For the Q disk the
-    plan reads all data blocks and re-encodes.
-    """
+    """The schedule that rebuilds one disk and the blocks it reads: reads
+    is exactly the set of the schedule's ("in", disk, row) sources."""
 
     failed_disk: int
     reads: frozenset[tuple[int, int]]
-    row_parity_rows: IndexSet | None = None
-    solve_rows: IndexSet | None = None
-    q_rows: IndexSet | None = None
-    solver_inverse: BitMatrix | None = None
-    coeff_blocks: tuple[BitMatrix, ...] | None = None
+    schedule: XorSchedule
 
 
 def repair_plan(code: MdrCode, failed: int) -> RepairPlan:
-    k, r = code.k, code.r
+    """Pick the rebuild schedule for one disk.
+
+    The Q disk is re-encoded from every data block.  A basic disk of a
+    recursion-built code gets the minimum-XOR ``build_repair_schedule``;
+    of any other code, the schedule compiled from its repair strategy.
+    """
+    k = code.k
     if not 1 <= failed <= k + 2:
         raise ValueError(f"disk index {failed} outside [1, {k + 2}]")
     if failed == k + 2:
-        reads = frozenset(
-            (d, j) for d in range(1, k + 1) for j in range(1, r + 1)
-        )
-        return RepairPlan(failed, reads)
-    if code.strategies is None:
+        schedule = XorSchedule("repair", k, code.r, failed, tuple(_q_row_ops(code)))
+    elif is_recursive_mdr(code):
+        schedule = build_repair_schedule(code, failed)
+    elif code.strategies is None:
         raise ValueError("basic-disk repair needs strategies")
-    strat = code.strategies[failed - 1]
-    c_rows = strat.basic_rows
-    q_rows = strat.q_rows
-    solve_rows = c_rows.complement()
-    reads = set()
-    for d in range(1, k + 2):
-        if d != failed:
-            reads.update((d, j) for j in c_rows)
-    reads.update((k + 2, j) for j in q_rows)
-    solver_inverse = code.b_matrices[failed - 1].submatrix(q_rows, solve_rows).invert()
-    coeff = tuple(b.submatrix(q_rows, c_rows) for b in code.b_matrices)
-    return RepairPlan(
-        failed,
-        frozenset(reads),
-        row_parity_rows=c_rows,
-        solve_rows=solve_rows,
-        q_rows=q_rows,
-        solver_inverse=solver_inverse,
-        coeff_blocks=coeff,
+    else:
+        schedule = _compile_repair_schedule(code, failed)
+    reads = frozenset(
+        (src[1], src[2]) for op in schedule.ops for src in op.sources if src[0] == "in"
     )
+    return RepairPlan(failed, reads, schedule)
+
+
+def _compile_repair_schedule(code: MdrCode, failed: int) -> XorSchedule:
+    """Rebuild schedule for a basic disk of any code with a repair strategy.
+
+    GF(2) elimination over the data coefficients of the blocks the strategy
+    reads writes every lost block as the XOR of a subset of them.
+    """
+    k, r = code.k, code.r
+    strat = code.strategies[failed - 1]
+    candidates: list[Buffer] = [
+        ("in", d, j) for d in range(1, k + 2) if d != failed for j in strat.basic_rows
+    ]
+    candidates += [("in", k + 2, j) for j in strat.q_rows]
+    coeffs = _data_coefficients(code)
+    # leading bit -> (coefficient vector, bitmask of the candidates summed)
+    pivots: dict[int, tuple[int, int]] = {}
+
+    def reduce(vec: int, combo: int) -> tuple[int, int]:
+        while vec:
+            lead = vec.bit_length() - 1
+            if lead not in pivots:
+                break
+            pvec, pcombo = pivots[lead]
+            vec ^= pvec
+            combo ^= pcombo
+        return vec, combo
+
+    for n, buf in enumerate(candidates):
+        vec, combo = reduce(coeffs[buf], 1 << n)
+        if vec:
+            pivots[vec.bit_length() - 1] = (vec, combo)
+    ops = []
+    for j in range(1, r + 1):
+        vec, combo = reduce(coeffs[("in", failed, j)], 0)
+        if vec:
+            raise ValueError(f"repair strategy for disk {failed} cannot rebuild row {j}")
+        sources = tuple(buf for n, buf in enumerate(candidates) if combo >> n & 1)
+        ops.append(XorOp(("out", failed, j), sources))
+    return XorSchedule("repair", k, r, failed, tuple(ops))
 
 
 def execute_repair(
-    code: MdrCode, plan: RepairPlan, available: Stripe, *, streaming: bool = False
-) -> list[bytes]:
-    """Rebuild the failed column, touching only the blocks in plan.reads.
-
-    ``streaming`` uses the bounded-memory order: row-parity rows are
-    produced one at a time while the r/2 solve accumulators stay live, so
-    at most r/2 + 2 block buffers are ever held.
-    """
-    k, r, size = code.k, code.r, available.block_size
-    if (available.k, available.r) != (k, r):
-        raise ValueError("stripe shape does not match code")
-
-    def read(disk: int, row: int) -> int:
-        if (disk, row) not in plan.reads:
-            raise ValueError(f"attempted read of ({disk},{row}) outside the plan")
-        return int.from_bytes(available.get_block(disk, row), "little")
-
-    if plan.failed_disk == k + 2:
-        cols = [
-            [read(d, j) for j in range(1, r + 1)] for d in range(1, k + 1)
-        ]
-        q = [0] * r
-        for a, col in zip(generator_submatrices(code), cols):
-            contrib = _apply(a, col)
-            for j in range(r):
-                q[j] ^= contrib[j]
-        return _ints_to_blocks(q, size)
-
+    plan: RepairPlan, blocks: Mapping[tuple[int, int], bytes], block_size: int
+) -> tuple[list[bytes], int]:
+    """Rebuild the failed column from a {(disk, row): bytes} map holding
+    exactly the blocks in plan.reads; returns the column and the number of
+    two-input XORs executed."""
+    if blocks.keys() != plan.reads:
+        extra = sorted(blocks.keys() - plan.reads)
+        absent = sorted(plan.reads - blocks.keys())
+        raise ValueError(
+            f"block map does not match the plan: extra {extra}, missing {absent}"
+        )
+    inputs = {("in", d, j): data for (d, j), data in blocks.items()}
+    outputs, executed = execute_schedule(plan.schedule, inputs, block_size)
     failed = plan.failed_disk
-    c_rows = list(plan.row_parity_rows)
-    q_rows = list(plan.q_rows)
-    solve_rows = list(plan.solve_rows)
-    survivors = [d for d in range(1, k + 2) if d != failed]
-    out: dict[int, int] = {}
-    half = len(q_rows)
-
-    if streaming:
-        # live buffers: half solve accumulators + the parity in progress +
-        # the block just read, never more than r/2 + 2
-        solve_acc = [read(k + 2, q_rows[a]) for a in range(half)]
-        for pos, c in enumerate(c_rows):
-            parity = 0
-            for d in survivors + [failed]:
-                block = parity if d == failed else read(d, c)
-                if d != failed:
-                    parity ^= block
-                coeff = plan.coeff_blocks[d - 1]
-                for a in range(half):
-                    if coeff.get(a + 1, pos + 1):
-                        solve_acc[a] ^= block
-            out[c] = parity
-        # emit solved rows one at a time against the cached accumulators
-        for a, row in enumerate(solve_rows):
-            acc = 0
-            cur = plan.solver_inverse.row_bits[a]
-            while cur:
-                low = cur & -cur
-                acc ^= solve_acc[low.bit_length() - 1]
-                cur ^= low
-            out[row] = acc
-        return _ints_to_blocks([out[j] for j in range(1, r + 1)], size)
-    else:
-        for c in c_rows:
-            acc = 0
-            for d in survivors:
-                acc ^= read(d, c)
-            out[c] = acc
-        total = [read(k + 2, q_rows[a]) for a in range(half)]
-        for d in range(1, k + 2):
-            col = [out[c] if d == failed else read(d, c) for c in c_rows]
-            contrib = _apply(plan.coeff_blocks[d - 1], col)
-            for a in range(half):
-                total[a] ^= contrib[a]
-        solved = _apply(plan.solver_inverse, total)
-        for a, row in enumerate(solve_rows):
-            out[row] = solved[a]
-        return _ints_to_blocks([out[j] for j in range(1, r + 1)], size)
+    column = [outputs[("out", failed, j)] for j in range(1, plan.schedule.r + 1)]
+    return column, executed
 
 
 def build_repair_schedule(code: MdrCode, failed: int) -> XorSchedule:
@@ -687,7 +662,7 @@ def verify_repair_schedule(code: MdrCode, schedule: XorSchedule) -> bool:
     if schedule.kind != "repair" or (schedule.k, schedule.r) != (code.k, code.r):
         return False
     failed = schedule.failed_disk
-    if failed is None or not 1 <= failed <= code.k + 1:
+    if failed is None or not 1 <= failed <= code.k + 2:
         return False
     for op in schedule.ops:
         for src in op.sources:

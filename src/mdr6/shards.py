@@ -104,22 +104,6 @@ def _resolve_code(k: int, r: int, code: MdrCode | None) -> MdrCode:
     return code
 
 
-def _stripe_payload(k: int, r: int, block_size: int) -> int:
-    return k * r * block_size
-
-
-def _data_columns(chunk: bytes, k: int, r: int, block_size: int) -> list[list[bytes]]:
-    """Split one zero-padded stripe payload column-wise into k disk strips."""
-    full = chunk.ljust(_stripe_payload(k, r, block_size), b"\x00")
-    cols = []
-    for i in range(k):
-        base = i * r * block_size
-        cols.append(
-            [full[base + j * block_size : base + (j + 1) * block_size] for j in range(r)]
-        )
-    return cols
-
-
 @dataclass(frozen=True)
 class EncodeReport:
     stripe_count: int
@@ -142,7 +126,8 @@ def encode_file(
     r = code.r
     schedule = build_encode_schedule(code)
     payload = Path(input_path).read_bytes()
-    stripe_bytes = _stripe_payload(k, r, block_size)
+    strip_bytes = r * block_size
+    stripe_bytes = k * strip_bytes
     stripe_count = (len(payload) + stripe_bytes - 1) // stripe_bytes
 
     out = Path(out_dir)
@@ -154,19 +139,18 @@ def encode_file(
         for d, fh in enumerate(handles, start=1):
             fh.write(ShardHeader(k, r, d, block_size, stripe_count, len(payload)).pack())
         for s in range(stripe_count):
-            chunk = payload[s * stripe_bytes : (s + 1) * stripe_bytes]
-            columns = _data_columns(chunk, k, r, block_size)
-            stripe = Stripe.from_data_columns(k, r, block_size, columns)
-            inputs = {
-                ("in", d, j): stripe.get_block(d, j)
-                for d in range(1, k + 1)
-                for j in range(1, r + 1)
-            }
+            # data disk d stores the d-th strip of r blocks; the last
+            # stripe is zero-padded
+            chunk = payload[s * stripe_bytes : (s + 1) * stripe_bytes].ljust(stripe_bytes, b"\x00")
+            inputs = {}
+            for d in range(1, k + 1):
+                base = (d - 1) * strip_bytes
+                handles[d - 1].write(chunk[base : base + strip_bytes])
+                for j in range(1, r + 1):
+                    off = base + (j - 1) * block_size
+                    inputs[("in", d, j)] = chunk[off : off + block_size]
             outputs, executed = execute_schedule(schedule, inputs, block_size)
             xor_total += executed
-            for d in range(1, k + 1):
-                for j in range(1, r + 1):
-                    handles[d - 1].write(stripe.get_block(d, j))
             for d in (k + 1, k + 2):
                 for j in range(1, r + 1):
                     handles[d - 1].write(outputs[("out", d, j)])
@@ -204,15 +188,14 @@ class DecodeReport:
     missing: tuple[int, ...]
     stripe_count: int
     payload_length: int
-    blocks_read_per_shard: dict[int, int] | None = None
-    bytes_read_per_shard: dict[int, int] | None = None
+    blocks_read_per_shard: dict[int, int]
+    bytes_read_per_shard: dict[int, int]
 
 
 def decode_file(
     shard_dir: str | os.PathLike,
     out_path: str | os.PathLike,
     code: MdrCode | None = None,
-    meter: bool = False,
 ) -> DecodeReport:
     """Rebuild the original file, tolerating up to two missing shards.
 
@@ -236,10 +219,8 @@ def decode_file(
         stripe = Stripe(k, r, bs)
         for d, (path, header) in headers.items():
             stripe.set_column(d, _read_column(path, header, s))
-        stripe.meter_reads = meter
+            blocks_read[d] += r
         restored = decode(code, stripe, pattern)
-        for disk, _row in stripe.reads:
-            blocks_read[disk] += 1
         for d in range(1, k + 1):
             pieces.extend(restored.column(d))
     payload = b"".join(pieces)[: any_header.payload_length]
@@ -248,8 +229,8 @@ def decode_file(
         missing,
         any_header.stripe_count,
         any_header.payload_length,
-        blocks_read if meter else None,
-        {d: n * bs for d, n in blocks_read.items()} if meter else None,
+        blocks_read,
+        {d: n * bs for d, n in blocks_read.items()},
     )
 
 
@@ -260,6 +241,7 @@ class RepairReport:
     stripe_count: int
     blocks_read_per_shard: dict[int, int]
     bytes_read_per_shard: dict[int, int]
+    xor_count: int
 
 
 def repair_shard(
@@ -267,7 +249,7 @@ def repair_shard(
     missing_index: int | None = None,
     code: MdrCode | None = None,
 ) -> RepairReport:
-    """Regenerate exactly one missing shard with metered reads."""
+    """Regenerate exactly one missing shard, reading only its plan's blocks."""
     directory = Path(shard_dir)
     headers = _scan_shards(directory)
     any_header = next(iter(headers.values()))[1]
@@ -291,25 +273,24 @@ def repair_shard(
     header = ShardHeader(k, r, failed, bs, any_header.stripe_count, any_header.payload_length)
     out_path = directory / shard_name(failed)
     blocks_read: dict[int, int] = {d: 0 for d in headers}
+    xor_total = 0
     with out_path.open("wb") as fh:
         fh.write(header.pack())
         for s in range(any_header.stripe_count):
-            # only the plan's blocks are loaded from the shard files
-            stripe = Stripe(k, r, bs)
+            blocks: dict[tuple[int, int], bytes] = {}
             for d, rows in rows_by_disk.items():
                 path, hdr = headers[d]
                 for row, block in zip(rows, _read_blocks(path, hdr, s, rows)):
-                    stripe.set_block(d, row, block)
-            stripe.meter_reads = True
-            column = execute_repair(code, plan, stripe)
-            for disk, _row in stripe.reads:
-                blocks_read[disk] += 1
-            for block in column:
-                fh.write(block)
+                    blocks[(d, row)] = block
+                blocks_read[d] += len(rows)
+            column, executed = execute_repair(plan, blocks, bs)
+            xor_total += executed
+            fh.writelines(column)
     return RepairReport(
         failed,
         str(out_path),
         any_header.stripe_count,
         blocks_read,
         {d: n * bs for d, n in blocks_read.items()},
+        xor_total,
     )

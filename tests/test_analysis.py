@@ -1,6 +1,7 @@
 """Oracles, bounds, update I/O, XOR accounting, and the code search."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from mdr6.analysis import (
     update_io,
 )
 from mdr6.code import construct, generator_submatrices, initial_code, verify_mds, verify_repair_optimal
-from mdr6.codec import RepairPlan, build_encode_schedule, build_repair_schedule, repair_plan
+from mdr6.codec import build_encode_schedule, build_repair_schedule, repair_plan
 from mdr6.f2 import BitMatrix
 
 
@@ -91,15 +92,7 @@ def test_lower_bounds_met(k):
 def test_plan_with_extra_read_fails_bounds():
     code = construct(2)
     plan = repair_plan(code, 1)
-    padded = RepairPlan(
-        plan.failed_disk,
-        plan.reads | {(2, 2)},
-        plan.row_parity_rows,
-        plan.solve_rows,
-        plan.q_rows,
-        plan.solver_inverse,
-        plan.coeff_blocks,
-    )
+    padded = replace(plan, reads=plan.reads | {(2, 2)})
     assert not plan_meets_bounds(code, padded)
 
 
@@ -112,15 +105,7 @@ def test_skewed_per_disk_reads_fail_bounds():
     reads.remove(moved)
     extra_row = next(j for j in range(1, code.r + 1) if (2, j) not in reads)
     reads.add((2, extra_row))
-    skewed = RepairPlan(
-        plan.failed_disk,
-        frozenset(reads),
-        plan.row_parity_rows,
-        plan.solve_rows,
-        plan.q_rows,
-        plan.solver_inverse,
-        plan.coeff_blocks,
-    )
+    skewed = replace(plan, reads=frozenset(reads))
     assert len(skewed.reads) == len(plan.reads)
     assert not plan_meets_bounds(code, skewed)
 

@@ -39,6 +39,10 @@ def stripes_equal(a, b):
     return all(a.column(d) == b.column(d) for d in range(1, a.k + 3))
 
 
+def plan_blocks(stripe, plan):
+    return {(d, j): stripe.get_block(d, j) for d, j in plan.reads}
+
+
 # -- encode ------------------------------------------------------------------
 
 
@@ -144,13 +148,17 @@ def test_encode_schedule_mismatch():
         encode(code3, random_stripe(code3, rng), sched)
 
 
-def test_schedule_refused_for_foreign_code():
+def test_encode_schedule_for_foreign_code():
     # a valid two-erasure code that is not the canonical recursion output
     code = construct(2)
     mats = (code.b_matrices[1], code.b_matrices[0], code.b_matrices[2])
     foreign = MdrCode(2, 4, mats, None)
-    with pytest.raises(ValueError):
-        build_encode_schedule(foreign)
+    sched = build_encode_schedule(foreign)
+    assert verify_encode_schedule(foreign, sched)
+    rng = random.Random(45)
+    for _ in range(3):
+        data = random_stripe(foreign, rng)
+        assert stripes_equal(encode(foreign, data, sched), encode_naive(foreign, data))
 
 
 # -- decode ------------------------------------------------------------------
@@ -214,29 +222,20 @@ def test_decode_rejects_out_of_range_disk():
 # -- repair plans -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 8))
 def test_repair_plan_read_exactness(k):
     code = construct(k)
     r = code.r
-    basic_row_sets = []
     for failed in range(1, k + 2):
         plan = repair_plan(code, failed)
+        strat = code.strategies[failed - 1]
+        expected = {
+            (d, j) for d in range(1, k + 2) if d != failed for j in strat.basic_rows
+        } | {(k + 2, j) for j in strat.q_rows}
+        assert plan.reads == expected
         assert len(plan.reads) == (k + 1) * r // 2
-        per_disk = {}
-        for d, _ in plan.reads:
-            per_disk[d] = per_disk.get(d, 0) + 1
-        survivors = [d for d in range(1, k + 3) if d != failed]
-        assert all(per_disk[d] == r // 2 for d in survivors)
-        rows_by_basic = {
-            d: sorted(row for dd, row in plan.reads if dd == d)
-            for d in survivors
-            if d != k + 2
-        }
-        assert len(set(map(tuple, rows_by_basic.values()))) == 1  # same rows read
-        basic_row_sets.append(rows_by_basic)
     q_plan = repair_plan(code, k + 2)
-    assert len(q_plan.reads) == k * r
-    assert {d for d, _ in q_plan.reads} == set(range(1, k + 1))
+    assert q_plan.reads == {(d, j) for d in range(1, k + 1) for j in range(1, r + 1)}
 
 
 def test_repair_plan_example_counts():
@@ -264,19 +263,20 @@ def test_execute_repair_rebuilds_every_disk(k):
     full = encode_naive(code, random_stripe(code, rng))
     for failed in range(1, k + 3):
         plan = repair_plan(code, failed)
-        assert execute_repair(code, plan, full) == full.column(failed)
-        assert execute_repair(code, plan, full, streaming=True) == full.column(failed)
+        column, _ = execute_repair(plan, plan_blocks(full, plan), BS)
+        assert column == full.column(failed)
 
 
 def test_execute_repair_matches_decode():
     code = construct(3)
     rng = random.Random(85)
     full = encode_naive(code, random_stripe(code, rng))
-    for failed in range(1, code.k + 2):
+    for failed in range(1, code.k + 3):
         damaged = full.copy()
         damaged.erase_disk(failed)
         via_decode = decode(code, damaged, ErasurePattern.of(failed)).column(failed)
-        via_repair = execute_repair(code, repair_plan(code, failed), full)
+        plan = repair_plan(code, failed)
+        via_repair, _ = execute_repair(plan, plan_blocks(damaged, plan), BS)
         assert via_repair == via_decode
 
 
@@ -285,8 +285,8 @@ def test_execute_repair_row_parity_identity():
     rng = random.Random(86)
     full = encode_naive(code, random_stripe(code, rng))
     plan = repair_plan(code, 1)
-    rebuilt = execute_repair(code, plan, full)
-    for c in plan.row_parity_rows:
+    rebuilt, _ = execute_repair(plan, plan_blocks(full, plan), BS)
+    for c in code.strategies[0].basic_rows:
         expect = xor_blocks(
             [full.get_block(d, c) for d in (2, 3)], full.block_size
         )
@@ -295,18 +295,16 @@ def test_execute_repair_row_parity_identity():
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_execute_repair_meter(k):
+    # the executed XOR count is the schedule's: (k-1)r for a basic disk
     code = construct(k)
     rng = random.Random(90 + k)
     full = encode_naive(code, random_stripe(code, rng))
-    for failed in range(1, k + 2):
-        stripe = full.copy()
-        stripe.meter_reads = True
-        execute_repair(code, repair_plan(code, failed), stripe)
-        assert len(stripe.reads) == (k + 1) * code.r // 2
-    stripe = full.copy()
-    stripe.meter_reads = True
-    execute_repair(code, repair_plan(code, k + 2), stripe)
-    assert len(stripe.reads) == k * code.r
+    for failed in range(1, k + 3):
+        plan = repair_plan(code, failed)
+        _, executed = execute_repair(plan, plan_blocks(full, plan), BS)
+        assert executed == plan.schedule.xor_count
+        if failed <= k + 1:
+            assert executed == (k - 1) * code.r
 
 
 def test_execute_repair_stays_inside_plan():
@@ -314,18 +312,11 @@ def test_execute_repair_stays_inside_plan():
     rng = random.Random(95)
     full = encode_naive(code, random_stripe(code, rng))
     plan = repair_plan(code, 1)
-    shrunk = plan.reads - {sorted(plan.reads)[0]}
-    clipped = type(plan)(
-        plan.failed_disk,
-        frozenset(shrunk),
-        plan.row_parity_rows,
-        plan.solve_rows,
-        plan.q_rows,
-        plan.solver_inverse,
-        plan.coeff_blocks,
-    )
+    blocks = plan_blocks(full, plan)
+    outside = next((2, j) for j in range(1, code.r + 1) if (2, j) not in plan.reads)
+    blocks[outside] = full.get_block(*outside)
     with pytest.raises(ValueError):
-        execute_repair(code, clipped, full)
+        execute_repair(plan, blocks, BS)
 
 
 def test_execute_repair_missing_block():
@@ -333,10 +324,28 @@ def test_execute_repair_missing_block():
     rng = random.Random(96)
     full = encode_naive(code, random_stripe(code, rng))
     plan = repair_plan(code, 1)
-    damaged = full.copy()
-    damaged.erase_disk(2)
+    blocks = {key: b for key, b in plan_blocks(full, plan).items() if key[0] != 2}
     with pytest.raises(ValueError):
-        execute_repair(code, plan, damaged)
+        execute_repair(plan, blocks, BS)
+
+
+def test_execute_repair_rejects_wrong_block_size():
+    code = construct(2)
+    rng = random.Random(97)
+    full = encode_naive(code, random_stripe(code, rng))
+    plan = repair_plan(code, 1)
+    blocks = plan_blocks(full, plan)
+    first = min(blocks)
+    blocks[first] = blocks[first][:-1]
+    with pytest.raises(ValueError):
+        execute_repair(plan, blocks, BS)
+
+
+def test_execute_schedule_missing_source():
+    code = construct(2)
+    sched = build_repair_schedule(code, 1)
+    with pytest.raises(ValueError):
+        execute_schedule(sched, {("in", 2, 1): bytes(BS)}, BS)
 
 
 # -- repair schedules -----------------------------------------------------------
@@ -440,15 +449,3 @@ def test_stripe_presence_and_erase():
     assert not full.disk_present(2)
     with pytest.raises(ValueError):
         full.get_block(2, 1)
-
-
-def test_stripe_meter_dedups():
-    code = construct(1)
-    rng = random.Random(2)
-    full = encode_naive(code, random_stripe(code, rng))
-    full.meter_reads = True
-    full.get_block(1, 1)
-    full.get_block(1, 1)
-    assert full.reads == {(1, 1)}
-    full.reset_meter()
-    assert full.reads == set()

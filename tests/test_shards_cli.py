@@ -10,7 +10,8 @@ import pytest
 
 from mdr6 import shards
 from mdr6.cli import main
-from mdr6.code import code_from_document
+from mdr6.code import code_from_document, construct
+from mdr6.codec import repair_plan
 from mdr6.shards import ShardHeader, TooManyErasuresError
 
 BS = 32
@@ -136,6 +137,23 @@ def test_repair_rebuilds_identical_shard(tmp_path, victim):
         assert rrep.blocks_read_per_shard.get(k + 1, 0) == 0
 
 
+@pytest.mark.parametrize("k, q_xors", [(3, 28), (6, 800)])
+def test_repair_xor_count_per_stripe(tmp_path, k, q_xors):
+    code = construct(k)
+    r = code.r
+    src = make_file(tmp_path, k * r * 8 * 2 + 1, seed=40 + k)
+    sh = tmp_path / "sh"
+    stripes = shards.encode_file(src, sh, k=k, block_size=8).stripe_count
+    assert repair_plan(code, k + 2).schedule.xor_count == q_xors
+    for victim in range(1, k + 3):
+        original = (sh / shards.shard_name(victim)).read_bytes()
+        os.remove(sh / shards.shard_name(victim))
+        report = shards.repair_shard(sh)
+        assert (sh / shards.shard_name(victim)).read_bytes() == original
+        per_stripe = (k - 1) * r if victim <= k + 1 else q_xors
+        assert report.xor_count == per_stripe * stripes, victim
+
+
 def test_repair_rejects_two_missing(tmp_path):
     src = make_file(tmp_path, 1000, seed=11)
     sh = tmp_path / "sh"
@@ -203,6 +221,7 @@ def test_cli_encode_repair_decode_flow(tmp_path, capsys):
     assert main(["repair", str(sh), "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["disk_index"] == 3
+    assert rep["xor_count"] == (2 - 1) * 4 * enc["stripes"]
     assert set(rep["bytes_read_per_shard"].values()) == {2 * 64 * enc["stripes"]}
 
     out = tmp_path / "restored.bin"
@@ -262,6 +281,32 @@ def test_cli_encode_with_code_document(tmp_path, capsys):
     assert main(["decode", str(sh), "--out", str(out),
                  "--code", str(tmp_path / "code.json")]) == 0
     assert out.read_bytes() == src.read_bytes()
+
+
+def test_cli_round_trip_with_search_found_code(tmp_path, capsys):
+    assert main(["analyze", "--k", "2", "--search", "2", "--limit", "5000", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)["search"]["found"][0]
+    code_path = tmp_path / "code.json"
+    code_path.write_text(json.dumps(doc))
+    src = make_file(tmp_path, 1000, seed=24)
+    sh = tmp_path / "sh"
+    assert main(["encode", str(src), "--code", str(code_path), "--block-size", "16",
+                 "--out-dir", str(sh)]) == 0
+    originals = {d: (sh / shards.shard_name(d)).read_bytes() for d in range(1, 5)}
+    out = tmp_path / "out.bin"
+    for victim in range(1, 5):
+        os.remove(sh / shards.shard_name(victim))
+        assert main(["repair", str(sh), "--code", str(code_path)]) == 0
+        assert (sh / shards.shard_name(victim)).read_bytes() == originals[victim]
+        assert main(["decode", str(sh), "--out", str(out), "--code", str(code_path)]) == 0
+        assert out.read_bytes() == src.read_bytes()
+    for pair in itertools.combinations(range(1, 5), 2):
+        for d in pair:
+            os.remove(sh / shards.shard_name(d))
+        assert main(["decode", str(sh), "--out", str(out), "--code", str(code_path)]) == 0
+        assert out.read_bytes() == src.read_bytes()
+        for d in pair:
+            (sh / shards.shard_name(d)).write_bytes(originals[d])
 
 
 def test_cli_analyze_oracle(tmp_path, capsys):
