@@ -27,7 +27,6 @@ from .codec import (
     build_encode_schedule,
     build_repair_schedule,
     decode,
-    encode,
     encode_naive,
     execute_repair,
     repair_plan,
@@ -51,7 +50,6 @@ __all__ = [
     "code_to_document",
     "construct",
     "decode",
-    "encode",
     "encode_naive",
     "execute_repair",
     "extend",

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import analysis, shards, sim
 from .code import MdrCode, code_from_document, code_to_document, construct
-from .codec import IntegrityError
+from .codec import IntegrityError, build_encode_schedule, repair_plan
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -141,19 +141,15 @@ def cmd_analyze(args) -> int:
     out["lower_bounds_met"] = analysis.check_lower_bounds(code)
     lines.append(f"repair plans meet the I/O bounds exactly: {out['lower_bounds_met']}")
 
-    from .codec import build_encode_schedule, build_repair_schedule
-    from .code import is_recursive_mdr
-
-    if is_recursive_mdr(code):
-        enc = analysis.count_schedule_xors(build_encode_schedule(code), code)
-        rep = analysis.count_schedule_xors(build_repair_schedule(code, 1), code)
-        out["encode_xors"] = enc.total
-        out["repair_xors"] = rep.total
-        lines.append(
-            f"encode schedule: {enc.total} XORs/stripe "
-            f"({enc.average_per_block['p'] + enc.average_per_block['q']} per coded block pair)"
-        )
-        lines.append(f"repair schedule: {rep.total} XORs per rebuilt strip")
+    enc = analysis.count_schedule_xors(build_encode_schedule(code), code)
+    rep = analysis.count_schedule_xors(repair_plan(code, 1).schedule, code)
+    out["encode_xors"] = enc.total
+    out["repair_xors"] = rep.total
+    lines.append(
+        f"encode schedule: {enc.total} XORs/stripe "
+        f"({enc.average_per_block['p'] + enc.average_per_block['q']} per coded block pair)"
+    )
+    lines.append(f"repair schedule: {rep.total} XORs per rebuilt strip")
 
     if args.oracle:
         reports = {}

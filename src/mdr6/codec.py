@@ -4,14 +4,13 @@ Blocks are byte strings of one fixed size per stripe.  Two execution
 paths coexist on purpose:
 
 * ``encode_naive`` / ``decode`` evaluate the generator relations directly
-  and act as the reference for everything else; ``decode`` also rebuilds
-  up to two lost columns of shard files;
+  and are the test reference for everything else;
 * every other linear map is an ``XorSchedule`` run by ``execute_schedule``:
   ``build_encode_schedule`` fills P and Q (the minimum 2(k-1) XORs per
-  stripe row for recursion-built codes), and ``repair_plan`` pairs the
-  schedule that rebuilds one disk with the minimum read set it consumes
-  (the minimum (k-1) average XORs per lost block for recursion-built
-  codes).
+  stripe row for recursion-built codes), ``build_decode_schedule`` rebuilds
+  the data of up to two lost disks, and ``repair_plan`` pairs the schedule
+  that rebuilds one disk with the minimum read set it consumes (the
+  minimum (k-1) average XORs per lost block for recursion-built codes).
 """
 
 from __future__ import annotations
@@ -135,7 +134,7 @@ class XorSchedule:
     source is defined (or is an input) before its first use.
     """
 
-    kind: str  # "encode" or "repair"
+    kind: str  # "encode", "repair" or "decode"
     k: int
     r: int
     failed_disk: int | None
@@ -233,38 +232,20 @@ def _q_sources(t: int, base: int, prefix_ref) -> dict[int, list[Buffer]]:
     return out
 
 
-def _q_row_ops(code: MdrCode) -> list[XorOp]:
-    """Q row j as the XOR of the data blocks that row j of each A_i
-    selects; valid for any code."""
-    a_mats = generator_submatrices(code)
-    ops = []
-    for j in range(code.r):
-        sources: list[Buffer] = []
-        for disk, a in enumerate(a_mats, start=1):
-            cur = a.row_bits[j]
-            while cur:
-                low = cur & -cur
-                sources.append(("in", disk, low.bit_length()))
-                cur ^= low
-        ops.append(XorOp(("out", code.k + 2, j + 1), tuple(sources)))
-    return ops
-
-
+@lru_cache(maxsize=256)
 def build_encode_schedule(code: MdrCode) -> XorSchedule:
     """Encode schedule for any code.
 
     Recursion-built codes get the minimum-XOR schedule: P by left-to-right
     prefix sums whose intermediates are retained and reused by the Q
     recursion, for a total of 2(k-1) XORs per stripe row.  Any other code
-    gets P as row XORs and Q by direct A-row ops.
+    gets each P and Q block as the XOR of the data blocks it covers.
     """
     k, r = code.k, code.r
     if not is_recursive_mdr(code):
-        p_ops = [
-            XorOp(("out", k + 1, row), tuple(("in", d, row) for d in range(1, k + 1)))
-            for row in range(1, r + 1)
-        ]
-        return XorSchedule("encode", k, r, None, tuple(p_ops + _q_row_ops(code)))
+        data = [("in", d, j) for d in range(1, k + 1) for j in range(1, r + 1)]
+        parity = [(d, j) for d in (k + 1, k + 2) for j in range(1, r + 1)]
+        return XorSchedule("encode", k, r, None, _compile_ops(code, data, parity))
 
     def prefix_ref(t: int, row: int) -> Buffer:
         if t == 1:
@@ -322,24 +303,57 @@ def execute_schedule(
     return outputs, executed
 
 
-def encode(code: MdrCode, data: Stripe, schedule: XorSchedule) -> Stripe:
-    """Schedule-driven encode; byte-identical to encode_naive."""
-    if schedule.kind != "encode" or (schedule.k, schedule.r) != (code.k, code.r):
-        raise ValueError("schedule does not match this code")
-    if (data.k, data.r) != (code.k, code.r):
-        raise ValueError("stripe shape does not match code")
+def _compile_ops(
+    code: MdrCode, candidates: Sequence[Buffer], targets: Sequence[tuple[int, int]]
+) -> tuple[XorOp, ...]:
+    """One op per target block (disk, row): its XOR over a subset of the
+    candidate input blocks, found by GF(2) elimination over their data
+    coefficients.
+
+    Candidates become pivots in list order, so blocks listed first are
+    preferred as sources.
+    """
+    coeffs = _data_coefficients(code)
+    # leading bit -> (coefficient vector, bitmask of the candidates summed)
+    pivots: dict[int, tuple[int, int]] = {}
+
+    def reduce(vec: int, combo: int) -> tuple[int, int]:
+        while vec:
+            lead = vec.bit_length() - 1
+            if lead not in pivots:
+                break
+            pvec, pcombo = pivots[lead]
+            vec ^= pvec
+            combo ^= pcombo
+        return vec, combo
+
+    for n, buf in enumerate(candidates):
+        vec, combo = reduce(coeffs[buf], 1 << n)
+        if vec:
+            pivots[vec.bit_length() - 1] = (vec, combo)
+    ops = []
+    for d, j in targets:
+        vec, combo = reduce(coeffs[("in", d, j)], 0)
+        if vec:
+            raise ValueError(f"block ({d},{j}) is not an XOR of the candidate blocks")
+        sources = tuple(buf for n, buf in enumerate(candidates) if combo >> n & 1)
+        ops.append(XorOp(("out", d, j), sources))
+    return tuple(ops)
+
+
+@lru_cache(maxsize=256)
+def build_decode_schedule(code: MdrCode, missing: tuple[int, ...]) -> XorSchedule:
+    """Schedule that rebuilds the data blocks of the missing disks from
+    every block of the surviving ones.
+
+    Data disks and P come before Q among the candidates, so a lost data
+    disk is rebuilt from row parity at the minimum k-1 XORs per block.
+    """
     k, r = code.k, code.r
-    inputs = {
-        ("in", d, j): data.get_block(d, j)
-        for d in range(1, k + 1)
-        for j in range(1, r + 1)
-    }
-    outputs, _ = execute_schedule(schedule, inputs, data.block_size)
-    out = data.copy()
-    for j in range(1, r + 1):
-        out.set_block(k + 1, j, outputs[("out", k + 1, j)])
-        out.set_block(k + 2, j, outputs[("out", k + 2, j)])
-    return out
+    rows = range(1, r + 1)
+    candidates = [("in", d, j) for d in range(1, k + 3) if d not in missing for j in rows]
+    targets = [(d, j) for d in missing if d <= k for j in rows]
+    return XorSchedule("decode", k, r, None, _compile_ops(code, candidates, targets))
 
 
 # -- generic two-erasure decoding -------------------------------------------
@@ -457,68 +471,53 @@ class RepairPlan:
     schedule: XorSchedule
 
 
+@lru_cache(maxsize=256)
 def repair_plan(code: MdrCode, failed: int) -> RepairPlan:
     """Pick the rebuild schedule for one disk.
 
-    The Q disk is re-encoded from every data block.  A basic disk of a
-    recursion-built code gets the minimum-XOR ``build_repair_schedule``;
-    of any other code, the schedule compiled from its repair strategy.
+    The Q disk is rebuilt by the part of the encode schedule that Q needs.
+    A basic disk of a recursion-built code gets the minimum-XOR
+    ``build_repair_schedule``; of any other code, the schedule compiled
+    from the blocks its repair strategy reads.
     """
-    k = code.k
+    k, r = code.k, code.r
     if not 1 <= failed <= k + 2:
         raise ValueError(f"disk index {failed} outside [1, {k + 2}]")
     if failed == k + 2:
-        schedule = XorSchedule("repair", k, code.r, failed, tuple(_q_row_ops(code)))
+        schedule = _q_repair_schedule(code)
     elif is_recursive_mdr(code):
         schedule = build_repair_schedule(code, failed)
     elif code.strategies is None:
         raise ValueError("basic-disk repair needs strategies")
     else:
-        schedule = _compile_repair_schedule(code, failed)
+        strat = code.strategies[failed - 1]
+        candidates: list[Buffer] = [
+            ("in", d, j) for d in range(1, k + 2) if d != failed for j in strat.basic_rows
+        ]
+        candidates += [("in", k + 2, j) for j in strat.q_rows]
+        targets = [(failed, j) for j in range(1, r + 1)]
+        schedule = XorSchedule("repair", k, r, failed, _compile_ops(code, candidates, targets))
     reads = frozenset(
         (src[1], src[2]) for op in schedule.ops for src in op.sources if src[0] == "in"
     )
     return RepairPlan(failed, reads, schedule)
 
 
-def _compile_repair_schedule(code: MdrCode, failed: int) -> XorSchedule:
-    """Rebuild schedule for a basic disk of any code with a repair strategy.
+def _q_repair_schedule(code: MdrCode) -> XorSchedule:
+    """The ops of the encode schedule that Q's outputs depend on, with P's
+    outputs turned into intermediates, so Q reuses the P prefix sums."""
+    k = code.k
 
-    GF(2) elimination over the data coefficients of the blocks the strategy
-    reads writes every lost block as the XOR of a subset of them.
-    """
-    k, r = code.k, code.r
-    strat = code.strategies[failed - 1]
-    candidates: list[Buffer] = [
-        ("in", d, j) for d in range(1, k + 2) if d != failed for j in strat.basic_rows
-    ]
-    candidates += [("in", k + 2, j) for j in strat.q_rows]
-    coeffs = _data_coefficients(code)
-    # leading bit -> (coefficient vector, bitmask of the candidates summed)
-    pivots: dict[int, tuple[int, int]] = {}
+    def as_tmp(buf: Buffer) -> Buffer:
+        return ("tmp", "p", buf[2]) if buf[:2] == ("out", k + 1) else buf
 
-    def reduce(vec: int, combo: int) -> tuple[int, int]:
-        while vec:
-            lead = vec.bit_length() - 1
-            if lead not in pivots:
-                break
-            pvec, pcombo = pivots[lead]
-            vec ^= pvec
-            combo ^= pcombo
-        return vec, combo
-
-    for n, buf in enumerate(candidates):
-        vec, combo = reduce(coeffs[buf], 1 << n)
-        if vec:
-            pivots[vec.bit_length() - 1] = (vec, combo)
-    ops = []
-    for j in range(1, r + 1):
-        vec, combo = reduce(coeffs[("in", failed, j)], 0)
-        if vec:
-            raise ValueError(f"repair strategy for disk {failed} cannot rebuild row {j}")
-        sources = tuple(buf for n, buf in enumerate(candidates) if combo >> n & 1)
-        ops.append(XorOp(("out", failed, j), sources))
-    return XorSchedule("repair", k, r, failed, tuple(ops))
+    needed: set[Buffer] = set()
+    kept: list[XorOp] = []
+    for op in reversed(build_encode_schedule(code).ops):
+        if op.target[:2] == ("out", k + 2) or op.target in needed:
+            needed.update(op.sources)
+            kept.append(XorOp(as_tmp(op.target), tuple(map(as_tmp, op.sources))))
+    return XorSchedule("repair", k, code.r, k + 2, tuple(reversed(kept)))
 
 
 def execute_repair(

@@ -5,16 +5,17 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO, Sequence
 
 from .code import MdrCode, construct
 from .codec import (
-    ErasurePattern,
     IntegrityError,
-    Stripe,
+    build_decode_schedule,
     build_encode_schedule,
-    decode,
+    decode,  # noqa: F401  unused here, but perfbench/tracer.py wraps mdr6.shards.decode
     execute_repair,
     execute_schedule,
     repair_plan,
@@ -133,9 +134,9 @@ def encode_file(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / shard_name(d) for d in range(1, k + 3)]
-    handles = [p.open("wb") for p in paths]
     xor_total = 0
-    try:
+    with ExitStack() as stack:
+        handles = [stack.enter_context(p.open("wb")) for p in paths]
         for d, fh in enumerate(handles, start=1):
             fh.write(ShardHeader(k, r, d, block_size, stripe_count, len(payload)).pack())
         for s in range(stripe_count):
@@ -154,32 +155,24 @@ def encode_file(
             for d in (k + 1, k + 2):
                 for j in range(1, r + 1):
                     handles[d - 1].write(outputs[("out", d, j)])
-    finally:
-        for fh in handles:
-            fh.close()
     return EncodeReport(stripe_count, xor_total, tuple(str(p) for p in paths))
 
 
-def _read_column(path: Path, header: ShardHeader, stripe: int) -> list[bytes]:
+def _read_rows(fh: BinaryIO, header: ShardHeader, stripe: int, rows: Sequence[int]) -> list[bytes]:
+    """Read ascending rows of one stripe from an open shard, one read per run of rows."""
     r, bs = header.r, header.block_size
-    with path.open("rb") as fh:
-        fh.seek(HEADER_SIZE + stripe * r * bs)
-        raw = fh.read(r * bs)
-    if len(raw) != r * bs:
-        raise IntegrityError(f"shard {path} truncated at stripe {stripe}")
-    return [raw[j * bs : (j + 1) * bs] for j in range(r)]
-
-
-def _read_blocks(path: Path, header: ShardHeader, stripe: int, rows: list[int]) -> list[bytes]:
-    r, bs = header.r, header.block_size
-    out = []
-    with path.open("rb") as fh:
-        for row in rows:
-            fh.seek(HEADER_SIZE + (stripe * r + row - 1) * bs)
-            block = fh.read(bs)
-            if len(block) != bs:
-                raise IntegrityError(f"shard {path} truncated at stripe {stripe}")
-            out.append(block)
+    out: list[bytes] = []
+    first = 0
+    for n, row in enumerate(rows, start=1):
+        if n < len(rows) and rows[n] == row + 1:
+            continue
+        count = n - first
+        fh.seek(HEADER_SIZE + (stripe * r + rows[first] - 1) * bs)
+        raw = fh.read(count * bs)
+        if len(raw) != count * bs:
+            raise IntegrityError(f"shard {fh.name} truncated at stripe {stripe}")
+        out += [raw] if count == 1 else [raw[i : i + bs] for i in range(0, len(raw), bs)]
+        first = n
     return out
 
 
@@ -211,18 +204,30 @@ def decode_file(
         raise TooManyErasuresError(
             f"{len(missing)} shards missing; RAID-6 tolerates at most 2"
         )
-    pattern = ErasurePattern(frozenset(missing))
+    # with nothing missing, re-encoding checks the stored P and Q
+    schedule = build_decode_schedule(code, missing) if missing else build_encode_schedule(code)
+    rows = range(1, r + 1)
 
     blocks_read: dict[int, int] = {d: 0 for d in headers}
     pieces: list[bytes] = []
-    for s in range(any_header.stripe_count):
-        stripe = Stripe(k, r, bs)
-        for d, (path, header) in headers.items():
-            stripe.set_column(d, _read_column(path, header, s))
-            blocks_read[d] += r
-        restored = decode(code, stripe, pattern)
-        for d in range(1, k + 1):
-            pieces.extend(restored.column(d))
+    with ExitStack() as stack:
+        handles = {d: stack.enter_context(path.open("rb")) for d, (path, _) in headers.items()}
+        for s in range(any_header.stripe_count):
+            inputs = {}
+            for d, fh in handles.items():
+                for j, block in zip(rows, _read_rows(fh, any_header, s, rows)):
+                    inputs[("in", d, j)] = block
+                blocks_read[d] += r
+            outputs, _ = execute_schedule(schedule, inputs, bs)
+            if not missing and any(
+                outputs[("out", d, j)] != inputs[("in", d, j)] for d in (k + 1, k + 2) for j in rows
+            ):
+                raise IntegrityError("surviving blocks violate the parity relations")
+            for d in range(1, k + 1):
+                if d in missing:
+                    pieces.extend(outputs[("out", d, j)] for j in rows)
+                else:
+                    pieces.extend(inputs[("in", d, j)] for j in rows)
     payload = b"".join(pieces)[: any_header.payload_length]
     Path(out_path).write_bytes(payload)
     return DecodeReport(
@@ -274,13 +279,14 @@ def repair_shard(
     out_path = directory / shard_name(failed)
     blocks_read: dict[int, int] = {d: 0 for d in headers}
     xor_total = 0
-    with out_path.open("wb") as fh:
+    with ExitStack() as stack:
+        handles = {d: stack.enter_context(headers[d][0].open("rb")) for d in rows_by_disk}
+        fh = stack.enter_context(out_path.open("wb"))
         fh.write(header.pack())
         for s in range(any_header.stripe_count):
             blocks: dict[tuple[int, int], bytes] = {}
             for d, rows in rows_by_disk.items():
-                path, hdr = headers[d]
-                for row, block in zip(rows, _read_blocks(path, hdr, s, rows)):
+                for row, block in zip(rows, _read_rows(handles[d], any_header, s, rows)):
                     blocks[(d, row)] = block
                 blocks_read[d] += len(rows)
             column, executed = execute_repair(plan, blocks, bs)

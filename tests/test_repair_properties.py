@@ -1,6 +1,8 @@
-"""Property tests: every single-disk rebuild, for canonical and
-search-found codes, is byte-exact, sound and reads exactly its plan."""
+"""Property tests: every single-disk rebuild and every decode of up to
+two lost disks, for canonical and search-found codes, is byte-exact and
+sound; a rebuild reads exactly its plan and a decode reads no lost disk."""
 
+import itertools
 import random
 
 import pytest
@@ -12,9 +14,13 @@ from mdr6.code import construct
 from mdr6.codec import (
     ErasurePattern,
     Stripe,
+    _data_coefficients,
+    _evaluate_symbolic,
+    build_decode_schedule,
     decode,
     encode_naive,
     execute_repair,
+    execute_schedule,
     repair_plan,
     verify_repair_schedule,
 )
@@ -27,6 +33,11 @@ def full_stripe(code, block_size, seed):
     rng = random.Random(seed)
     cols = [[rng.randbytes(block_size) for _ in range(code.r)] for _ in range(code.k)]
     return encode_naive(code, Stripe.from_data_columns(code.k, code.r, block_size, cols))
+
+
+def erasure_patterns(code):
+    disks = range(1, code.k + 3)
+    return [*itertools.combinations(disks, 1), *itertools.combinations(disks, 2)]
 
 
 @st.composite
@@ -87,3 +98,55 @@ def test_execute_repair_refuses_a_wrong_block_map(case, data):
     extra = data.draw(st.sampled_from(outside))
     with pytest.raises(ValueError):
         execute_repair(plan, {**blocks, extra: full.get_block(*extra)}, full.block_size)
+
+
+@pytest.mark.parametrize("code", CANONICAL + FOUND, ids=lambda c: f"k{c.k}r{c.r}")
+def test_every_decode_schedule_rebuilds_exactly_the_lost_data(code):
+    k, r = code.k, code.r
+    coeffs = _data_coefficients(code)
+    for missing in erasure_patterns(code):
+        schedule = build_decode_schedule(code, missing)
+        lost = {
+            ("out", d, j): coeffs[("in", d, j)] for d in missing if d <= k for j in range(1, r + 1)
+        }
+        assert _evaluate_symbolic(code, schedule) == lost, missing
+        assert not any(
+            src[0] == "in" and src[1] in missing for op in schedule.ops for src in op.sources
+        ), missing
+        if code in CANONICAL and len(missing) == 1 and missing[0] <= k:
+            assert schedule.xor_count == (k - 1) * r, missing
+
+
+@st.composite
+def decode_cases(draw):
+    code = draw(st.one_of(st.sampled_from(CANONICAL), st.sampled_from(FOUND)))
+    missing = draw(st.sampled_from(erasure_patterns(code)))
+    block_size = draw(st.integers(1, 48))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return code, missing, full_stripe(code, block_size, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(decode_cases())
+def test_decode_schedule_matches_stripe_and_oracle(case):
+    code, missing, full = case
+    inputs = {
+        ("in", d, j): full.get_block(d, j)
+        for d in range(1, code.k + 3)
+        if d not in missing
+        for j in range(1, code.r + 1)
+    }
+    schedule = build_decode_schedule(code, missing)
+    outputs, executed = execute_schedule(schedule, inputs, full.block_size)
+    assert executed == schedule.xor_count
+    damaged = full.copy()
+    for d in missing:
+        damaged.erase_disk(d)
+    oracle = decode(code, damaged, ErasurePattern(frozenset(missing)))
+    assert outputs == {
+        ("out", d, j): full.get_block(d, j)
+        for d in missing
+        if d <= code.k
+        for j in range(1, code.r + 1)
+    }
+    assert all(data == oracle.get_block(*buf[1:]) for buf, data in outputs.items())

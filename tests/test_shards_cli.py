@@ -10,7 +10,8 @@ import pytest
 
 from mdr6 import shards
 from mdr6.cli import main
-from mdr6.code import code_from_document, construct
+from mdr6.analysis import search_repair_optimal
+from mdr6.code import code_from_document, code_to_document, construct
 from mdr6.codec import repair_plan
 from mdr6.shards import ShardHeader, TooManyErasuresError
 
@@ -112,6 +113,76 @@ def test_decode_detects_corruption(tmp_path):
     target.write_bytes(bytes(blob))
     with pytest.raises(shards.IntegrityError):
         shards.decode_file(sh, tmp_path / "out.bin")
+    assert not (tmp_path / "out.bin").exists()
+
+
+def test_truncated_shard_is_an_integrity_error(tmp_path):
+    src = make_file(tmp_path, 3000, seed=15)
+    sh = tmp_path / "sh"
+    shards.encode_file(src, sh, k=3, block_size=BS)
+    target = sh / shards.shard_name(1)
+    target.write_bytes(target.read_bytes()[:-BS])
+    out = tmp_path / "out.bin"
+    with pytest.raises(shards.IntegrityError, match="truncated"):
+        shards.decode_file(sh, out)
+    assert main(["decode", str(sh), "--out", str(out)]) == 2
+    assert not out.exists()
+    q_shard = sh / shards.shard_name(5)  # Q repair reads every data block
+    q_shard.unlink()
+    with pytest.raises(shards.IntegrityError, match="truncated"):
+        shards.repair_shard(sh)
+    q_shard.unlink()  # the failed repair left a partial shard behind
+    assert main(["repair", str(sh)]) == 2
+
+
+def test_shard_opens_do_not_grow_with_stripes(tmp_path, monkeypatch):
+    k, r = 3, 8
+    opened = []
+    original_open = Path.open
+
+    def counted_open(self, *args, **kwargs):
+        opened.append(self)
+        return original_open(self, *args, **kwargs)
+
+    opens = {}
+    for stripes in (2, 40):
+        src = make_file(tmp_path, k * r * BS * stripes, seed=stripes)
+        sh = tmp_path / f"sh{stripes}"
+        assert shards.encode_file(src, sh, k=k, block_size=BS).stripe_count == stripes
+        os.remove(sh / shards.shard_name(1))
+        opened.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "open", counted_open)
+            shards.decode_file(sh, tmp_path / "out.bin")
+            decode_opens = len(opened)
+            shards.repair_shard(sh)
+        opens[stripes] = (decode_opens, len(opened) - decode_opens)
+    assert opens[2] == opens[40]
+
+
+@pytest.mark.parametrize("k", [3, 6])
+def test_decode_xor_count_per_stripe(tmp_path, monkeypatch, k):
+    r = construct(k).r
+    src = make_file(tmp_path, k * r * 8 * 2 + 1, seed=50 + k)
+    sh = tmp_path / "sh"
+    stripes = shards.encode_file(src, sh, k=k, block_size=8).stripe_count
+    executed = []
+    original = shards.execute_schedule
+
+    def counted(schedule, inputs, block_size):
+        outputs, n = original(schedule, inputs, block_size)
+        executed.append(n)
+        return outputs, n
+
+    monkeypatch.setattr(shards, "execute_schedule", counted)
+    out = tmp_path / "out.bin"
+    shards.decode_file(sh, out)
+    assert sum(executed) == 2 * (k - 1) * r * stripes  # the re-encode check
+    os.remove(sh / shards.shard_name(2))
+    executed.clear()
+    shards.decode_file(sh, out)
+    assert out.read_bytes() == src.read_bytes()
+    assert sum(executed) == (k - 1) * r * stripes
 
 
 @pytest.mark.parametrize("victim", [1, 2, 4, 5])
@@ -137,7 +208,7 @@ def test_repair_rebuilds_identical_shard(tmp_path, victim):
         assert rrep.blocks_read_per_shard.get(k + 1, 0) == 0
 
 
-@pytest.mark.parametrize("k, q_xors", [(3, 28), (6, 800)])
+@pytest.mark.parametrize("k, q_xors", [(3, 26), (6, 578)])
 def test_repair_xor_count_per_stripe(tmp_path, k, q_xors):
     code = construct(k)
     r = code.r
@@ -324,6 +395,12 @@ def test_cli_analyze_with_code_document(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["update_io"] == [9, 4]
     assert doc["encode_xors"] == 8  # loaded document matches the built family
+    assert doc["repair_xors"] == 4
+    found = search_repair_optimal(2, 2).found[0]
+    (tmp_path / "found.json").write_text(json.dumps(code_to_document(found)))
+    assert main(["analyze", "--code", str(tmp_path / "found.json"), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["encode_xors"], doc["repair_xors"]) == (5, 2)
 
 
 def test_cli_analyze_update_io_k5(capsys):
