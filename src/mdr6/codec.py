@@ -5,7 +5,8 @@ paths coexist on purpose:
 
 * ``encode_naive`` / ``decode`` evaluate the generator relations directly
   and are the test reference for everything else;
-* every other linear map is an ``XorSchedule`` run by ``execute_schedule``:
+* every other linear map is an ``XorSchedule`` run by ``execute_schedule``,
+  one op per lane of blocks (the same block of a whole batch of stripes):
   ``build_encode_schedule`` fills P and Q (the minimum 2(k-1) XORs per
   stripe row for recursion-built codes), ``build_decode_schedule`` rebuilds
   the data of up to two lost disks, and ``repair_plan`` pairs the schedule
@@ -16,7 +17,7 @@ paths coexist on purpose:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .code import MdrCode, generator_submatrices, is_recursive_mdr
@@ -143,6 +144,13 @@ class XorSchedule:
     @property
     def xor_count(self) -> int:
         return sum(len(op.sources) - 1 for op in self.ops)
+
+    @cached_property
+    def reads(self) -> frozenset[tuple[int, int]]:
+        """The (disk, row) of every input block the ops use."""
+        return frozenset(
+            (src[1], src[2]) for op in self.ops for src in op.sources if src[0] == "in"
+        )
 
 
 # -- direct (reference) encoding -------------------------------------------
@@ -272,12 +280,26 @@ def build_encode_schedule(code: MdrCode) -> XorSchedule:
 def execute_schedule(
     schedule: XorSchedule, inputs: Mapping[Buffer, bytes], block_size: int
 ) -> tuple[dict[Buffer, bytes], int]:
-    """Run a schedule over byte blocks; returns outputs and the number of
-    two-input XORs actually executed."""
+    """Run a schedule over lanes of blocks.
+
+    Each input is a lane: the same (disk, row) block of n stripes laid end
+    to end, so a bytes-like value of n * block_size bytes, with n >= 1 and
+    the same for every input (a single block is the lane of one stripe).
+    Every op XORs whole lanes at once, and each output is a lane of the
+    same length.  Returns the outputs and the number of two-input XORs
+    executed, counted per block: the schedule's XORs times n.
+    """
     env: dict[Buffer, int] = {}
+    lane_size = None
     for buf, data in inputs.items():
-        if len(data) != block_size:
-            raise ValueError(f"input {buf} has {len(data)} bytes, not {block_size}")
+        size = len(data)
+        if lane_size is None:
+            lane_size = size
+        if size != lane_size or not size or size % block_size:
+            raise ValueError(
+                f"input {buf} has {size} bytes; lanes are the same positive"
+                f" multiple of {block_size} bytes"
+            )
         env[buf] = int.from_bytes(data, "little")
     executed = 0
     for op in schedule.ops:
@@ -296,11 +318,11 @@ def execute_schedule(
         env[op.target] = acc
 
     outputs = {
-        buf: val.to_bytes(block_size, "little")
+        buf: val.to_bytes(lane_size, "little")
         for buf, val in env.items()
         if buf[0] == "out"
     }
-    return outputs, executed
+    return outputs, executed * (lane_size or 0) // block_size
 
 
 def _compile_ops(
@@ -497,10 +519,7 @@ def repair_plan(code: MdrCode, failed: int) -> RepairPlan:
         candidates += [("in", k + 2, j) for j in strat.q_rows]
         targets = [(failed, j) for j in range(1, r + 1)]
         schedule = XorSchedule("repair", k, r, failed, _compile_ops(code, candidates, targets))
-    reads = frozenset(
-        (src[1], src[2]) for op in schedule.ops for src in op.sources if src[0] == "in"
-    )
-    return RepairPlan(failed, reads, schedule)
+    return RepairPlan(failed, schedule.reads, schedule)
 
 
 def _q_repair_schedule(code: MdrCode) -> XorSchedule:
@@ -523,9 +542,10 @@ def _q_repair_schedule(code: MdrCode) -> XorSchedule:
 def execute_repair(
     plan: RepairPlan, blocks: Mapping[tuple[int, int], bytes], block_size: int
 ) -> tuple[list[bytes], int]:
-    """Rebuild the failed column from a {(disk, row): bytes} map holding
-    exactly the blocks in plan.reads; returns the column and the number of
-    two-input XORs executed."""
+    """Rebuild the failed column from a {(disk, row): lane} map holding
+    exactly the blocks in plan.reads, each a lane as ``execute_schedule``
+    takes it; returns the column's lanes and the number of two-input block
+    XORs executed."""
     if blocks.keys() != plan.reads:
         extra = sorted(blocks.keys() - plan.reads)
         absent = sorted(plan.reads - blocks.keys())

@@ -1,14 +1,23 @@
 """Shard files: one file per disk column, a fixed little-endian header
-followed by r * stripe_count blocks."""
+followed by r * stripe_count blocks.
+
+Encode, decode and repair run their XOR schedule once per batch of
+stripes, over lanes: one lane is the same (disk, row) block of every
+stripe in the batch, laid end to end.  A batch holds about BATCH_BYTES of
+stripe data, so memory is bounded by the batch and not by the file.
+"""
 
 from __future__ import annotations
 
 import os
 import struct
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 from .code import MdrCode, construct
 from .codec import (
@@ -26,6 +35,9 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHHIHIQQ")
 HEADER_SIZE = _HEADER.size
 SHARD_SUFFIX = ".mdr"
+# stripe data (k * r blocks per stripe) per batch; a batch holds at least one stripe
+BATCH_BYTES = 1 << 20
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 class TooManyErasuresError(Exception):
@@ -82,7 +94,7 @@ def shard_name(disk_index: int) -> str:
 def _scan_shards(directory: Path) -> dict[int, tuple[Path, ShardHeader]]:
     headers: dict[int, tuple[Path, ShardHeader]] = {}
     for path in sorted(directory.glob(f"*{SHARD_SUFFIX}")):
-        with path.open("rb") as fh:
+        with path.open("rb", buffering=0) as fh:
             header = ShardHeader.unpack(fh.read(HEADER_SIZE))
         if header.disk_index in headers:
             raise IntegrityError(f"duplicate shard for disk {header.disk_index}")
@@ -103,6 +115,145 @@ def _resolve_code(k: int, r: int, code: MdrCode | None) -> MdrCode:
             f"code is ({code.k},{code.r}) but shards need ({k},{r})"
         )
     return code
+
+
+def _batch_stripes(stripe_count: int, stripe_data_bytes: int) -> int:
+    """Stripes per batch: about BATCH_BYTES of stripe data, at least one
+    stripe and at most all of them."""
+    return max(1, min(stripe_count, BATCH_BYTES // stripe_data_bytes))
+
+
+@lru_cache(maxsize=16)
+def _cutter(count: int, size: int) -> Callable[[memoryview], tuple]:
+    """Split a buffer into a tuple of its first count blocks of size bytes."""
+    cut = itemgetter(*(slice(i * size, (i + 1) * size) for i in range(count)))
+    return cut if count > 1 else lambda buf: (cut(buf),)
+
+
+def _interleave(lanes: Sequence[bytes], m: int, size: int) -> bytes:
+    """The blocks of m stripes in file order: block s of every lane in
+    turn, for s in range(m)."""
+    if m == 1:
+        return b"".join(lanes)
+    cut = _cutter(m, size)
+    return b"".join(chain.from_iterable(zip(*(cut(memoryview(lane)) for lane in lanes))))
+
+
+def _deinterleave(data: bytes, lanes: int, m: int, size: int) -> list[bytes]:
+    """Undo ``_interleave``: split m * lanes blocks in file order into lanes."""
+    blocks = _cutter(m * lanes, size)(memoryview(data))
+    if m == 1:
+        return list(blocks)
+    return [b"".join(blocks[i::lanes]) for i in range(lanes)]
+
+
+@contextmanager
+def _replace_on_success(path: Path) -> Iterator[BinaryIO]:
+    """Write to a temporary file beside path, renamed over path only if the
+    block completes and removed on any error.  Its name does not end in
+    SHARD_SUFFIX, so a half-written shard is never taken for a shard."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# (offset in the batch, the lane blocks it fills, their byte count)
+_Read = tuple[int, list[memoryview], int]
+
+
+class _LaneReader:
+    """Reads chosen rows of one shard, batch by batch, each row into its
+    own lane.  Every run of wanted blocks that lie next to each other in
+    the file is one ``os.preadv`` that scatters each block straight to its
+    place in its lane, so exactly the wanted bytes are read."""
+
+    def __init__(self, fh: BinaryIO, header: ShardHeader, rows: Sequence[int], n: int):
+        self.fh = fh
+        self.r, self.block_size = header.r, header.block_size
+        self.rows, self.n = rows, n
+        # lane i (row rows[i]) holds block s of the batch at block i*n + s
+        buf = memoryview(bytearray(len(rows) * n * self.block_size))
+        self._lanes = _cutter(len(rows), n * self.block_size)(buf)
+        self._blocks = _cutter(len(rows) * n, self.block_size)(buf)
+        self._layouts: dict[int, tuple[list[_Read], dict[int, memoryview]]] = {}
+        self.bytes_read = 0
+
+    def _layout(self, m: int) -> tuple[list[_Read], dict[int, memoryview]]:
+        """The reads of a batch of m stripes, and its lanes by row."""
+        bs, n, rows = self.block_size, self.n, self.rows
+        row_runs: list[list[int]] = []  # [i, count]: rows[i : i + count] are consecutive
+        for i, j in enumerate(rows):
+            if i and rows[i - 1] == j - 1:
+                row_runs[-1][1] += 1
+            else:
+                row_runs.append([i, 1])
+        runs: list[tuple[int, list[memoryview]]] = []
+        end = -1
+        for s in range(m):
+            for i, count in row_runs:
+                offset = (s * self.r + rows[i] - 1) * bs
+                blocks = self._blocks[i * n + s : (i + count) * n : n]
+                if offset == end:  # continues the previous run, as whole strips do
+                    runs[-1][1].extend(blocks)
+                else:
+                    runs.append((offset, list(blocks)))
+                end = offset + count * bs
+        reads: list[_Read] = []
+        for offset, blocks in runs:
+            for i in range(0, len(blocks), _IOV_MAX):
+                part = blocks[i : i + _IOV_MAX]
+                reads.append((offset + i * bs, part, len(part) * bs))
+        lanes = self._lanes if m == n else [lane[: m * bs] for lane in self._lanes]
+        return reads, dict(zip(rows, lanes))
+
+    def read(self, first: int, m: int) -> dict[int, memoryview]:
+        """Read stripes first .. first+m-1 (m at most the batch size) and
+        return their lanes by row, valid until the next read."""
+        layout = self._layouts.get(m)
+        if layout is None:
+            layout = self._layouts[m] = self._layout(m)
+        reads, lanes = layout
+        fd, preadv = self.fh.fileno(), os.preadv
+        base = HEADER_SIZE + first * self.r * self.block_size
+        total = 0
+        for offset, blocks, nbytes in reads:
+            got = preadv(fd, blocks, base + offset)
+            if got != nbytes:
+                stripe = first + (offset + got) // (self.r * self.block_size)
+                raise IntegrityError(f"shard {self.fh.name} truncated at stripe {stripe}")
+            total += got
+        self.bytes_read += total
+        return lanes
+
+
+def _open_readers(
+    stack: ExitStack,
+    headers: dict[int, tuple[Path, ShardHeader]],
+    rows_by_disk: dict[int, Sequence[int]],
+    n: int,
+) -> dict[int, _LaneReader]:
+    return {
+        d: _LaneReader(stack.enter_context(headers[d][0].open("rb", buffering=0)), headers[d][1], rows, n)
+        for d, rows in rows_by_disk.items()
+    }
+
+
+def _read_lanes(readers: dict[int, _LaneReader], first: int, m: int) -> dict[tuple[int, int], memoryview]:
+    return {(d, j): lane for d, reader in readers.items() for j, lane in reader.read(first, m).items()}
+
+
+@lru_cache(maxsize=256)
+def _rows_by_disk(blocks: frozenset[tuple[int, int]]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(disk, its rows in ascending order) for every disk among blocks."""
+    rows: dict[int, list[int]] = {}
+    for disk, row in sorted(blocks):
+        rows.setdefault(disk, []).append(row)
+    return tuple((disk, tuple(js)) for disk, js in rows.items())
 
 
 @dataclass(frozen=True)
@@ -126,54 +277,37 @@ def encode_file(
         raise ValueError("supplied code does not match k")
     r = code.r
     schedule = build_encode_schedule(code)
-    payload = Path(input_path).read_bytes()
     strip_bytes = r * block_size
     stripe_bytes = k * strip_bytes
-    stripe_count = (len(payload) + stripe_bytes - 1) // stripe_bytes
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / shard_name(d) for d in range(1, k + 3)]
     xor_total = 0
     with ExitStack() as stack:
+        src = stack.enter_context(Path(input_path).open("rb"))
+        payload_length = os.fstat(src.fileno()).st_size
+        stripe_count = (payload_length + stripe_bytes - 1) // stripe_bytes
         handles = [stack.enter_context(p.open("wb")) for p in paths]
         for d, fh in enumerate(handles, start=1):
-            fh.write(ShardHeader(k, r, d, block_size, stripe_count, len(payload)).pack())
-        for s in range(stripe_count):
-            # data disk d stores the d-th strip of r blocks; the last
-            # stripe is zero-padded
-            chunk = payload[s * stripe_bytes : (s + 1) * stripe_bytes].ljust(stripe_bytes, b"\x00")
+            fh.write(ShardHeader(k, r, d, block_size, stripe_count, payload_length).pack())
+        n = _batch_stripes(stripe_count, stripe_bytes)
+        for first in range(0, stripe_count, n):
+            m = min(n, stripe_count - first)
+            # data disk d stores the d-th strip of r blocks of each stripe;
+            # the last stripe is zero-padded
+            chunk = src.read(m * stripe_bytes).ljust(m * stripe_bytes, b"\x00")
             inputs = {}
-            for d in range(1, k + 1):
-                base = (d - 1) * strip_bytes
-                handles[d - 1].write(chunk[base : base + strip_bytes])
-                for j in range(1, r + 1):
-                    off = base + (j - 1) * block_size
-                    inputs[("in", d, j)] = chunk[off : off + block_size]
+            for d, strips in enumerate(_deinterleave(chunk, k, m, strip_bytes), start=1):
+                handles[d - 1].write(strips)
+                for j, lane in enumerate(_deinterleave(strips, r, m, block_size), start=1):
+                    inputs[("in", d, j)] = lane
             outputs, executed = execute_schedule(schedule, inputs, block_size)
             xor_total += executed
             for d in (k + 1, k + 2):
-                for j in range(1, r + 1):
-                    handles[d - 1].write(outputs[("out", d, j)])
+                column = [outputs[("out", d, j)] for j in range(1, r + 1)]
+                handles[d - 1].write(_interleave(column, m, block_size))
     return EncodeReport(stripe_count, xor_total, tuple(str(p) for p in paths))
-
-
-def _read_rows(fh: BinaryIO, header: ShardHeader, stripe: int, rows: Sequence[int]) -> list[bytes]:
-    """Read ascending rows of one stripe from an open shard, one read per run of rows."""
-    r, bs = header.r, header.block_size
-    out: list[bytes] = []
-    first = 0
-    for n, row in enumerate(rows, start=1):
-        if n < len(rows) and rows[n] == row + 1:
-            continue
-        count = n - first
-        fh.seek(HEADER_SIZE + (stripe * r + rows[first] - 1) * bs)
-        raw = fh.read(count * bs)
-        if len(raw) != count * bs:
-            raise IntegrityError(f"shard {fh.name} truncated at stripe {stripe}")
-        out += [raw] if count == 1 else [raw[i : i + bs] for i in range(0, len(raw), bs)]
-        first = n
-    return out
 
 
 @dataclass(frozen=True)
@@ -185,6 +319,14 @@ class DecodeReport:
     bytes_read_per_shard: dict[int, int]
 
 
+def _read_counts(
+    headers: dict[int, tuple[Path, ShardHeader]], readers: dict[int, _LaneReader], block_size: int
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Blocks and bytes read from every surviving shard, as the reads returned them."""
+    nbytes = {d: readers[d].bytes_read if d in readers else 0 for d in headers}
+    return {d: n // block_size for d, n in nbytes.items()}, nbytes
+
+
 def decode_file(
     shard_dir: str | os.PathLike,
     out_path: str | os.PathLike,
@@ -192,8 +334,9 @@ def decode_file(
 ) -> DecodeReport:
     """Rebuild the original file, tolerating up to two missing shards.
 
-    With nothing missing the parity relations are still checked stripe by
-    stripe, so silent corruption is reported instead of propagated.
+    With nothing missing the parity relations are still checked batch by
+    batch, so silent corruption is reported instead of propagated.  The
+    output appears only once every stripe has been decoded.
     """
     headers = _scan_shards(Path(shard_dir))
     any_header = next(iter(headers.values()))[1]
@@ -206,37 +349,37 @@ def decode_file(
         )
     # with nothing missing, re-encoding checks the stored P and Q
     schedule = build_decode_schedule(code, missing) if missing else build_encode_schedule(code)
-    rows = range(1, r + 1)
-
-    blocks_read: dict[int, int] = {d: 0 for d in headers}
-    pieces: list[bytes] = []
+    rows = tuple(range(1, r + 1))
+    # every block of a surviving data disk is output; of P and Q, read only
+    # what the schedule uses, or all of both to check them
+    wanted = {d: rows for d in headers if d <= k or not missing}
+    for d, used in _rows_by_disk(schedule.reads):
+        wanted.setdefault(d, used)
+    sources = [("in", d, j) for d, j in schedule.reads]
+    stripe_count, left = any_header.stripe_count, any_header.payload_length
+    n = _batch_stripes(stripe_count, k * r * bs)
     with ExitStack() as stack:
-        handles = {d: stack.enter_context(path.open("rb")) for d, (path, _) in headers.items()}
-        for s in range(any_header.stripe_count):
-            inputs = {}
-            for d, fh in handles.items():
-                for j, block in zip(rows, _read_rows(fh, any_header, s, rows)):
-                    inputs[("in", d, j)] = block
-                blocks_read[d] += r
-            outputs, _ = execute_schedule(schedule, inputs, bs)
+        readers = _open_readers(stack, headers, wanted, n)
+        sink = stack.enter_context(_replace_on_success(Path(out_path)))
+        for first in range(0, stripe_count, n):
+            m = min(n, stripe_count - first)
+            lanes = _read_lanes(readers, first, m)
+            outputs, _ = execute_schedule(schedule, {buf: lanes[buf[1:]] for buf in sources}, bs)
+            # bytes against a memoryview compares byte by byte in Python; tobytes() makes it a memcmp
             if not missing and any(
-                outputs[("out", d, j)] != inputs[("in", d, j)] for d in (k + 1, k + 2) for j in rows
+                outputs[("out", d, j)] != lanes[(d, j)].tobytes() for d in (k + 1, k + 2) for j in rows
             ):
                 raise IntegrityError("surviving blocks violate the parity relations")
-            for d in range(1, k + 1):
-                if d in missing:
-                    pieces.extend(outputs[("out", d, j)] for j in rows)
-                else:
-                    pieces.extend(inputs[("in", d, j)] for j in rows)
-    payload = b"".join(pieces)[: any_header.payload_length]
-    Path(out_path).write_bytes(payload)
-    return DecodeReport(
-        missing,
-        any_header.stripe_count,
-        any_header.payload_length,
-        blocks_read,
-        {d: n * bs for d, n in blocks_read.items()},
-    )
+            data = [
+                outputs[("out", d, j)] if d in missing else lanes[(d, j)]
+                for d in range(1, k + 1)
+                for j in rows
+            ]
+            chunk = memoryview(_interleave(data, m, bs))[:left]
+            sink.write(chunk)
+            left -= len(chunk)
+    blocks_read, bytes_read = _read_counts(headers, readers, bs)
+    return DecodeReport(missing, stripe_count, any_header.payload_length, blocks_read, bytes_read)
 
 
 @dataclass(frozen=True)
@@ -254,7 +397,9 @@ def repair_shard(
     missing_index: int | None = None,
     code: MdrCode | None = None,
 ) -> RepairReport:
-    """Regenerate exactly one missing shard, reading only its plan's blocks."""
+    """Regenerate exactly one missing shard, reading only its plan's blocks.
+
+    The shard appears only once every stripe has been rebuilt."""
     directory = Path(shard_dir)
     headers = _scan_shards(directory)
     any_header = next(iter(headers.values()))[1]
@@ -272,31 +417,19 @@ def repair_shard(
         )
     failed = missing[0]
     plan = repair_plan(code, failed)
-    rows_by_disk: dict[int, list[int]] = {}
-    for disk, row in sorted(plan.reads):
-        rows_by_disk.setdefault(disk, []).append(row)
-    header = ShardHeader(k, r, failed, bs, any_header.stripe_count, any_header.payload_length)
+    stripe_count = any_header.stripe_count
+    header = ShardHeader(k, r, failed, bs, stripe_count, any_header.payload_length)
     out_path = directory / shard_name(failed)
-    blocks_read: dict[int, int] = {d: 0 for d in headers}
+    n = _batch_stripes(stripe_count, k * r * bs)
     xor_total = 0
     with ExitStack() as stack:
-        handles = {d: stack.enter_context(headers[d][0].open("rb")) for d in rows_by_disk}
-        fh = stack.enter_context(out_path.open("wb"))
+        readers = _open_readers(stack, headers, dict(_rows_by_disk(plan.reads)), n)
+        fh = stack.enter_context(_replace_on_success(out_path))
         fh.write(header.pack())
-        for s in range(any_header.stripe_count):
-            blocks: dict[tuple[int, int], bytes] = {}
-            for d, rows in rows_by_disk.items():
-                for row, block in zip(rows, _read_rows(handles[d], any_header, s, rows)):
-                    blocks[(d, row)] = block
-                blocks_read[d] += len(rows)
-            column, executed = execute_repair(plan, blocks, bs)
+        for first in range(0, stripe_count, n):
+            m = min(n, stripe_count - first)
+            column, executed = execute_repair(plan, _read_lanes(readers, first, m), bs)
             xor_total += executed
-            fh.writelines(column)
-    return RepairReport(
-        failed,
-        str(out_path),
-        any_header.stripe_count,
-        blocks_read,
-        {d: n * bs for d, n in blocks_read.items()},
-        xor_total,
-    )
+            fh.write(_interleave(column, m, bs))
+    blocks_read, bytes_read = _read_counts(headers, readers, bs)
+    return RepairReport(failed, str(out_path), stripe_count, blocks_read, bytes_read, xor_total)
