@@ -16,6 +16,7 @@ from .code import (
     MdrCode,
     RepairStrategy,
     generator_submatrices,
+    satisfies_repair_block,
     verify_mds,
     verify_repair_optimal,
 )
@@ -242,17 +243,10 @@ def _first_feasible_strategy(
     half = r // 2
     for q_rows in itertools.combinations(range(1, r + 1), half):
         q_set = IndexSet.of(q_rows, r)
-        for c_rows in itertools.combinations(range(1, r + 1), half):
-            comp = IndexSet.of(c_rows, r).complement()
-            if not mats[i].submatrix(q_set, comp).is_nonsingular():
-                continue
-            if any(
-                not mats[j].submatrix(q_set, comp).is_zero
-                for j in range(len(mats))
-                if j != i
-            ):
-                continue
-            return RepairStrategy(q_set, IndexSet.of(c_rows, r))
+        for basic_rows in itertools.combinations(range(1, r + 1), half):
+            strat = RepairStrategy(q_set, IndexSet.of(basic_rows, r))
+            if satisfies_repair_block(mats, i, strat):
+                return strat
     return None
 
 

@@ -108,7 +108,8 @@ class BitMatrix:
         cols = len(rows[0])
         masks = []
         for s in rows:
-            if len(s) != cols or set(s) - {"0", "1"}:
+            # int(s, 2) alone would also take "0_1", " 01" and "+01"
+            if len(s) != cols or s.strip("01"):
                 raise ValueError(f"bad row bitstring {s!r}")
             masks.append(int(s[::-1], 2))
         return cls(len(rows), cols, tuple(masks))
@@ -242,13 +243,12 @@ class BitMatrix:
             raise ValueError("index set exceeds matrix bounds")
         masks = []
         for i in row_set:
-            bits = self.to_bitstring_row(i)
-            picked = "".join(bits[j - 1] for j in col_set)
-            masks.append(int(picked[::-1], 2) if picked else 0)
+            bits = self.row_bits[i - 1]
+            mask = 0
+            for pos, j in enumerate(col_set):
+                mask |= ((bits >> (j - 1)) & 1) << pos
+            masks.append(mask)
         return BitMatrix(len(row_set), len(col_set), tuple(masks))
-
-    def to_bitstring_row(self, i: int) -> str:
-        return format(self.row_bits[i - 1], f"0{self.cols}b")[::-1]
 
     def count_nonzero_columns(self) -> int:
         acc = 0

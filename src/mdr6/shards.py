@@ -334,9 +334,10 @@ def decode_file(
 ) -> DecodeReport:
     """Rebuild the original file, tolerating up to two missing shards.
 
-    With nothing missing the parity relations are still checked batch by
-    batch, so silent corruption is reported instead of propagated.  The
-    output appears only once every stripe has been decoded.
+    With no data shard missing the surviving P and Q are still checked
+    against the data batch by batch, so silent corruption is reported
+    instead of propagated.  The output appears only once every stripe has
+    been decoded.
     """
     headers = _scan_shards(Path(shard_dir))
     any_header = next(iter(headers.values()))[1]
@@ -347,12 +348,16 @@ def decode_file(
         raise TooManyErasuresError(
             f"{len(missing)} shards missing; RAID-6 tolerates at most 2"
         )
-    # with nothing missing, re-encoding checks the stored P and Q
-    schedule = build_decode_schedule(code, missing) if missing else build_encode_schedule(code)
+    # with no data shard missing, nothing is rebuilt, so re-encoding checks
+    # every surviving parity instead
+    checked = ()
+    if all(d > k for d in missing):
+        checked = tuple(d for d in (k + 1, k + 2) if d in headers)
+    schedule = build_encode_schedule(code) if checked else build_decode_schedule(code, missing)
     rows = tuple(range(1, r + 1))
     # every block of a surviving data disk is output; of P and Q, read only
-    # what the schedule uses, or all of both to check them
-    wanted = {d: rows for d in headers if d <= k or not missing}
+    # what the schedule uses, or all of each checked one
+    wanted = {d: rows for d in headers if d <= k or d in checked}
     for d, used in _rows_by_disk(schedule.reads):
         wanted.setdefault(d, used)
     sources = [("in", d, j) for d, j in schedule.reads]
@@ -366,9 +371,7 @@ def decode_file(
             lanes = _read_lanes(readers, first, m)
             outputs, _ = execute_schedule(schedule, {buf: lanes[buf[1:]] for buf in sources}, bs)
             # bytes against a memoryview compares byte by byte in Python; tobytes() makes it a memcmp
-            if not missing and any(
-                outputs[("out", d, j)] != lanes[(d, j)].tobytes() for d in (k + 1, k + 2) for j in rows
-            ):
+            if any(outputs[("out", d, j)] != lanes[(d, j)].tobytes() for d in checked for j in rows):
                 raise IntegrityError("surviving blocks violate the parity relations")
             data = [
                 outputs[("out", d, j)] if d in missing else lanes[(d, j)]

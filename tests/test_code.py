@@ -183,6 +183,16 @@ def test_document_strategies_optional_but_checked():
         code_from_document(bad)
 
 
+@pytest.mark.parametrize("row", [" 100", "1_00", "100+", "1002"])
+def test_document_rejects_non_binary_row(row):
+    doc = code_to_document(construct(2))
+    assert doc["b_matrices"][0][1] == "1000"
+    # the first three would read as 1000 if only int() checked them
+    doc["b_matrices"][0][1] = row
+    with pytest.raises(ValueError, match="bad row bitstring"):
+        code_from_document(doc)
+
+
 def test_document_version_checked():
     doc = code_to_document(initial_code())
     doc["version"] = 99

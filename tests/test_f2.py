@@ -206,6 +206,14 @@ def test_bitstring_roundtrip():
     assert m.get(1, 1) == 1 and m.get(1, 2) == 0
 
 
+@pytest.mark.parametrize("row", ["0_1", " 01", "+01", "1_0", "10 ", "10+", "012"])
+def test_from_bitstrings_rejects_non_binary_rows(row):
+    # int(row[::-1], 2) takes the underscore, the space and the sign in
+    # one orientation or the other
+    with pytest.raises(ValueError, match="bad row bitstring"):
+        BitMatrix.from_bitstrings(["010", row])
+
+
 def test_index_set_basics():
     s = IndexSet.of([3, 1], 4)
     assert list(s) == [1, 3]

@@ -83,9 +83,11 @@ def test_batches_match_one_stripe_at_a_time(case):
                 (sh / shards.shard_name(d)).unlink()
             decoded = shards.decode_file(sh, out)
             assert out.read_bytes() == payload, lost
-            reads = build_decode_schedule(code, lost).reads if lost else set()
+            # with no data shard lost every surviving parity is read whole and checked
+            data_lost = any(d <= k for d in lost)
+            reads = build_decode_schedule(code, lost).reads if data_lost else set()
             per_stripe = {
-                d: r if d <= k or not lost else sum(1 for disk, _ in reads if disk == d)
+                d: r if d <= k or not data_lost else sum(1 for disk, _ in reads if disk == d)
                 for d in range(1, k + 3)
                 if d not in lost
             }

@@ -118,6 +118,23 @@ def test_decode_detects_corruption(tmp_path):
     assert not (tmp_path / "out.bin").exists()
 
 
+@pytest.mark.parametrize("lost", [4, 5])
+def test_decode_with_a_parity_lost_checks_the_other(tmp_path, lost):
+    src = make_file(tmp_path, 3000, seed=12)
+    sh = tmp_path / "sh"
+    shards.encode_file(src, sh, k=3, block_size=BS)
+    target = sh / shards.shard_name(1)
+    blob = bytearray(target.read_bytes())
+    blob[shards.HEADER_SIZE] ^= 0x01
+    target.write_bytes(bytes(blob))
+    (sh / shards.shard_name(lost)).unlink()
+    out = tmp_path / "out.bin"
+    with pytest.raises(shards.IntegrityError):
+        shards.decode_file(sh, out)
+    assert main(["decode", str(sh), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_truncated_shard_is_an_integrity_error(tmp_path):
     src = make_file(tmp_path, 3000, seed=15)
     sh = tmp_path / "sh"
