@@ -21,7 +21,6 @@ from .code import (
 from .codec import (
     ErasurePattern,
     IntegrityError,
-    RepairPlan,
     Stripe,
     XorSchedule,
     build_encode_schedule,
@@ -29,7 +28,9 @@ from .codec import (
     decode,
     encode_naive,
     execute_repair,
+    execute_schedule,
     repair_plan,
+    verify_schedule,
 )
 from .f2 import BitMatrix, IndexSet, SingularMatrixError
 
@@ -39,7 +40,6 @@ __all__ = [
     "IndexSet",
     "IntegrityError",
     "MdrCode",
-    "RepairPlan",
     "RepairStrategy",
     "SingularMatrixError",
     "Stripe",
@@ -52,10 +52,12 @@ __all__ = [
     "decode",
     "encode_naive",
     "execute_repair",
+    "execute_schedule",
     "extend",
     "generator_submatrices",
     "initial_code",
     "repair_plan",
     "verify_mds",
     "verify_repair_optimal",
+    "verify_schedule",
 ]

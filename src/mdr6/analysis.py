@@ -164,28 +164,22 @@ def min_io_bruteforce(code: MdrCode, disk: int, *, allow_large: bool = False) ->
 
 
 def check_lower_bounds(code: MdrCode) -> bool:
-    """True iff every repair plan meets its I/O bound with equality:
-    (k+1)r/2 total and r/2 per surviving disk for basic disks, kr for Q."""
-    k, r = code.k, code.r
-    for disk in range(1, k + 2):
-        plan = repair_plan(code, disk)
-        if not plan_meets_bounds(code, plan):
-            return False
-    q_plan = repair_plan(code, k + 2)
-    return len(q_plan.reads) == k * r
+    """True iff every repair plan meets its I/O bound with equality."""
+    return all(plan_meets_bounds(code, repair_plan(code, d)) for d in range(1, code.k + 3))
 
 
-def plan_meets_bounds(code: MdrCode, plan: codec.RepairPlan) -> bool:
+def plan_meets_bounds(code: MdrCode, schedule: XorSchedule) -> bool:
+    """True iff a single-disk rebuild schedule reads the minimum: r/2
+    blocks from each surviving disk for a basic disk, (k+1)r/2 in all;
+    every data block for the Q disk, kr in all."""
     k, r = code.k, code.r
-    if plan.failed_disk == k + 2:
-        return len(plan.reads) == k * r
-    if len(plan.reads) != (k + 1) * r // 2:
-        return False
-    per_disk: dict[int, int] = {}
-    for d, _ in plan.reads:
-        per_disk[d] = per_disk.get(d, 0) + 1
-    survivors = [d for d in range(1, k + 3) if d != plan.failed_disk]
-    return all(per_disk.get(d) == r // 2 for d in survivors)
+    failed = {d for d, _ in schedule.writes}
+    if failed == {k + 2}:
+        expected = {d: r for d in range(1, k + 1)}
+    else:
+        expected = {d: r // 2 for d in range(1, k + 3) if d not in failed}
+    reads = {d: len(rows) for d, rows in schedule.rows_by_disk.items()}
+    return len(failed) == 1 and reads == expected
 
 
 def update_io(code: MdrCode) -> Fraction:
@@ -198,31 +192,16 @@ def update_io(code: MdrCode) -> Fraction:
 
 @dataclass(frozen=True)
 class XorCountReport:
-    kind: str
     total: int
-    by_label: dict[str, int]
-    average_per_block: dict[str, Fraction]
+    average_per_block: Fraction  # XORs per block the schedule writes
 
 
 def count_schedule_xors(schedule: XorSchedule, code: MdrCode) -> XorCountReport:
     """Validate a schedule symbolically, then report its XOR totals."""
-    k, r = code.k, code.r
-    if schedule.kind == "encode":
-        if not codec.verify_encode_schedule(code, schedule):
-            raise ValueError("schedule does not reproduce the generator relations")
-        totals = {"p": 0, "q": 0}
-        for op in schedule.ops:
-            label = "q" if op.target[0] == "out" and op.target[1] == k + 2 else "p"
-            totals[label] += len(op.sources) - 1
-        averages = {lbl: Fraction(n, r) for lbl, n in totals.items()}
-    elif schedule.kind == "repair":
-        if not codec.verify_repair_schedule(code, schedule):
-            raise ValueError("schedule does not rebuild the failed column")
-        totals = {"rebuilt": schedule.xor_count}
-        averages = {"rebuilt": Fraction(schedule.xor_count, r)}
-    else:
-        raise ValueError(f"unknown schedule kind {schedule.kind!r}")
-    return XorCountReport(schedule.kind, schedule.xor_count, totals, averages)
+    if not codec.verify_schedule(code, schedule):
+        raise ValueError("schedule does not rebuild the columns it writes")
+    total = schedule.xor_count
+    return XorCountReport(total, Fraction(total, max(1, len(schedule.writes))))
 
 
 def search_space_size(k: int, r: int) -> int:

@@ -75,6 +75,21 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
+def _reads_document(report: shards.RepairReport | shards.DecodeReport) -> dict:
+    return {
+        "blocks_read_per_shard": {str(d): n for d, n in sorted(report.blocks_read_per_shard.items())},
+        "bytes_read_per_shard": {str(d): n for d, n in sorted(report.bytes_read_per_shard.items())},
+    }
+
+
+def _print_reads(report: shards.RepairReport | shards.DecodeReport) -> None:
+    for d in sorted(report.blocks_read_per_shard):
+        print(
+            f"  read from shard {d}: {report.blocks_read_per_shard[d]} blocks"
+            f" ({report.bytes_read_per_shard[d]} bytes)"
+        )
+
+
 def cmd_repair(args) -> int:
     code = _load_code_arg(args)
     report = shards.repair_shard(args.shard_dir, args.missing, code=code)
@@ -83,8 +98,7 @@ def cmd_repair(args) -> int:
         "shard": report.shard_path,
         "stripes": report.stripe_count,
         "xor_count": report.xor_count,
-        "blocks_read_per_shard": {str(d): n for d, n in sorted(report.blocks_read_per_shard.items())},
-        "bytes_read_per_shard": {str(d): n for d, n in sorted(report.bytes_read_per_shard.items())},
+        **_reads_document(report),
     }
     if args.json:
         print(json.dumps(payload))
@@ -93,11 +107,7 @@ def cmd_repair(args) -> int:
             f"repaired shard {report.disk_index} -> {report.shard_path}: "
             f"{report.stripe_count} stripes, {report.xor_count} block XORs"
         )
-        for d in sorted(report.blocks_read_per_shard):
-            print(
-                f"  read from shard {d}: {report.blocks_read_per_shard[d]} blocks"
-                f" ({report.bytes_read_per_shard[d]} bytes)"
-            )
+        _print_reads(report)
     return EXIT_OK
 
 
@@ -108,11 +118,8 @@ def cmd_decode(args) -> int:
         "missing": list(report.missing),
         "stripes": report.stripe_count,
         "bytes": report.payload_length,
+        **_reads_document(report),
     }
-    if args.meter:
-        payload["bytes_read_per_shard"] = {
-            str(d): n for d, n in sorted(report.bytes_read_per_shard.items())
-        }
     if args.json:
         print(json.dumps(payload))
     else:
@@ -121,9 +128,7 @@ def cmd_decode(args) -> int:
             f"decoded {report.payload_length} bytes from {args.shard_dir} "
             f"(missing shards: {gone})"
         )
-        if args.meter:
-            for d in sorted(report.bytes_read_per_shard):
-                print(f"  read from shard {d}: {report.bytes_read_per_shard[d]} bytes")
+        _print_reads(report)
     return EXIT_OK
 
 
@@ -142,12 +147,12 @@ def cmd_analyze(args) -> int:
     lines.append(f"repair plans meet the I/O bounds exactly: {out['lower_bounds_met']}")
 
     enc = analysis.count_schedule_xors(build_encode_schedule(code), code)
-    rep = analysis.count_schedule_xors(repair_plan(code, 1).schedule, code)
+    rep = analysis.count_schedule_xors(repair_plan(code, 1), code)
     out["encode_xors"] = enc.total
     out["repair_xors"] = rep.total
     lines.append(
         f"encode schedule: {enc.total} XORs/stripe "
-        f"({enc.average_per_block['p'] + enc.average_per_block['q']} per coded block pair)"
+        f"({2 * enc.average_per_block} per coded block pair)"
     )
     lines.append(f"repair schedule: {rep.total} XORs per rebuilt strip")
 
@@ -283,7 +288,6 @@ def build_parser() -> _Parser:
     p.add_argument("shard_dir")
     p.add_argument("--out", required=True)
     p.add_argument("--code")
-    p.add_argument("--meter", action="store_true", help="report bytes read per shard")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_decode)
 

@@ -9,15 +9,21 @@ paths coexist on purpose:
   one op per lane of blocks (the same block of a whole batch of stripes):
   ``build_encode_schedule`` fills P and Q (the minimum 2(k-1) XORs per
   stripe row for recursion-built codes), ``build_decode_schedule`` rebuilds
-  the data of up to two lost disks, and ``repair_plan`` pairs the schedule
-  that rebuilds one disk with the minimum read set it consumes (the
-  minimum (k-1) average XORs per lost block for recursion-built codes).
+  the data of up to two lost disks, and ``repair_plan`` picks the schedule
+  that rebuilds one disk from the minimum read set (the minimum (k-1)
+  average XORs per lost block for recursion-built codes).
+
+A schedule's buffer ids stay inside this module: callers see the
+(disk, row) blocks it reads and writes, worked out from its ops, and pass
+and get lanes keyed by (disk, row).  ``verify_schedule`` checks any
+schedule symbolically against a code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .code import MdrCode, generator_submatrices, is_recursive_mdr
@@ -135,10 +141,8 @@ class XorSchedule:
     source is defined (or is an input) before its first use.
     """
 
-    kind: str  # "encode", "repair" or "decode"
     k: int
     r: int
-    failed_disk: int | None
     ops: tuple[XorOp, ...]
 
     @property
@@ -151,6 +155,21 @@ class XorSchedule:
         return frozenset(
             (src[1], src[2]) for op in self.ops for src in op.sources if src[0] == "in"
         )
+
+    @cached_property
+    def writes(self) -> frozenset[tuple[int, int]]:
+        """The (disk, row) of every block the schedule outputs."""
+        return frozenset(
+            (op.target[1], op.target[2]) for op in self.ops if op.target[0] == "out"
+        )
+
+    @cached_property
+    def rows_by_disk(self) -> Mapping[int, tuple[int, ...]]:
+        """The rows read from each disk, in ascending order, by disk."""
+        rows: dict[int, list[int]] = {}
+        for disk, row in sorted(self.reads):
+            rows.setdefault(disk, []).append(row)
+        return MappingProxyType({disk: tuple(js) for disk, js in rows.items()})
 
 
 # -- direct (reference) encoding -------------------------------------------
@@ -253,7 +272,7 @@ def build_encode_schedule(code: MdrCode) -> XorSchedule:
     if not is_recursive_mdr(code):
         data = [("in", d, j) for d in range(1, k + 1) for j in range(1, r + 1)]
         parity = [(d, j) for d in (k + 1, k + 2) for j in range(1, r + 1)]
-        return XorSchedule("encode", k, r, None, _compile_ops(code, data, parity))
+        return XorSchedule(k, r, _compile_ops(code, data, parity))
 
     def prefix_ref(t: int, row: int) -> Buffer:
         if t == 1:
@@ -274,33 +293,40 @@ def build_encode_schedule(code: MdrCode) -> XorSchedule:
     qmap = _q_sources(k, 0, prefix_ref)
     for row in range(1, r + 1):
         ops.append(XorOp(("out", k + 2, row), tuple(qmap[row])))
-    return XorSchedule("encode", k, r, None, tuple(ops))
+    return XorSchedule(k, r, tuple(ops))
 
 
 def execute_schedule(
-    schedule: XorSchedule, inputs: Mapping[Buffer, bytes], block_size: int
-) -> tuple[dict[Buffer, bytes], int]:
+    schedule: XorSchedule, lanes: Mapping[tuple[int, int], bytes], block_size: int
+) -> tuple[dict[tuple[int, int], bytes], int]:
     """Run a schedule over lanes of blocks.
 
-    Each input is a lane: the same (disk, row) block of n stripes laid end
-    to end, so a bytes-like value of n * block_size bytes, with n >= 1 and
-    the same for every input (a single block is the lane of one stripe).
-    Every op XORs whole lanes at once, and each output is a lane of the
-    same length.  Returns the outputs and the number of two-input XORs
+    lanes maps exactly the (disk, row) blocks in schedule.reads to their
+    lanes.  A lane is the same (disk, row) block of n stripes laid end to
+    end, so a bytes-like value of n * block_size bytes, with n >= 1 and
+    the same for every lane (a single block is the lane of one stripe).
+    Every op XORs whole lanes at once.  Returns the lane of each block in
+    schedule.writes by (disk, row), and the number of two-input XORs
     executed, counted per block: the schedule's XORs times n.
     """
+    if lanes.keys() != schedule.reads:
+        extra = sorted(lanes.keys() - schedule.reads)
+        absent = sorted(schedule.reads - lanes.keys())
+        raise ValueError(
+            f"lanes do not match the schedule's reads: extra {extra}, missing {absent}"
+        )
     env: dict[Buffer, int] = {}
     lane_size = None
-    for buf, data in inputs.items():
+    for (disk, row), data in lanes.items():
         size = len(data)
         if lane_size is None:
             lane_size = size
         if size != lane_size or not size or size % block_size:
             raise ValueError(
-                f"input {buf} has {size} bytes; lanes are the same positive"
+                f"lane ({disk}, {row}) has {size} bytes; lanes are the same positive"
                 f" multiple of {block_size} bytes"
             )
-        env[buf] = int.from_bytes(data, "little")
+        env[("in", disk, row)] = int.from_bytes(data, "little")
     executed = 0
     for op in schedule.ops:
         sources = op.sources
@@ -312,13 +338,13 @@ def execute_schedule(
                 acc ^= env[src]
         except KeyError as exc:
             raise ValueError(
-                f"schedule source {exc.args[0]} not supplied or used before definition"
+                f"schedule source {exc.args[0]} used before definition"
             ) from None
         executed += len(sources) - 1
         env[op.target] = acc
 
     outputs = {
-        buf: val.to_bytes(lane_size, "little")
+        (buf[1], buf[2]): val.to_bytes(lane_size, "little")
         for buf, val in env.items()
         if buf[0] == "out"
     }
@@ -375,7 +401,7 @@ def build_decode_schedule(code: MdrCode, missing: tuple[int, ...]) -> XorSchedul
     rows = range(1, r + 1)
     candidates = [("in", d, j) for d in range(1, k + 3) if d not in missing for j in rows]
     targets = [(d, j) for d in missing if d <= k for j in rows]
-    return XorSchedule("decode", k, r, None, _compile_ops(code, candidates, targets))
+    return XorSchedule(k, r, _compile_ops(code, candidates, targets))
 
 
 # -- generic two-erasure decoding -------------------------------------------
@@ -483,19 +509,10 @@ def decode(code: MdrCode, stripe: Stripe, erased: ErasurePattern) -> Stripe:
 # -- single-disk repair ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RepairPlan:
-    """The schedule that rebuilds one disk and the blocks it reads: reads
-    is exactly the set of the schedule's ("in", disk, row) sources."""
-
-    failed_disk: int
-    reads: frozenset[tuple[int, int]]
-    schedule: XorSchedule
-
-
 @lru_cache(maxsize=256)
-def repair_plan(code: MdrCode, failed: int) -> RepairPlan:
-    """Pick the rebuild schedule for one disk.
+def repair_plan(code: MdrCode, failed: int) -> XorSchedule:
+    """Pick the rebuild schedule for one disk; its reads are the blocks
+    the rebuild needs.
 
     The Q disk is rebuilt by the part of the encode schedule that Q needs.
     A basic disk of a recursion-built code gets the minimum-XOR
@@ -506,20 +523,18 @@ def repair_plan(code: MdrCode, failed: int) -> RepairPlan:
     if not 1 <= failed <= k + 2:
         raise ValueError(f"disk index {failed} outside [1, {k + 2}]")
     if failed == k + 2:
-        schedule = _q_repair_schedule(code)
-    elif is_recursive_mdr(code):
-        schedule = build_repair_schedule(code, failed)
-    elif code.strategies is None:
+        return _q_repair_schedule(code)
+    if is_recursive_mdr(code):
+        return build_repair_schedule(code, failed)
+    if code.strategies is None:
         raise ValueError("basic-disk repair needs strategies")
-    else:
-        strat = code.strategies[failed - 1]
-        candidates: list[Buffer] = [
-            ("in", d, j) for d in range(1, k + 2) if d != failed for j in strat.basic_rows
-        ]
-        candidates += [("in", k + 2, j) for j in strat.q_rows]
-        targets = [(failed, j) for j in range(1, r + 1)]
-        schedule = XorSchedule("repair", k, r, failed, _compile_ops(code, candidates, targets))
-    return RepairPlan(failed, schedule.reads, schedule)
+    strat = code.strategies[failed - 1]
+    candidates: list[Buffer] = [
+        ("in", d, j) for d in range(1, k + 2) if d != failed for j in strat.basic_rows
+    ]
+    candidates += [("in", k + 2, j) for j in strat.q_rows]
+    targets = [(failed, j) for j in range(1, r + 1)]
+    return XorSchedule(k, r, _compile_ops(code, candidates, targets))
 
 
 def _q_repair_schedule(code: MdrCode) -> XorSchedule:
@@ -536,27 +551,17 @@ def _q_repair_schedule(code: MdrCode) -> XorSchedule:
         if op.target[:2] == ("out", k + 2) or op.target in needed:
             needed.update(op.sources)
             kept.append(XorOp(as_tmp(op.target), tuple(map(as_tmp, op.sources))))
-    return XorSchedule("repair", k, code.r, k + 2, tuple(reversed(kept)))
+    return XorSchedule(k, code.r, tuple(reversed(kept)))
 
 
 def execute_repair(
-    plan: RepairPlan, blocks: Mapping[tuple[int, int], bytes], block_size: int
+    schedule: XorSchedule, lanes: Mapping[tuple[int, int], bytes], block_size: int
 ) -> tuple[list[bytes], int]:
-    """Rebuild the failed column from a {(disk, row): lane} map holding
-    exactly the blocks in plan.reads, each a lane as ``execute_schedule``
-    takes it; returns the column's lanes and the number of two-input block
-    XORs executed."""
-    if blocks.keys() != plan.reads:
-        extra = sorted(blocks.keys() - plan.reads)
-        absent = sorted(plan.reads - blocks.keys())
-        raise ValueError(
-            f"block map does not match the plan: extra {extra}, missing {absent}"
-        )
-    inputs = {("in", d, j): data for (d, j), data in blocks.items()}
-    outputs, executed = execute_schedule(plan.schedule, inputs, block_size)
-    failed = plan.failed_disk
-    column = [outputs[("out", failed, j)] for j in range(1, plan.schedule.r + 1)]
-    return column, executed
+    """Run a single-disk rebuild schedule (see ``repair_plan``) as
+    ``execute_schedule`` does; returns the rebuilt column's lanes in row
+    order and the number of two-input block XORs executed."""
+    outputs, executed = execute_schedule(schedule, lanes, block_size)
+    return [outputs[block] for block in sorted(schedule.writes)], executed
 
 
 def build_repair_schedule(code: MdrCode, failed: int) -> XorSchedule:
@@ -621,7 +626,7 @@ def build_repair_schedule(code: MdrCode, failed: int) -> XorSchedule:
         ops.append(
             XorOp(("out", failed, comp_row), (("in", k + 2, q_row), *smap[q_row]))
         )
-    return XorSchedule("repair", k, r, failed, tuple(ops))
+    return XorSchedule(k, r, tuple(ops))
 
 
 # -- symbolic schedule verification -----------------------------------------
@@ -649,47 +654,28 @@ def _data_coefficients(code: MdrCode) -> dict[Buffer, int]:
     return coeffs
 
 
-def _evaluate_symbolic(code: MdrCode, schedule: XorSchedule) -> dict[Buffer, int]:
-    env = _data_coefficients(code)
+def verify_schedule(code: MdrCode, schedule: XorSchedule) -> bool:
+    """True iff the schedule rebuilds whole columns of the code from blocks
+    of other disks: by symbolic evaluation, every block it writes equals
+    that block's combination of the data blocks; it writes every row of
+    each disk it writes to; and it reads no block of such a disk."""
+    k, r = code.k, code.r
+    if (schedule.k, schedule.r) != (k, r):
+        return False
+    disks = {disk for disk, _ in schedule.writes}
+    if schedule.writes != {(disk, j) for disk in disks for j in range(1, r + 1)}:
+        return False
+    if any(disk in disks for disk, _ in schedule.reads):
+        return False
+    expected = _data_coefficients(code)
+    env = dict(expected)
     for op in schedule.ops:
         acc = 0
         for src in op.sources:
             if src not in env:
-                raise ValueError(f"schedule source {src} used before definition")
+                return False
             acc ^= env[src]
         env[op.target] = acc
-    return {buf: v for buf, v in env.items() if buf[0] == "out"}
-
-
-def verify_encode_schedule(code: MdrCode, schedule: XorSchedule) -> bool:
-    """True iff symbolic evaluation reproduces the generator relations."""
-    if schedule.kind != "encode" or (schedule.k, schedule.r) != (code.k, code.r):
-        return False
-    env = _evaluate_symbolic(code, schedule)
-    expected = _data_coefficients(code)
-    k, r = code.k, code.r
-    for j in range(1, r + 1):
-        if env.get(("out", k + 1, j)) != expected[("in", k + 1, j)]:
-            return False
-        if env.get(("out", k + 2, j)) != expected[("in", k + 2, j)]:
-            return False
-    return len(env) == 2 * r
-
-
-def verify_repair_schedule(code: MdrCode, schedule: XorSchedule) -> bool:
-    """True iff the schedule rebuilds exactly the failed column."""
-    if schedule.kind != "repair" or (schedule.k, schedule.r) != (code.k, code.r):
-        return False
-    failed = schedule.failed_disk
-    if failed is None or not 1 <= failed <= code.k + 2:
-        return False
-    for op in schedule.ops:
-        for src in op.sources:
-            if src[0] == "in" and src[1] == failed:
-                return False
-    env = _evaluate_symbolic(code, schedule)
-    expected = _data_coefficients(code)
-    for j in range(1, code.r + 1):
-        if env.get(("out", failed, j)) != expected[("in", failed, j)]:
-            return False
-    return len(env) == code.r
+    return all(
+        env[("out", disk, j)] == expected.get(("in", disk, j)) for disk, j in schedule.writes
+    )

@@ -5,6 +5,9 @@ Encode, decode and repair run their XOR schedule once per batch of
 stripes, over lanes: one lane is the same (disk, row) block of every
 stripe in the batch, laid end to end.  A batch holds about BATCH_BYTES of
 stripe data, so memory is bounded by the batch and not by the file.
+Repair reads exactly the blocks its schedule reads, and decode those plus
+every block it outputs or checks; each lane goes to the schedule keyed by
+its (disk, row).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Mapping, Sequence
 
 from .code import MdrCode, construct
 from .codec import (
@@ -91,7 +94,12 @@ def shard_name(disk_index: int) -> str:
     return f"shard_{disk_index:02d}{SHARD_SUFFIX}"
 
 
-def _scan_shards(directory: Path) -> dict[int, tuple[Path, ShardHeader]]:
+def _open_shard_set(
+    directory: Path, code: MdrCode | None
+) -> tuple[dict[int, tuple[Path, ShardHeader]], ShardHeader, MdrCode, tuple[int, ...]]:
+    """The shards in a directory by disk, one of their headers (they agree
+    on every field but the disk index), the code they need (the given one,
+    or the built-in construction) and the missing disks."""
     headers: dict[int, tuple[Path, ShardHeader]] = {}
     for path in sorted(directory.glob(f"*{SHARD_SUFFIX}")):
         with path.open("rb", buffering=0) as fh:
@@ -104,17 +112,16 @@ def _scan_shards(directory: Path) -> dict[int, tuple[Path, ShardHeader]]:
     keys = {h.siblings_key() for _, h in headers.values()}
     if len(keys) > 1:
         raise IntegrityError("shard headers disagree on code parameters")
-    return headers
-
-
-def _resolve_code(k: int, r: int, code: MdrCode | None) -> MdrCode:
+    any_header = next(iter(headers.values()))[1]
+    k, r = any_header.k, any_header.r
     if code is None:
         code = construct(k)
     if (code.k, code.r) != (k, r):
         raise IntegrityError(
             f"code is ({code.k},{code.r}) but shards need ({k},{r})"
         )
-    return code
+    missing = tuple(d for d in range(1, k + 3) if d not in headers)
+    return headers, any_header, code, missing
 
 
 def _batch_stripes(stripe_count: int, stripe_data_bytes: int) -> int:
@@ -234,7 +241,7 @@ class _LaneReader:
 def _open_readers(
     stack: ExitStack,
     headers: dict[int, tuple[Path, ShardHeader]],
-    rows_by_disk: dict[int, Sequence[int]],
+    rows_by_disk: Mapping[int, Sequence[int]],
     n: int,
 ) -> dict[int, _LaneReader]:
     return {
@@ -245,15 +252,6 @@ def _open_readers(
 
 def _read_lanes(readers: dict[int, _LaneReader], first: int, m: int) -> dict[tuple[int, int], memoryview]:
     return {(d, j): lane for d, reader in readers.items() for j, lane in reader.read(first, m).items()}
-
-
-@lru_cache(maxsize=256)
-def _rows_by_disk(blocks: frozenset[tuple[int, int]]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(disk, its rows in ascending order) for every disk among blocks."""
-    rows: dict[int, list[int]] = {}
-    for disk, row in sorted(blocks):
-        rows.setdefault(disk, []).append(row)
-    return tuple((disk, tuple(js)) for disk, js in rows.items())
 
 
 @dataclass(frozen=True)
@@ -301,11 +299,11 @@ def encode_file(
             for d, strips in enumerate(_deinterleave(chunk, k, m, strip_bytes), start=1):
                 handles[d - 1].write(strips)
                 for j, lane in enumerate(_deinterleave(strips, r, m, block_size), start=1):
-                    inputs[("in", d, j)] = lane
+                    inputs[(d, j)] = lane
             outputs, executed = execute_schedule(schedule, inputs, block_size)
             xor_total += executed
             for d in (k + 1, k + 2):
-                column = [outputs[("out", d, j)] for j in range(1, r + 1)]
+                column = [outputs[(d, j)] for j in range(1, r + 1)]
                 handles[d - 1].write(_interleave(column, m, block_size))
     return EncodeReport(stripe_count, xor_total, tuple(str(p) for p in paths))
 
@@ -339,11 +337,8 @@ def decode_file(
     instead of propagated.  The output appears only once every stripe has
     been decoded.
     """
-    headers = _scan_shards(Path(shard_dir))
-    any_header = next(iter(headers.values()))[1]
+    headers, any_header, code, missing = _open_shard_set(Path(shard_dir), code)
     k, r, bs = any_header.k, any_header.r, any_header.block_size
-    code = _resolve_code(k, r, code)
-    missing = tuple(d for d in range(1, k + 3) if d not in headers)
     if len(missing) > 2:
         raise TooManyErasuresError(
             f"{len(missing)} shards missing; RAID-6 tolerates at most 2"
@@ -358,9 +353,8 @@ def decode_file(
     # every block of a surviving data disk is output; of P and Q, read only
     # what the schedule uses, or all of each checked one
     wanted = {d: rows for d in headers if d <= k or d in checked}
-    for d, used in _rows_by_disk(schedule.reads):
+    for d, used in schedule.rows_by_disk.items():
         wanted.setdefault(d, used)
-    sources = [("in", d, j) for d, j in schedule.reads]
     stripe_count, left = any_header.stripe_count, any_header.payload_length
     n = _batch_stripes(stripe_count, k * r * bs)
     with ExitStack() as stack:
@@ -369,12 +363,12 @@ def decode_file(
         for first in range(0, stripe_count, n):
             m = min(n, stripe_count - first)
             lanes = _read_lanes(readers, first, m)
-            outputs, _ = execute_schedule(schedule, {buf: lanes[buf[1:]] for buf in sources}, bs)
+            outputs, _ = execute_schedule(schedule, {block: lanes[block] for block in schedule.reads}, bs)
             # bytes against a memoryview compares byte by byte in Python; tobytes() makes it a memcmp
-            if any(outputs[("out", d, j)] != lanes[(d, j)].tobytes() for d in checked for j in rows):
+            if any(outputs[(d, j)] != lanes[(d, j)].tobytes() for d in checked for j in rows):
                 raise IntegrityError("surviving blocks violate the parity relations")
             data = [
-                outputs[("out", d, j)] if d in missing else lanes[(d, j)]
+                outputs[(d, j)] if d in missing else lanes[(d, j)]
                 for d in range(1, k + 1)
                 for j in rows
             ]
@@ -400,15 +394,13 @@ def repair_shard(
     missing_index: int | None = None,
     code: MdrCode | None = None,
 ) -> RepairReport:
-    """Regenerate exactly one missing shard, reading only its plan's blocks.
+    """Regenerate exactly one missing shard, reading only the blocks its
+    rebuild schedule reads.
 
     The shard appears only once every stripe has been rebuilt."""
     directory = Path(shard_dir)
-    headers = _scan_shards(directory)
-    any_header = next(iter(headers.values()))[1]
+    headers, any_header, code, missing = _open_shard_set(directory, code)
     k, r, bs = any_header.k, any_header.r, any_header.block_size
-    code = _resolve_code(k, r, code)
-    missing = [d for d in range(1, k + 3) if d not in headers]
     if len(missing) != 1:
         raise TooManyErasuresError(
             f"repair needs exactly one missing shard, found {len(missing)}; "
@@ -419,19 +411,19 @@ def repair_shard(
             f"shard {missing_index} is present; the missing shard is {missing[0]}"
         )
     failed = missing[0]
-    plan = repair_plan(code, failed)
+    schedule = repair_plan(code, failed)
     stripe_count = any_header.stripe_count
     header = ShardHeader(k, r, failed, bs, stripe_count, any_header.payload_length)
     out_path = directory / shard_name(failed)
     n = _batch_stripes(stripe_count, k * r * bs)
     xor_total = 0
     with ExitStack() as stack:
-        readers = _open_readers(stack, headers, dict(_rows_by_disk(plan.reads)), n)
+        readers = _open_readers(stack, headers, schedule.rows_by_disk, n)
         fh = stack.enter_context(_replace_on_success(out_path))
         fh.write(header.pack())
         for first in range(0, stripe_count, n):
             m = min(n, stripe_count - first)
-            column, executed = execute_repair(plan, _read_lanes(readers, first, m), bs)
+            column, executed = execute_repair(schedule, _read_lanes(readers, first, m), bs)
             xor_total += executed
             fh.write(_interleave(column, m, bs))
     blocks_read, bytes_read = _read_counts(headers, readers, bs)

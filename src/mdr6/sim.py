@@ -15,6 +15,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Mapping, Sequence
 
 from .code import construct
 from .codec import repair_plan
@@ -117,15 +118,11 @@ class _DiskState:
     last_lba: int | None = None
 
 
-def _read_rows(code, strategy: str, failed_role: int) -> dict[int, list[int]]:
+def _read_rows(code, strategy: str, failed_role: int) -> Mapping[int, Sequence[int]]:
     """Logical (disk -> rows) read to rebuild failed_role in one stripe."""
     k, r = code.k, code.r
     if strategy == "mdr":
-        plan = repair_plan(code, failed_role)
-        rows: dict[int, list[int]] = {}
-        for disk, row in sorted(plan.reads):
-            rows.setdefault(disk, []).append(row)
-        return rows
+        return repair_plan(code, failed_role).rows_by_disk
     # conventional: whole strips from the surviving basic disks, Q idle
     return {d: list(range(1, r + 1)) for d in range(1, k + 2) if d != failed_role}
 

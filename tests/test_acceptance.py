@@ -21,8 +21,7 @@ from mdr6.codec import (
     encode_naive,
     execute_schedule,
     repair_plan,
-    verify_encode_schedule,
-    verify_repair_schedule,
+    verify_schedule,
 )
 from mdr6.sim import DiskModel, SimConfig, compare, simulate
 
@@ -125,7 +124,7 @@ def test_criterion_5_xor_optimality():
         stripe = random_stripe(code, rng, 8)
         schedule = build_encode_schedule(code)
         inputs = {
-            ("in", d, j): stripe.get_block(d, j)
+            (d, j): stripe.get_block(d, j)
             for d in range(1, k + 1)
             for j in range(1, r + 1)
         }
@@ -135,15 +134,10 @@ def test_criterion_5_xor_optimality():
         full = encode_naive(code, stripe)
         for failed in range(1, k + 2):
             rsched = build_repair_schedule(code, failed)
-            rinputs = {
-                ("in", d, j): full.get_block(d, j)
-                for d in range(1, k + 3)
-                if d != failed
-                for j in range(1, r + 1)
-            }
+            rinputs = {(d, j): full.get_block(d, j) for d, j in rsched.reads}
             outputs, rexecuted = execute_schedule(rsched, rinputs, 8)
             ok = ok and rexecuted == (k - 1) * (1 << k) == rsched.xor_count
-            rebuilt = [outputs[("out", failed, j)] for j in range(1, r + 1)]
+            rebuilt = [outputs[(failed, j)] for j in range(1, r + 1)]
             ok = ok and rebuilt == full.column(failed)
     report(5, "encode 2(k-1)2^k XORs, repair (k-1)2^k XORs, k=1..6", ok)
     assert ok
@@ -207,8 +201,8 @@ def test_criterion_9_schedule_soundness():
     ok = True
     for k in range(1, 7):
         code = construct(k)
-        ok = ok and verify_encode_schedule(code, build_encode_schedule(code))
+        ok = ok and verify_schedule(code, build_encode_schedule(code))
         for failed in range(1, k + 2):
-            ok = ok and verify_repair_schedule(code, build_repair_schedule(code, failed))
+            ok = ok and verify_schedule(code, build_repair_schedule(code, failed))
     report(9, "symbolic schedules reproduce generator coefficients, k=1..6", ok)
     assert ok

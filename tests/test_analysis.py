@@ -92,21 +92,23 @@ def test_lower_bounds_met(k):
 def test_plan_with_extra_read_fails_bounds():
     code = construct(2)
     plan = repair_plan(code, 1)
-    padded = replace(plan, reads=plan.reads | {(2, 2)})
+    first = plan.ops[0]
+    padded = replace(plan, ops=(replace(first, sources=(*first.sources, ("in", 2, 2))), *plan.ops[1:]))
+    assert padded.reads == plan.reads | {(2, 2)}
     assert not plan_meets_bounds(code, padded)
 
 
 def test_skewed_per_disk_reads_fail_bounds():
     code = construct(2)
     plan = repair_plan(code, 1)
-    # same total, but r/2+1 from disk 2 and r/2-1 from disk 3
-    reads = set(plan.reads)
-    moved = next((d, row) for d, row in sorted(reads) if d == 3)
-    reads.remove(moved)
-    extra_row = next(j for j in range(1, code.r + 1) if (2, j) not in reads)
-    reads.add((2, extra_row))
-    skewed = replace(plan, reads=frozenset(reads))
-    assert len(skewed.reads) == len(plan.reads)
+    # same total, but r/2+1 from disk 2 and r/2-1 from disk 3: every op
+    # reading the first disk-3 row reads an unused disk-2 row instead
+    moved = min(row for d, row in plan.reads if d == 3)
+    extra_row = next(j for j in range(1, code.r + 1) if (2, j) not in plan.reads)
+    swap = {("in", 3, moved): ("in", 2, extra_row)}
+    ops = tuple(replace(op, sources=tuple(swap.get(s, s) for s in op.sources)) for op in plan.ops)
+    skewed = replace(plan, ops=ops)
+    assert skewed.reads == plan.reads - {(3, moved)} | {(2, extra_row)}
     assert not plan_meets_bounds(code, skewed)
 
 
@@ -127,20 +129,20 @@ def test_update_io_values():
 def test_count_encode_schedule():
     code = construct(3)
     report = count_schedule_xors(build_encode_schedule(code), code)
-    assert report.average_per_block["q"] == 2
+    assert report.average_per_block == 2
     assert report.total == 2 * 2 * 8
 
 
 def test_count_encode_k1():
     code = construct(1)
     report = count_schedule_xors(build_encode_schedule(code), code)
-    assert report.by_label["q"] == 0
+    assert report.total == report.average_per_block == 0
 
 
 def test_count_repair_schedule():
     code = construct(4)
     report = count_schedule_xors(build_repair_schedule(code, 2), code)
-    assert report.average_per_block["rebuilt"] == 3
+    assert report.average_per_block == 3
 
 
 def test_count_rejects_mismatched_schedule():

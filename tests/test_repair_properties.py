@@ -1,6 +1,7 @@
 """Property tests: every single-disk rebuild and every decode of up to
 two lost disks, for canonical and search-found codes, is byte-exact and
-sound; a rebuild reads exactly its plan and a decode reads no lost disk."""
+sound; a rebuild reads exactly its plan, a decode reads no lost disk, and
+every schedule runs only on exactly the blocks it reads."""
 
 import itertools
 import random
@@ -14,15 +15,16 @@ from mdr6.code import construct
 from mdr6.codec import (
     ErasurePattern,
     Stripe,
-    _data_coefficients,
-    _evaluate_symbolic,
+    XorOp,
+    XorSchedule,
     build_decode_schedule,
+    build_encode_schedule,
     decode,
     encode_naive,
     execute_repair,
     execute_schedule,
     repair_plan,
-    verify_repair_schedule,
+    verify_schedule,
 )
 
 CANONICAL = [construct(k) for k in range(1, 6)]
@@ -54,7 +56,7 @@ def test_every_plan_schedule_verifies_and_reads_its_strategy(code):
     k = code.k
     for disk in range(1, k + 3):
         plan = repair_plan(code, disk)
-        assert verify_repair_schedule(code, plan.schedule)
+        assert verify_schedule(code, plan)
         if disk == k + 2:
             expected = {(d, j) for d in range(1, k + 1) for j in range(1, code.r + 1)}
         else:
@@ -73,46 +75,85 @@ def test_execute_repair_matches_column_and_decode(case):
     blocks = {(d, j): full.get_block(d, j) for d, j in plan.reads}
     column, executed = execute_repair(plan, blocks, full.block_size)
     assert column == full.column(disk)
-    assert executed == plan.schedule.xor_count
+    assert executed == plan.xor_count
     damaged = full.copy()
     damaged.erase_disk(disk)
     assert column == decode(code, damaged, ErasurePattern.of(disk)).column(disk)
 
 
+@st.composite
+def schedule_cases(draw):
+    """A code, a full stripe, one of the code's encode, single-disk repair
+    or decode schedules (one that reads something), and its executor."""
+    code, disk, full = draw(repair_cases())
+    kind = draw(st.sampled_from(["encode", "repair", "decode"]))
+    if kind == "encode":
+        return code, full, build_encode_schedule(code), execute_schedule
+    if kind == "repair":
+        return code, full, repair_plan(code, disk), execute_repair
+    data_lost = [m for m in erasure_patterns(code) if min(m) <= code.k]
+    return code, full, build_decode_schedule(code, draw(st.sampled_from(data_lost))), execute_schedule
+
+
 @settings(max_examples=60, deadline=None)
-@given(repair_cases(), st.data())
+@given(schedule_cases(), st.data())
 def test_execute_repair_refuses_a_wrong_block_map(case, data):
-    code, disk, full = case
-    plan = repair_plan(code, disk)
-    blocks = {(d, j): full.get_block(d, j) for d, j in plan.reads}
-    missing = data.draw(st.sampled_from(sorted(plan.reads)))
+    code, full, schedule, execute = case
+    blocks = {(d, j): full.get_block(d, j) for d, j in schedule.reads}
+    missing = data.draw(st.sampled_from(sorted(schedule.reads)))
     short = {key: b for key, b in blocks.items() if key != missing}
     with pytest.raises(ValueError):
-        execute_repair(plan, short, full.block_size)
+        execute(schedule, short, full.block_size)
     outside = sorted(
         (d, j)
         for d in range(1, code.k + 3)
         for j in range(1, code.r + 1)
-        if (d, j) not in plan.reads
+        if (d, j) not in schedule.reads
     )
     extra = data.draw(st.sampled_from(outside))
     with pytest.raises(ValueError):
-        execute_repair(plan, {**blocks, extra: full.get_block(*extra)}, full.block_size)
+        execute(schedule, {**blocks, extra: full.get_block(*extra)}, full.block_size)
+
+
+def _with_last_op(schedule, op):
+    """The schedule with its last op replaced by op, or removed if op is None."""
+    ops = schedule.ops[:-1] + ((op,) if op else ())
+    return XorSchedule(schedule.k, schedule.r, ops)
+
+
+@pytest.mark.parametrize("code", CANONICAL + FOUND, ids=lambda c: f"k{c.k}r{c.r}")
+def test_verify_schedule_accepts_built_schedules_and_rejects_tampering(code):
+    k = code.k
+    schedules = [
+        build_encode_schedule(code),
+        *(repair_plan(code, disk) for disk in range(1, k + 3)),
+        *(build_decode_schedule(code, missing) for missing in erasure_patterns(code)),
+    ]
+    other = CANONICAL[k % len(CANONICAL)]
+    for schedule in schedules:
+        assert verify_schedule(code, schedule)
+        assert not verify_schedule(other, schedule)
+        if not schedule.ops:
+            continue
+        last = schedule.ops[-1]
+        # a dropped source changes the block the last op writes
+        assert not verify_schedule(code, _with_last_op(schedule, XorOp(last.target, last.sources[:-1])))
+        # an op removed leaves its column partly written
+        assert not verify_schedule(code, _with_last_op(schedule, None))
+        # a block of the output disk added twice cancels out, so only the read is wrong
+        own = ("in", min(schedule.writes)[0], 1)
+        doubled = XorOp(last.target, (*last.sources, own, own))
+        assert not verify_schedule(code, _with_last_op(schedule, doubled))
 
 
 @pytest.mark.parametrize("code", CANONICAL + FOUND, ids=lambda c: f"k{c.k}r{c.r}")
 def test_every_decode_schedule_rebuilds_exactly_the_lost_data(code):
     k, r = code.k, code.r
-    coeffs = _data_coefficients(code)
     for missing in erasure_patterns(code):
         schedule = build_decode_schedule(code, missing)
-        lost = {
-            ("out", d, j): coeffs[("in", d, j)] for d in missing if d <= k for j in range(1, r + 1)
-        }
-        assert _evaluate_symbolic(code, schedule) == lost, missing
-        assert not any(
-            src[0] == "in" and src[1] in missing for op in schedule.ops for src in op.sources
-        ), missing
+        assert verify_schedule(code, schedule), missing
+        assert schedule.writes == {(d, j) for d in missing if d <= k for j in range(1, r + 1)}
+        assert not any(d in missing for d, _ in schedule.reads), missing
         if code in CANONICAL and len(missing) == 1 and missing[0] <= k:
             assert schedule.xor_count == (k - 1) * r, missing
 
@@ -130,13 +171,8 @@ def decode_cases(draw):
 @given(decode_cases())
 def test_decode_schedule_matches_stripe_and_oracle(case):
     code, missing, full = case
-    inputs = {
-        ("in", d, j): full.get_block(d, j)
-        for d in range(1, code.k + 3)
-        if d not in missing
-        for j in range(1, code.r + 1)
-    }
     schedule = build_decode_schedule(code, missing)
+    inputs = {(d, j): full.get_block(d, j) for d, j in schedule.reads}
     outputs, executed = execute_schedule(schedule, inputs, full.block_size)
     assert executed == schedule.xor_count
     damaged = full.copy()
@@ -144,9 +180,9 @@ def test_decode_schedule_matches_stripe_and_oracle(case):
         damaged.erase_disk(d)
     oracle = decode(code, damaged, ErasurePattern(frozenset(missing)))
     assert outputs == {
-        ("out", d, j): full.get_block(d, j)
+        (d, j): full.get_block(d, j)
         for d in missing
         if d <= code.k
         for j in range(1, code.r + 1)
     }
-    assert all(data == oracle.get_block(*buf[1:]) for buf, data in outputs.items())
+    assert all(data == oracle.get_block(*block) for block, data in outputs.items())

@@ -100,7 +100,7 @@ def test_batches_match_one_stripe_at_a_time(case):
             repaired = shards.repair_shard(sh)
             assert (sh / shards.shard_name(victim)).read_bytes() == files[victim]
             plan = repair_plan(code, victim)
-            assert repaired.xor_count == plan.schedule.xor_count * stripes
+            assert repaired.xor_count == plan.xor_count * stripes
             per_stripe = {d: sum(1 for disk, _ in plan.reads if disk == d) for d in files if d != victim}
             assert repaired.blocks_read_per_shard == {d: c * stripes for d, c in per_stripe.items()}
 
@@ -110,16 +110,16 @@ def test_execute_schedule_over_lanes_of_stripes():
     schedule = build_encode_schedule(code)
     rng = random.Random(5)
     stripes = [
-        {("in", d, j): rng.randbytes(16) for d in range(1, 4) for j in range(1, code.r + 1)}
+        {(d, j): rng.randbytes(16) for d in range(1, 4) for j in range(1, code.r + 1)}
         for _ in range(3)
     ]
-    lanes = {buf: b"".join(s[buf] for s in stripes) for buf in stripes[0]}
+    lanes = {block: b"".join(s[block] for s in stripes) for block in stripes[0]}
     outputs, executed = execute_schedule(schedule, lanes, 16)
     one_by_one = [execute_schedule(schedule, s, 16) for s in stripes]
     assert outputs == {
-        buf: b"".join(out[buf] for out, _ in one_by_one) for buf in one_by_one[0][0]
+        block: b"".join(out[block] for out, _ in one_by_one) for block in one_by_one[0][0]
     }
     assert executed == 3 * schedule.xor_count == sum(n for _, n in one_by_one)
-    lanes[("in", 1, 1)] = lanes[("in", 1, 1)][:32]  # two stripes, not three
+    lanes[(1, 1)] = lanes[(1, 1)][:32]  # two stripes, not three
     with pytest.raises(ValueError):
         execute_schedule(schedule, lanes, 16)

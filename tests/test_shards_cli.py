@@ -275,7 +275,7 @@ def test_repair_xor_count_per_stripe(tmp_path, k, q_xors):
     src = make_file(tmp_path, k * r * 8 * 2 + 1, seed=40 + k)
     sh = tmp_path / "sh"
     stripes = shards.encode_file(src, sh, k=k, block_size=8).stripe_count
-    assert repair_plan(code, k + 2).schedule.xor_count == q_xors
+    assert repair_plan(code, k + 2).xor_count == q_xors
     for victim in range(1, k + 3):
         original = (sh / shards.shard_name(victim)).read_bytes()
         os.remove(sh / shards.shard_name(victim))
@@ -361,17 +361,22 @@ def test_cli_encode_repair_decode_flow(tmp_path, capsys):
 
 
 def test_cli_decode_meter(tmp_path, capsys):
+    # decode reports the blocks and bytes it read per shard, as repair does
     src = make_file(tmp_path, 3000, seed=30)
     sh = tmp_path / "sh"
     assert main(["encode", str(src), "--k", "2", "--block-size", "32",
                  "--out-dir", str(sh)]) == 0
     capsys.readouterr()
     out = tmp_path / "out.bin"
-    assert main(["decode", str(sh), "--out", str(out), "--meter", "--json"]) == 0
+    assert main(["decode", str(sh), "--out", str(out), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     stripes = doc["stripes"]
     # full decode reads every block of every present shard
     assert all(n == 4 * 32 * stripes for n in doc["bytes_read_per_shard"].values())
+    assert all(n == 4 * stripes for n in doc["blocks_read_per_shard"].values())
+    assert main(["decode", str(sh), "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert f"read from shard 1: {4 * stripes} blocks ({4 * 32 * stripes} bytes)" in text
 
 
 def test_cli_decode_with_losses_and_exit_codes(tmp_path):
@@ -513,3 +518,12 @@ def test_benchmark_tracer_binds_every_name_it_wraps():
         cwd=root, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_api_resolves():
+    import mdr6
+
+    assert [name for name in mdr6.__all__ if not hasattr(mdr6, name)] == []
+    for gone in ("RepairPlan", "verify_encode_schedule", "verify_repair_schedule"):
+        assert gone not in mdr6.__all__
+        assert not hasattr(mdr6, gone)
