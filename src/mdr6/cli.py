@@ -10,11 +10,12 @@ import argparse
 import csv
 import json
 import sys
+from itertools import combinations
 from pathlib import Path
 
 from . import analysis, shards, sim
 from .code import MdrCode, code_from_document, code_to_document, construct
-from .codec import IntegrityError, build_encode_schedule, repair_plan
+from .codec import IntegrityError, build_decode_schedule, build_encode_schedule, repair_plan
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,6 +119,7 @@ def cmd_decode(args) -> int:
         "missing": list(report.missing),
         "stripes": report.stripe_count,
         "bytes": report.payload_length,
+        "xor_count": report.xor_count,
         **_reads_document(report),
     }
     if args.json:
@@ -126,7 +128,7 @@ def cmd_decode(args) -> int:
         gone = ", ".join(map(str, report.missing)) if report.missing else "none"
         print(
             f"decoded {report.payload_length} bytes from {args.shard_dir} "
-            f"(missing shards: {gone})"
+            f"(missing shards: {gone}), {report.xor_count} block XORs"
         )
         _print_reads(report)
     return EXIT_OK
@@ -148,13 +150,20 @@ def cmd_analyze(args) -> int:
 
     enc = analysis.count_schedule_xors(build_encode_schedule(code), code)
     rep = analysis.count_schedule_xors(repair_plan(code, 1), code)
+    lost = [*combinations(range(1, code.k + 3), 1), *combinations(range(1, code.k + 3), 2)]
+    dec = max(
+        analysis.count_schedule_xors(build_decode_schedule(code, missing), code).total
+        for missing in lost
+    )
     out["encode_xors"] = enc.total
     out["repair_xors"] = rep.total
+    out["decode_xors"] = dec
     lines.append(
         f"encode schedule: {enc.total} XORs/stripe "
         f"({2 * enc.average_per_block} per coded block pair)"
     )
     lines.append(f"repair schedule: {rep.total} XORs per rebuilt strip")
+    lines.append(f"decode schedules: at most {dec} XORs/stripe with up to two disks lost")
 
     if args.oracle:
         reports = {}

@@ -7,7 +7,8 @@ stripe in the batch, laid end to end.  A batch holds about BATCH_BYTES of
 stripe data, so memory is bounded by the batch and not by the file.
 Repair reads exactly the blocks its schedule reads, and decode those plus
 every block it outputs or checks; each lane goes to the schedule keyed by
-its (disk, row).
+its (disk, row).  Every shard or output file is written beside its place
+and renamed into it only once the whole run has succeeded.
 """
 
 from __future__ import annotations
@@ -268,7 +269,9 @@ def encode_file(
     block_size: int = 512,
     code: MdrCode | None = None,
 ) -> EncodeReport:
-    """Shard a file into k+2 shard files, parities via the optimal schedule."""
+    """Shard a file into k+2 shard files, parities via the optimal schedule.
+
+    The shards appear only once every stripe has been encoded."""
     if code is None:
         code = construct(k)
     if code.k != k:
@@ -286,7 +289,7 @@ def encode_file(
         src = stack.enter_context(Path(input_path).open("rb"))
         payload_length = os.fstat(src.fileno()).st_size
         stripe_count = (payload_length + stripe_bytes - 1) // stripe_bytes
-        handles = [stack.enter_context(p.open("wb")) for p in paths]
+        handles = [stack.enter_context(_replace_on_success(p)) for p in paths]
         for d, fh in enumerate(handles, start=1):
             fh.write(ShardHeader(k, r, d, block_size, stripe_count, payload_length).pack())
         n = _batch_stripes(stripe_count, stripe_bytes)
@@ -315,6 +318,7 @@ class DecodeReport:
     payload_length: int
     blocks_read_per_shard: dict[int, int]
     bytes_read_per_shard: dict[int, int]
+    xor_count: int
 
 
 def _read_counts(
@@ -357,13 +361,15 @@ def decode_file(
         wanted.setdefault(d, used)
     stripe_count, left = any_header.stripe_count, any_header.payload_length
     n = _batch_stripes(stripe_count, k * r * bs)
+    xor_total = 0
     with ExitStack() as stack:
         readers = _open_readers(stack, headers, wanted, n)
         sink = stack.enter_context(_replace_on_success(Path(out_path)))
         for first in range(0, stripe_count, n):
             m = min(n, stripe_count - first)
             lanes = _read_lanes(readers, first, m)
-            outputs, _ = execute_schedule(schedule, {block: lanes[block] for block in schedule.reads}, bs)
+            outputs, executed = execute_schedule(schedule, {block: lanes[block] for block in schedule.reads}, bs)
+            xor_total += executed
             # bytes against a memoryview compares byte by byte in Python; tobytes() makes it a memcmp
             if any(outputs[(d, j)] != lanes[(d, j)].tobytes() for d in checked for j in rows):
                 raise IntegrityError("surviving blocks violate the parity relations")
@@ -376,7 +382,9 @@ def decode_file(
             sink.write(chunk)
             left -= len(chunk)
     blocks_read, bytes_read = _read_counts(headers, readers, bs)
-    return DecodeReport(missing, stripe_count, any_header.payload_length, blocks_read, bytes_read)
+    return DecodeReport(
+        missing, stripe_count, any_header.payload_length, blocks_read, bytes_read, xor_total
+    )
 
 
 @dataclass(frozen=True)

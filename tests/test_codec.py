@@ -5,12 +5,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdr6.code import MdrCode, construct
 from mdr6.codec import (
     ErasurePattern,
     IntegrityError,
     Stripe,
+    XorOp,
+    XorSchedule,
     build_encode_schedule,
     build_repair_schedule,
     decode,
@@ -350,6 +354,92 @@ def test_execute_schedule_missing_source():
     sched = build_repair_schedule(code, 1)
     with pytest.raises(ValueError):
         execute_schedule(sched, {(2, 1): bytes(BS)}, BS)
+
+
+def test_execute_schedule_rejects_an_op_with_no_sources():
+    sched = XorSchedule(1, 1, (XorOp(("out", 2, 1), (("in", 1, 1),)), XorOp(("out", 3, 1), ())))
+    with pytest.raises(ValueError, match="no sources"):
+        execute_schedule(sched, {(1, 1): bytes(BS)}, BS)
+
+
+def test_execute_schedule_rejects_a_source_used_before_definition():
+    ops = (
+        XorOp(("out", 2, 1), (("in", 1, 1), ("tmp", "t"))),
+        XorOp(("tmp", "t"), (("in", 1, 1),)),
+    )
+    with pytest.raises(ValueError, match="before definition"):
+        execute_schedule(XorSchedule(1, 1, ops), {(1, 1): bytes(BS)}, BS)
+
+
+def test_execute_schedule_reuses_the_slot_of_a_value_read_for_the_last_time():
+    # a chain of 200 intermediates holds two values at a time, not 200
+    ops = [XorOp(("tmp", 1), (("in", 1, 1), ("in", 2, 1)))]
+    ops += [XorOp(("tmp", n), (("tmp", n - 1), ("in", 1 + n % 2, 1))) for n in range(2, 201)]
+    ops.append(XorOp(("out", 3, 1), (("tmp", 200),)))
+    sched = XorSchedule(2, 1, tuple(ops))
+    _, slots, _, _ = sched._program
+    assert slots <= len(sched.reads) + 2
+    a, b = bytes(range(BS)), bytes(range(BS, 2 * BS))
+    # tmp 1, 2, 3, 4, ... cycle through a ^ b, b, 0, a, so tmp 200 is a
+    assert execute_schedule(sched, {(1, 1): a, (2, 1): b}, BS) == ({(3, 1): a}, 200)
+
+
+@st.composite
+def random_schedules(draw):
+    """A schedule with random ops over a few inputs: chains of intermediates,
+    intermediates never read or first read much later, intermediates and
+    outputs written again, and outputs read as sources.  Every source is
+    defined before it is read."""
+    inputs = draw(
+        st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=6, unique=True)
+    )
+    defined = [("in", d, j) for d, j in inputs]
+    tmps: list = []
+    outs: list = []
+    ops = []
+    for n in range(draw(st.integers(1, 30))):
+        # the newest values are read more often, so chains form
+        recent = st.sampled_from(defined[-3:])
+        sources = draw(st.lists(st.one_of(recent, st.sampled_from(defined)), min_size=1, max_size=4))
+        kind = draw(st.sampled_from(["tmp", "tmp", "tmp again", "out", "out again"]))
+        if kind == "tmp again" and tmps:
+            target = draw(st.sampled_from(tmps))
+        elif kind == "out again" and outs:
+            target = draw(st.sampled_from(outs))
+        elif kind.startswith("out"):
+            target = ("out", 5 + n, draw(st.integers(1, 2)))
+            outs.append(target)
+        else:
+            target = ("tmp", n)
+            tmps.append(target)
+        ops.append(XorOp(target, tuple(sources)))
+        if target not in defined:
+            defined.append(target)
+    return XorSchedule(4, 4, tuple(ops))
+
+
+def evaluate(schedule, values):
+    """The plain reference: every buffer by name in one dict."""
+    env = {("in", *block): value for block, value in values.items()}
+    for op in schedule.ops:
+        acc = 0
+        for src in op.sources:
+            acc ^= env[src]
+        env[op.target] = acc
+    return {buf[1:]: value for buf, value in env.items() if buf[0] == "out"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_schedules(), st.integers(1, 4), st.integers(1, 8), st.data())
+def test_execute_schedule_matches_a_dict_evaluator(schedule, stripes, block_size, data):
+    size = stripes * block_size
+    lanes = {
+        block: data.draw(st.binary(min_size=size, max_size=size)) for block in sorted(schedule.reads)
+    }
+    expected = evaluate(schedule, {block: int.from_bytes(b, "little") for block, b in lanes.items()})
+    outputs, executed = execute_schedule(schedule, lanes, block_size)
+    assert outputs == {block: value.to_bytes(size, "little") for block, value in expected.items()}
+    assert executed == schedule.xor_count * stripes
 
 
 # -- repair schedules -----------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdr6.analysis import search_repair_optimal
-from mdr6.code import construct
+from mdr6.code import construct, is_recursive_mdr
 from mdr6.codec import (
     ErasurePattern,
     Stripe,
@@ -42,6 +42,22 @@ def erasure_patterns(code):
     return [*itertools.combinations(disks, 1), *itertools.combinations(disks, 2)]
 
 
+def flat_inputs(schedule):
+    """Each block the schedule writes, as the set of input blocks whose XOR
+    it is: the sources of the one flat op that would compute it."""
+    env = {}
+    for op in schedule.ops:
+        acc = frozenset()
+        for src in op.sources:
+            acc ^= {src[1:]} if src[0] == "in" else env[src]
+        env[op.target] = acc
+    return {block: env[("out", *block)] for block in schedule.writes}
+
+
+def flat_count(schedule):
+    return sum(len(inputs) - 1 for inputs in flat_inputs(schedule).values())
+
+
 @st.composite
 def repair_cases(draw):
     code = draw(st.one_of(st.sampled_from(CANONICAL), st.sampled_from(FOUND)))
@@ -65,6 +81,12 @@ def test_every_plan_schedule_verifies_and_reads_its_strategy(code):
                 (d, j) for d in range(1, k + 2) if d != disk for j in strat.basic_rows
             } | {(k + 2, j) for j in strat.q_rows}
         assert plan.reads == expected
+        if not is_recursive_mdr(code):
+            # compiled schedules never cost more XORs than flat ones
+            assert plan.xor_count <= flat_count(plan), disk
+    if not is_recursive_mdr(code):
+        encode = build_encode_schedule(code)
+        assert encode.xor_count <= flat_count(encode)
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,8 +176,21 @@ def test_every_decode_schedule_rebuilds_exactly_the_lost_data(code):
         assert verify_schedule(code, schedule), missing
         assert schedule.writes == {(d, j) for d in missing if d <= k for j in range(1, r + 1)}
         assert not any(d in missing for d, _ in schedule.reads), missing
+        # building from earlier outputs never costs an XOR or a read more than flat ops
+        assert schedule.xor_count <= flat_count(schedule), missing
+        assert schedule.reads == set().union(*flat_inputs(schedule).values()), missing
         if code in CANONICAL and len(missing) == 1 and missing[0] <= k:
             assert schedule.xor_count == (k - 1) * r, missing
+
+
+@pytest.mark.parametrize(
+    "k, missing, flat, xors",
+    [(3, (2, 3), 68, 36), (6, (2, 5), 2400, 1248), (6, (1, 2), 2368, 960), (6, (1, 7), 1600, 1534)],
+)
+def test_decode_xor_counts_are_pinned(k, missing, flat, xors):
+    schedule = build_decode_schedule(construct(k), missing)
+    assert flat_count(schedule) == flat
+    assert schedule.xor_count == xors
 
 
 @st.composite

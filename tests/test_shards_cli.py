@@ -179,29 +179,44 @@ def test_shard_opens_do_not_grow_with_stripes(tmp_path, monkeypatch):
     assert opens[2] == opens[40]
 
 
-@pytest.mark.parametrize("k", [3, 6])
-def test_decode_xor_count_per_stripe(tmp_path, monkeypatch, k):
+@pytest.mark.parametrize("k, pair, pair_xors", [(3, (2, 3), 36), (6, (2, 5), 1248)])
+def test_decode_xor_count_per_stripe(tmp_path, k, pair, pair_xors):
     r = construct(k).r
     src = make_file(tmp_path, k * r * 8 * 2 + 1, seed=50 + k)
     sh = tmp_path / "sh"
     stripes = shards.encode_file(src, sh, k=k, block_size=8).stripe_count
-    executed = []
+    out = tmp_path / "out.bin"
+    assert shards.decode_file(sh, out).xor_count == 2 * (k - 1) * r * stripes  # the re-encode check
+    os.remove(sh / shards.shard_name(2))
+    report = shards.decode_file(sh, out)
+    assert out.read_bytes() == src.read_bytes()
+    assert report.xor_count == (k - 1) * r * stripes
+    for d in pair:
+        if d != 2:
+            os.remove(sh / shards.shard_name(d))
+    report = shards.decode_file(sh, out)
+    assert out.read_bytes() == src.read_bytes()
+    assert report.xor_count == pair_xors * stripes
+
+
+def test_encode_that_fails_leaves_no_shard(tmp_path, monkeypatch):
+    src = make_file(tmp_path, 3 * 8 * BS * 5, seed=52)
+    calls = []
     original = shards.execute_schedule
 
-    def counted(schedule, inputs, block_size):
-        outputs, n = original(schedule, inputs, block_size)
-        executed.append(n)
-        return outputs, n
+    def fail_second(schedule, lanes, block_size):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("executor failed")
+        return original(schedule, lanes, block_size)
 
-    monkeypatch.setattr(shards, "execute_schedule", counted)
-    out = tmp_path / "out.bin"
-    shards.decode_file(sh, out)
-    assert sum(executed) == 2 * (k - 1) * r * stripes  # the re-encode check
-    os.remove(sh / shards.shard_name(2))
-    executed.clear()
-    shards.decode_file(sh, out)
-    assert out.read_bytes() == src.read_bytes()
-    assert sum(executed) == (k - 1) * r * stripes
+    monkeypatch.setattr(shards, "BATCH_BYTES", 3 * 8 * BS * 2)
+    monkeypatch.setattr(shards, "execute_schedule", fail_second)
+    out = tmp_path / "fresh"
+    with pytest.raises(RuntimeError, match="executor failed"):
+        shards.encode_file(src, out, k=3, block_size=BS)
+    assert len(calls) == 2
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("k", [3, 6])
@@ -374,9 +389,11 @@ def test_cli_decode_meter(tmp_path, capsys):
     # full decode reads every block of every present shard
     assert all(n == 4 * 32 * stripes for n in doc["bytes_read_per_shard"].values())
     assert all(n == 4 * stripes for n in doc["blocks_read_per_shard"].values())
+    assert doc["xor_count"] == 2 * (2 - 1) * 4 * stripes  # the re-encode check
     assert main(["decode", str(sh), "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert f"read from shard 1: {4 * stripes} blocks ({4 * 32 * stripes} bytes)" in text
+    assert f"{8 * stripes} block XORs" in text
 
 
 def test_cli_decode_with_losses_and_exit_codes(tmp_path):
@@ -461,11 +478,13 @@ def test_cli_analyze_with_code_document(tmp_path, capsys):
     assert doc["update_io"] == [9, 4]
     assert doc["encode_xors"] == 8  # loaded document matches the built family
     assert doc["repair_xors"] == 4
+    assert doc["decode_xors"] == 8  # disks 1 and 2 lost; 16 as flat XORs of survivors
     found = search_repair_optimal(2, 2).found[0]
     (tmp_path / "found.json").write_text(json.dumps(code_to_document(found)))
     assert main(["analyze", "--code", str(tmp_path / "found.json"), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert (doc["encode_xors"], doc["repair_xors"]) == (5, 2)
+    # CSHR builds its second Q block from the second P block: one XOR instead of two
+    assert (doc["encode_xors"], doc["repair_xors"], doc["decode_xors"]) == (4, 2, 4)
 
 
 def test_cli_analyze_update_io_k5(capsys):
@@ -477,6 +496,7 @@ def test_cli_analyze_update_io_k5(capsys):
 def test_cli_analyze_search_no_code(capsys):
     assert main(["analyze", "--k", "3", "--search", "2"]) == 0
     out = capsys.readouterr().out
+    assert "decode schedules: at most 42 XORs/stripe with up to two disks lost" in out
     assert "no repair-optimal code exists" in out
 
 
