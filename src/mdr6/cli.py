@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 
@@ -268,7 +269,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> _Parser:
+    """The command parser, built on the first call and shared after: it
+    holds no per-command state, since parse_args returns a new namespace."""
     parser = _Parser(prog="mdr6", description="MDR RAID-6 erasure coding toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -11,6 +11,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
+# bits of a matrix parsed by one int() in BitMatrix.from_bitstrings; each
+# row is then one shift of that int, so this bounds the quadratic part
+_PARSE_BITS = 1 << 12
+
+
 class SingularMatrixError(ValueError):
     """Raised when a matrix that must be invertible is singular."""
 
@@ -71,10 +76,8 @@ class BitMatrix:
             raise ValueError("matrix dimensions must be positive")
         if len(self.row_bits) != self.rows:
             raise ValueError("row count does not match row data")
-        limit = 1 << self.cols
-        for mask in self.row_bits:
-            if not 0 <= mask < limit:
-                raise ValueError("row data wider than declared column count")
+        if min(self.row_bits) < 0 or max(self.row_bits) >> self.cols:
+            raise ValueError("row data wider than declared column count")
 
     # -- constructors ------------------------------------------------------
 
@@ -104,15 +107,29 @@ class BitMatrix:
 
     @classmethod
     def from_bitstrings(cls, rows: Sequence[str]) -> "BitMatrix":
-        """Rows of '0'/'1' characters, leftmost character is column 1."""
-        cols = len(rows[0])
-        masks = []
-        for s in rows:
-            # int(s, 2) alone would also take "0_1", " 01" and "+01"
-            if len(s) != cols or s.strip("01"):
-                raise ValueError(f"bad row bitstring {s!r}")
-            masks.append(int(s[::-1], 2))
-        return cls(len(rows), cols, tuple(masks))
+        """Rows of '0'/'1' characters, leftmost character is column 1.
+
+        The whole matrix is checked and parsed at once: its rows joined
+        and reversed are one binary number whose row i is the cols bits
+        from bit i*cols up.  Up to _PARSE_BITS bits go to one int(), so
+        wide matrices still parse in linear time.
+        """
+        cols = len(rows[0]) if rows else 0
+        if not cols:
+            raise ValueError("a matrix needs at least one row and one column")
+        joined = "".join(rows)
+        # int(..., 2) alone would also take "0_1", " 01", "+01" and
+        # non-ASCII digits such as "\u0661"
+        if set(map(len, rows)) != {cols} or joined.count("0") + joined.count("1") != len(joined):
+            bad = next(s for s in rows if len(s) != cols or s.count("0") + s.count("1") != cols)
+            raise ValueError(f"bad row bitstring {bad!r}")
+        n, step, low = len(rows), max(1, _PARSE_BITS // cols), (1 << cols) - 1
+        masks: list[int] = []
+        for start in range(0, n, step):
+            count = min(step, n - start)
+            chunk = int(joined[start * cols : (start + count) * cols][::-1], 2)
+            masks.extend(chunk >> (i * cols) & low for i in range(count))
+        return cls(n, cols, tuple(masks))
 
     @classmethod
     def from_blocks(cls, grid: Sequence[Sequence["BitMatrix"]]) -> "BitMatrix":
@@ -190,15 +207,19 @@ class BitMatrix:
         return BitMatrix.from_bitstrings(["".join(t) for t in zip(*strings)])
 
     def rank(self) -> int:
-        """Row rank via elimination with first-nonzero-column pivoting."""
-        basis: dict[int, int] = {}
+        """Row rank via elimination with last-nonzero-column pivoting.
+
+        basis[c] is the kept row whose highest set bit is bit c-1, so a
+        row's pivot is its bit_length() and needs no other big-int op.
+        """
+        basis = [0] * (self.cols + 1)
         count = 0
         for row in self.row_bits:
             cur = row
             while cur:
-                pivot = (cur & -cur).bit_length() - 1
-                hit = basis.get(pivot)
-                if hit is None:
+                pivot = cur.bit_length()
+                hit = basis[pivot]
+                if not hit:
                     basis[pivot] = cur
                     count += 1
                     break

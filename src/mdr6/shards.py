@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 from .code import MdrCode, construct
 from .codec import (
@@ -96,18 +96,21 @@ def shard_name(disk_index: int) -> str:
 
 
 def _open_shard_set(
-    directory: Path, code: MdrCode | None
-) -> tuple[dict[int, tuple[Path, ShardHeader]], ShardHeader, MdrCode, tuple[int, ...]]:
-    """The shards in a directory by disk, one of their headers (they agree
-    on every field but the disk index), the code they need (the given one,
-    or the built-in construction) and the missing disks."""
-    headers: dict[int, tuple[Path, ShardHeader]] = {}
+    stack: ExitStack, directory: Path, code: MdrCode | None
+) -> tuple[dict[int, tuple[BinaryIO, ShardHeader]], ShardHeader, MdrCode, tuple[int, ...]]:
+    """The shards in a directory by disk, each as the open file its header
+    was read from (the stack closes it), one of their headers (they agree
+    on every field but the disk index), the code they need (the given
+    one, or the built-in construction) and the missing disks.  Lanes are
+    read through the same files, so every byte used comes from a shard
+    whose header was checked, and each shard is opened once."""
+    headers: dict[int, tuple[BinaryIO, ShardHeader]] = {}
     for path in sorted(directory.glob(f"*{SHARD_SUFFIX}")):
-        with path.open("rb", buffering=0) as fh:
-            header = ShardHeader.unpack(fh.read(HEADER_SIZE))
+        fh = stack.enter_context(path.open("rb", buffering=0))
+        header = ShardHeader.unpack(fh.read(HEADER_SIZE))
         if header.disk_index in headers:
             raise IntegrityError(f"duplicate shard for disk {header.disk_index}")
-        headers[header.disk_index] = (path, header)
+        headers[header.disk_index] = (fh, header)
     if not headers:
         raise IntegrityError(f"no shard files found in {directory}")
     keys = {h.siblings_key() for _, h in headers.values()}
@@ -239,18 +242,6 @@ class _LaneReader:
         return lanes
 
 
-def _open_readers(
-    stack: ExitStack,
-    headers: dict[int, tuple[Path, ShardHeader]],
-    rows_by_disk: Mapping[int, Sequence[int]],
-    n: int,
-) -> dict[int, _LaneReader]:
-    return {
-        d: _LaneReader(stack.enter_context(headers[d][0].open("rb", buffering=0)), headers[d][1], rows, n)
-        for d, rows in rows_by_disk.items()
-    }
-
-
 def _read_lanes(readers: dict[int, _LaneReader], first: int, m: int) -> dict[tuple[int, int], memoryview]:
     return {(d, j): lane for d, reader in readers.items() for j, lane in reader.read(first, m).items()}
 
@@ -322,7 +313,7 @@ class DecodeReport:
 
 
 def _read_counts(
-    headers: dict[int, tuple[Path, ShardHeader]], readers: dict[int, _LaneReader], block_size: int
+    headers: dict[int, tuple[BinaryIO, ShardHeader]], readers: dict[int, _LaneReader], block_size: int
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Blocks and bytes read from every surviving shard, as the reads returned them."""
     nbytes = {d: readers[d].bytes_read if d in readers else 0 for d in headers}
@@ -341,29 +332,29 @@ def decode_file(
     instead of propagated.  The output appears only once every stripe has
     been decoded.
     """
-    headers, any_header, code, missing = _open_shard_set(Path(shard_dir), code)
-    k, r, bs = any_header.k, any_header.r, any_header.block_size
-    if len(missing) > 2:
-        raise TooManyErasuresError(
-            f"{len(missing)} shards missing; RAID-6 tolerates at most 2"
-        )
-    # with no data shard missing, nothing is rebuilt, so re-encoding checks
-    # every surviving parity instead
-    checked = ()
-    if all(d > k for d in missing):
-        checked = tuple(d for d in (k + 1, k + 2) if d in headers)
-    schedule = build_encode_schedule(code) if checked else build_decode_schedule(code, missing)
-    rows = tuple(range(1, r + 1))
-    # every block of a surviving data disk is output; of P and Q, read only
-    # what the schedule uses, or all of each checked one
-    wanted = {d: rows for d in headers if d <= k or d in checked}
-    for d, used in schedule.rows_by_disk.items():
-        wanted.setdefault(d, used)
-    stripe_count, left = any_header.stripe_count, any_header.payload_length
-    n = _batch_stripes(stripe_count, k * r * bs)
-    xor_total = 0
     with ExitStack() as stack:
-        readers = _open_readers(stack, headers, wanted, n)
+        headers, any_header, code, missing = _open_shard_set(stack, Path(shard_dir), code)
+        k, r, bs = any_header.k, any_header.r, any_header.block_size
+        if len(missing) > 2:
+            raise TooManyErasuresError(
+                f"{len(missing)} shards missing; RAID-6 tolerates at most 2"
+            )
+        # with no data shard missing, nothing is rebuilt, so re-encoding checks
+        # every surviving parity instead
+        checked = ()
+        if all(d > k for d in missing):
+            checked = tuple(d for d in (k + 1, k + 2) if d in headers)
+        schedule = build_encode_schedule(code) if checked else build_decode_schedule(code, missing)
+        rows = tuple(range(1, r + 1))
+        # every block of a surviving data disk is output; of P and Q, read only
+        # what the schedule uses, or all of each checked one
+        wanted = {d: rows for d in headers if d <= k or d in checked}
+        for d, used in schedule.rows_by_disk.items():
+            wanted.setdefault(d, used)
+        stripe_count, left = any_header.stripe_count, any_header.payload_length
+        n = _batch_stripes(stripe_count, k * r * bs)
+        xor_total = 0
+        readers = {d: _LaneReader(*headers[d], used, n) for d, used in wanted.items()}
         sink = stack.enter_context(_replace_on_success(Path(out_path)))
         for first in range(0, stripe_count, n):
             m = min(n, stripe_count - first)
@@ -407,26 +398,26 @@ def repair_shard(
 
     The shard appears only once every stripe has been rebuilt."""
     directory = Path(shard_dir)
-    headers, any_header, code, missing = _open_shard_set(directory, code)
-    k, r, bs = any_header.k, any_header.r, any_header.block_size
-    if len(missing) != 1:
-        raise TooManyErasuresError(
-            f"repair needs exactly one missing shard, found {len(missing)}; "
-            "use decode for multi-shard loss"
-        )
-    if missing_index is not None and missing_index != missing[0]:
-        raise ValueError(
-            f"shard {missing_index} is present; the missing shard is {missing[0]}"
-        )
-    failed = missing[0]
-    schedule = repair_plan(code, failed)
-    stripe_count = any_header.stripe_count
-    header = ShardHeader(k, r, failed, bs, stripe_count, any_header.payload_length)
-    out_path = directory / shard_name(failed)
-    n = _batch_stripes(stripe_count, k * r * bs)
-    xor_total = 0
     with ExitStack() as stack:
-        readers = _open_readers(stack, headers, schedule.rows_by_disk, n)
+        headers, any_header, code, missing = _open_shard_set(stack, directory, code)
+        k, r, bs = any_header.k, any_header.r, any_header.block_size
+        if len(missing) != 1:
+            raise TooManyErasuresError(
+                f"repair needs exactly one missing shard, found {len(missing)}; "
+                "use decode for multi-shard loss"
+            )
+        if missing_index is not None and missing_index != missing[0]:
+            raise ValueError(
+                f"shard {missing_index} is present; the missing shard is {missing[0]}"
+            )
+        failed = missing[0]
+        schedule = repair_plan(code, failed)
+        stripe_count = any_header.stripe_count
+        header = ShardHeader(k, r, failed, bs, stripe_count, any_header.payload_length)
+        out_path = directory / shard_name(failed)
+        n = _batch_stripes(stripe_count, k * r * bs)
+        xor_total = 0
+        readers = {d: _LaneReader(*headers[d], rows, n) for d, rows in schedule.rows_by_disk.items()}
         fh = stack.enter_context(_replace_on_success(out_path))
         fh.write(header.pack())
         for first in range(0, stripe_count, n):

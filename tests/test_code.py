@@ -1,9 +1,13 @@
 """Construction, verification, and serialization of the code family."""
 
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mdr6.cli import main
 from mdr6.code import (
     MdrCode,
     RepairStrategy,
@@ -204,3 +208,91 @@ def test_gen_one_document_rows():
     doc = code_to_document(construct(1))
     assert doc["b_matrices"][0] == ["01", "00"]
     assert doc["b_matrices"][1] == ["00", "10"]
+
+
+# -- fast checks against their definitions ------------------------------------
+
+
+@st.composite
+def mds_candidates(draw):
+    """Random B matrices, or a canonical code with one bit flipped or none."""
+    if draw(st.booleans()):
+        k, r = draw(st.integers(1, 4)), draw(st.sampled_from([2, 4, 6, 8]))
+        mats = tuple(
+            BitMatrix(r, r, tuple(draw(st.lists(st.integers(0, (1 << r) - 1), min_size=r, max_size=r))))
+            for _ in range(k + 1)
+        )
+        return MdrCode(k, r, mats)
+    code = construct(draw(st.integers(1, 5)))
+    mats = list(code.b_matrices)
+    if draw(st.booleans()):
+        i, row, col = draw(st.integers(0, code.k)), draw(st.integers(0, code.r - 1)), draw(st.integers(0, code.r - 1))
+        bits = list(mats[i].row_bits)
+        bits[row] ^= 1 << col
+        mats[i] = BitMatrix(code.r, code.r, tuple(bits))
+    return MdrCode(code.k, code.r, tuple(mats))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mds_candidates())
+def test_verify_mds_equals_its_definition(code):
+    pairs = itertools.combinations(code.b_matrices, 2)
+    assert verify_mds(code) == all((a + b).is_nonsingular() for a, b in pairs)
+
+
+# -- malformed documents ---------------------------------------------------------
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=6)
+    | st.sampled_from(["01", "10", "1000", "", 1, 2, 4, -1]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _paths(value, prefix=()):
+    """Every place in a JSON value, as the keys and indices that reach it."""
+    yield prefix
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+_VALID = code_to_document(construct(2))
+_PLACES = list(_paths(_VALID))[1:]
+
+
+@st.composite
+def documents(draw):
+    """An arbitrary JSON value, or the k=2 document with one of its values
+    replaced by one, or one of its keys deleted."""
+    if draw(st.booleans()):
+        return draw(_JSON)
+    doc = json.loads(json.dumps(_VALID))
+    *parent, last = draw(st.sampled_from(_PLACES))
+    holder = doc
+    for key in parent:
+        holder = holder[key]
+    if isinstance(holder, dict) and draw(st.booleans()):
+        del holder[last]
+    else:
+        holder[last] = draw(_JSON)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents())
+def test_malformed_documents_raise_value_error_and_exit_1(tmp_path_factory, doc):
+    doc = json.loads(json.dumps(doc))
+    try:
+        code = code_from_document(doc)
+    except ValueError:
+        path = tmp_path_factory.getbasetemp() / "document.json"
+        path.write_text(json.dumps(doc))
+        assert main(["encode", str(path.with_name("none.bin")), "--code", str(path)]) == 1
+    else:
+        assert isinstance(code, MdrCode)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdr6.f2 import BitMatrix, IndexSet, SingularMatrixError
 
@@ -206,12 +208,76 @@ def test_bitstring_roundtrip():
     assert m.get(1, 1) == 1 and m.get(1, 2) == 0
 
 
-@pytest.mark.parametrize("row", ["0_1", " 01", "+01", "1_0", "10 ", "10+", "012"])
+@pytest.mark.parametrize("row", ["0_1", " 01", "+01", "1_0", "10 ", "10+", "012", "0\u06611"])
 def test_from_bitstrings_rejects_non_binary_rows(row):
     # int(row[::-1], 2) takes the underscore, the space and the sign in
-    # one orientation or the other
+    # one orientation or the other, and the Arabic-Indic digit one as 1
     with pytest.raises(ValueError, match="bad row bitstring"):
         BitMatrix.from_bitstrings(["010", row])
+
+
+# widths around the 30-bit digits of CPython ints, 64-bit words and
+# from_bitstrings' one-int() chunk of 4096 bits
+_WIDTHS = st.sampled_from([1, 2, 29, 30, 31, 59, 60, 61, 63, 64, 65, 127, 128, 129]) | st.integers(1, 140)
+
+
+@st.composite
+def bit_matrices(draw, max_rows=70):
+    rows, cols = draw(st.integers(1, max_rows)), draw(_WIDTHS)
+    masks = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    return BitMatrix(rows, cols, tuple(masks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_matrices())
+def test_bitstrings_roundtrip_across_word_boundaries(a):
+    strings = a.to_bitstrings()
+    assert [int(s[::-1], 2) for s in strings] == list(a.row_bits)
+    assert BitMatrix.from_bitstrings(strings) == a
+
+
+def test_bitstrings_roundtrip_wider_than_one_parse_chunk():
+    rng = random.Random(16)
+    a = BitMatrix(3, 5000, tuple(rng.getrandbits(5000) for _ in range(3)))
+    assert BitMatrix.from_bitstrings(a.to_bitstrings()) == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_matrices(max_rows=8), st.data())
+def test_from_bitstrings_rejects_one_bad_code_point(a, data):
+    strings = a.to_bitstrings()
+    i, j = data.draw(st.integers(0, a.rows - 1)), data.draw(st.integers(0, a.cols - 1))
+    bad = data.draw(
+        st.sampled_from(["\u0661", "\u0967", "\uff11", "_", " ", "+", "-", "2", "\x00"])
+        | st.characters(blacklist_characters="01")
+    )
+    strings[i] = strings[i][:j] + bad + strings[i][j + 1 :]
+    with pytest.raises(ValueError, match="bad row bitstring"):
+        BitMatrix.from_bitstrings(strings)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bit_matrices(max_rows=8).filter(lambda a: a.rows > 1 and a.cols > 1), st.data())
+def test_from_bitstrings_rejects_ragged_rows_of_full_total_length(a, data):
+    strings = a.to_bitstrings()
+    donor, taker = data.draw(st.permutations(range(a.rows)))[:2]
+    strings[taker] += strings[donor][-1]
+    strings[donor] = strings[donor][:-1]
+    assert len("".join(strings)) == a.rows * a.cols
+    with pytest.raises(ValueError, match="bad row bitstring"):
+        BitMatrix.from_bitstrings(strings)
+
+
+def test_from_bitstrings_rejects_an_empty_matrix():
+    for rows in ([], [""], ["", ""]):
+        with pytest.raises(ValueError):
+            BitMatrix.from_bitstrings(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_matrices(max_rows=20))
+def test_rank_matches_naive_elimination(a):
+    assert a.rank() == naive_rank(a.to_rows())
 
 
 def test_index_set_basics():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mdr6 import shards
+from mdr6 import cli, shards
 from mdr6.cli import main
 from mdr6.analysis import search_repair_optimal
 from mdr6.code import code_from_document, code_to_document, construct
@@ -177,6 +177,35 @@ def test_shard_opens_do_not_grow_with_stripes(tmp_path, monkeypatch):
             shards.repair_shard(sh)
         opens[stripes] = (decode_opens, len(opened) - decode_opens)
     assert opens[2] == opens[40]
+
+
+@pytest.mark.parametrize("lost", [(), (2,), (4,), (2, 5), (1, 2)])
+def test_each_shard_is_opened_once(tmp_path, monkeypatch, lost):
+    """decode and repair read lanes through the handle each header came
+    from: one open per present shard, plus the output."""
+    k = 3
+    src = make_file(tmp_path, k * 8 * BS * 3 + 5, seed=60)
+    sh = tmp_path / "sh"
+    shards.encode_file(src, sh, k=k, block_size=BS)
+    for d in lost:
+        os.remove(sh / shards.shard_name(d))
+    present = sorted(sh / shards.shard_name(d) for d in range(1, k + 3) if d not in lost)
+    opened = []
+    original_open = Path.open
+
+    def counted_open(self, *args, **kwargs):
+        opened.append(self)
+        return original_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counted_open)
+    out = tmp_path / "out.bin"
+    shards.decode_file(sh, out)
+    assert sorted(opened[:-1]) == present and opened[-1].name == f".{out.name}.tmp"
+    assert out.read_bytes() == src.read_bytes()
+    if len(lost) == 1:
+        opened.clear()
+        report = shards.repair_shard(sh)
+        assert sorted(opened[:-1]) == present and opened[-1].name == f".{Path(report.shard_path).name}.tmp"
 
 
 @pytest.mark.parametrize("k, pair, pair_xors", [(3, (2, 3), 36), (6, (2, 5), 1248)])
@@ -421,6 +450,82 @@ def test_cli_corrupt_header_exit_code(tmp_path):
     blob[0] ^= 0xFF
     target.write_bytes(bytes(blob))
     assert main(["decode", str(sh), "--out", str(tmp_path / "o.bin")]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"version": 1}, "'k'"),
+        ([1, 2], "code document"),
+        ({"version": 1, "k": 1, "r": 2, "b_matrices": [[1, 2], [0, 0]]}, "b_matrices[0]"),
+        ({"version": 1, "k": 1, "r": 2, "b_matrices": [[], []]}, "b_matrices[0]"),
+        ({"version": 1, "k": "1", "r": 2, "b_matrices": []}, "'k'"),
+        ({"version": 1, "k": 1, "r": 2, "b_matrices": [["01", "00"], ["00", "10"]],
+          "strategies": [{"q_rows": [1]}, {"q_rows": [2], "basic_rows": [2]}]}, "'basic_rows'"),
+    ],
+)
+def test_cli_malformed_code_document_is_a_usage_error(tmp_path, capsys, doc, field):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    assert main(["encode", str(tmp_path / "none.bin"), "--code", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and field in err
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    original_init = cli._Parser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted_init)
+    cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert main(["analyze", "--k", "1", "--json"]) == 0
+    # the top-level parser and one per subcommand, all on the first call
+    assert len(built) == 1 + 6
+    assert main(["analyze", "--bogus"]) == 1
+    assert len(built) == 1 + 6
+
+
+def _src_env() -> dict:
+    root = Path(__file__).resolve().parent.parent
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+
+
+def test_importing_the_cli_builds_no_parser():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import mdr6.cli as c; print(c.build_parser.cache_info().currsize)"],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
+@pytest.fixture(scope="module")
+def fresh_analyze():
+    command = ["analyze", "--k", "2", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdr6.cli", *command],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    return command, proc
+
+
+@pytest.mark.parametrize(
+    "first", [["--help"], ["encode", "--help"], ["analyze", "--bogus"], ["analyze", "--k", "x"], ["nope"], []]
+)
+def test_shared_parser_after_usage_error_or_help_matches_a_fresh_process(fresh_analyze, capsys, first):
+    command, fresh = fresh_analyze
+    try:
+        main(first)
+    except SystemExit as exc:
+        assert exc.code == 0 and "help" in first[-1]
+    capsys.readouterr()
+    assert main(command) == fresh.returncode == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (fresh.stdout, fresh.stderr)
 
 
 def test_cli_encode_with_code_document(tmp_path, capsys):
