@@ -79,7 +79,7 @@ def _combo_tables(mats: list[BitMatrix], r: int) -> list[list[int]]:
     return tables
 
 
-def min_io_bruteforce(code: MdrCode, disk: int, *, allow_large: bool = False) -> IoReport:
+def min_io_bruteforce(code: MdrCode, disk: int) -> IoReport:
     """Exact minimum blocks read to rebuild `disk`, minimized over every
     possible combination of the parity equations.
 
@@ -97,10 +97,8 @@ def min_io_bruteforce(code: MdrCode, disk: int, *, allow_large: bool = False) ->
     k, r = code.k, code.r
     if not 1 <= disk <= k + 2:
         raise ValueError(f"disk index {disk} outside [1, {k + 2}]")
-    if r > ORACLE_MAX_R and not allow_large:
-        raise ValueError(
-            f"r={r} needs 2^{r * r} candidates; pass allow_large=True to force"
-        )
+    if r > ORACLE_MAX_R:
+        raise ValueError(f"r={r} needs 2^{r * r} candidates; the oracle stops at r={ORACLE_MAX_R}")
     a_mats = list(generator_submatrices(code))
     add_identity = True
     if disk == k + 1:

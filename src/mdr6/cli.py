@@ -46,8 +46,6 @@ def _require_k(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.k < 1 or args.k > 12:
-        raise UsageError(f"k must be in [1, 12], got {args.k}")
     doc = json.dumps(code_to_document(construct(args.k)), indent=2)
     if args.out:
         Path(args.out).write_text(doc + "\n")
@@ -169,7 +167,7 @@ def cmd_analyze(args) -> int:
     if args.oracle:
         reports = {}
         for disk in range(1, code.k + 3):
-            rep = analysis.min_io_bruteforce(code, disk, allow_large=args.allow_large_oracle)
+            rep = analysis.min_io_bruteforce(code, disk)
             reports[disk] = rep
             lines.append(f"minimum I/O to rebuild disk {disk}: {rep.total} blocks")
         out["min_io"] = {str(d): rep.to_document() for d, rep in reports.items()}
@@ -308,7 +306,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int)
     p.add_argument("--code")
     p.add_argument("--oracle", action="store_true", help="run the exhaustive minimum-I/O search")
-    p.add_argument("--allow-large-oracle", action="store_true")
     p.add_argument("--search", type=int, metavar="R", help="search for repair-optimal (k, R) codes")
     p.add_argument("--limit", type=int)
     p.add_argument("--json", action="store_true")

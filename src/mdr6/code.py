@@ -200,15 +200,15 @@ def _construct(k: int) -> MdrCode:
     return code
 
 
-def construct(k: int, *, max_k: int = DEFAULT_MAX_K) -> MdrCode:
+def construct(k: int) -> MdrCode:
     """Build the canonical (k, 2^k) MDR code by repeated extension.
 
     Each extension level re-verifies the output, so cost grows roughly
     3x per level: on a 2-core Xeon VM with Python 3.11, k=6 takes about
     3 ms, k=8 about 15 ms and the k=12 ceiling about 0.5 s.
     """
-    if not 1 <= k <= max_k:
-        raise ValueError(f"k must be in [1, {max_k}], got {k}")
+    if not 1 <= k <= DEFAULT_MAX_K:
+        raise ValueError(f"k must be in [1, {DEFAULT_MAX_K}], got {k}")
     return _construct(k)
 
 

@@ -3,8 +3,9 @@
 Blocks are byte strings of one fixed size per stripe.  Two execution
 paths coexist on purpose:
 
-* ``encode_naive`` / ``decode`` evaluate the generator relations directly
-  and are the test reference for everything else;
+* ``encode_naive`` evaluates the generator relations directly and
+  ``decode`` solves the parity checks H d = 0 with ``BitMatrix.invert``;
+  both are the test reference for everything else;
 * every other linear map is an ``XorSchedule`` run by ``execute_schedule``,
   one op per lane of blocks (the same block of a whole batch of stripes):
   ``build_encode_schedule`` fills P and Q (the minimum 2(k-1) XORs per
@@ -38,7 +39,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .code import MdrCode, generator_submatrices, is_recursive_mdr
-from .f2 import BitMatrix
+from .f2 import BitMatrix, IndexSet
 
 Buffer = tuple  # ("in", disk, row) | ("tmp", ...) | ("out", disk, row)
 
@@ -487,78 +488,28 @@ def build_decode_schedule(code: MdrCode, missing: tuple[int, ...]) -> XorSchedul
     return XorSchedule(k, r, _compile_ops(code, candidates, targets))
 
 
-# -- generic two-erasure decoding -------------------------------------------
+# -- reference decoding ------------------------------------------------------
 
 
 @lru_cache(maxsize=256)
 def _erasure_solver(code: MdrCode, erased: tuple[int, ...]) -> BitMatrix:
     """Left-solve operator L with u = L b, where u stacks the erased
-    columns and b is the parity syndrome of the surviving blocks."""
+    columns and b = H d is the syndrome with those columns zero.
+
+    H d = 0 gives H_E u = b, with H_E the columns of H at the erased
+    disks.  For two disks H_E is square, and invertible by the MDS
+    property.  One lost disk is read off the P rows (a data or P disk)
+    or the Q rows (the Q disk), where its block of H is the identity."""
     k, r = code.k, code.r
-    a_mats = generator_submatrices(code)
-    eye = BitMatrix.identity(r)
-    zero = BitMatrix.zeros(r, r)
-
-    def top(d: int) -> BitMatrix:
-        return eye if d <= k + 1 else zero
-
-    def bottom(d: int) -> BitMatrix:
-        if d <= k:
-            return a_mats[d - 1]
-        return zero if d == k + 1 else eye
-
-    m = BitMatrix.from_blocks(
-        [[top(d) for d in erased], [bottom(d) for d in erased]]
-    )
-    n_rows, n_cols = 2 * r, len(erased) * r
-    work = list(m.row_bits)
-    aug = [1 << i for i in range(n_rows)]
-    done = 0
-    pivot_of_col: dict[int, int] = {}
-    for col in range(n_cols):
-        probe = 1 << col
-        pivot = None
-        for i in range(done, n_rows):
-            if work[i] & probe:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("erasure pattern is not solvable")
-        work[done], work[pivot] = work[pivot], work[done]
-        aug[done], aug[pivot] = aug[pivot], aug[done]
-        for i in range(n_rows):
-            if i != done and work[i] & probe:
-                work[i] ^= work[done]
-                aug[i] ^= aug[done]
-        pivot_of_col[col] = done
-        done += 1
-    return BitMatrix(n_cols, n_rows, tuple(aug[pivot_of_col[c]] for c in range(n_cols)))
-
-
-def _syndrome(code: MdrCode, stripe: Stripe, absent: frozenset[int]) -> list[int]:
-    """b = H d restricted to the present columns."""
-    k, r = code.k, code.r
-    b = [0] * (2 * r)
-    a_mats = generator_submatrices(code)
-    for d in range(1, k + 3):
-        if d in absent:
-            continue
-        col = _column_ints(stripe, d)
-        if d <= k + 1:
-            for j in range(r):
-                b[j] ^= col[j]
-        if d <= k:
-            contrib = _apply(a_mats[d - 1], col)
-            for j in range(r):
-                b[r + j] ^= contrib[j]
-        elif d == k + 2:
-            for j in range(r):
-                b[r + j] ^= col[j]
-    return b
+    if len(erased) == 2:
+        cols = IndexSet.of(((d - 1) * r + j for d in erased for j in range(1, r + 1)), (k + 2) * r)
+        return parity_check_matrix(code).submatrix(IndexSet.full(2 * r), cols).invert()
+    eye, zero = BitMatrix.identity(r), BitMatrix.zeros(r, r)
+    return BitMatrix.from_blocks([[zero, eye] if erased == (k + 2,) else [eye, zero]])
 
 
 def decode(code: MdrCode, stripe: Stripe, erased: ErasurePattern) -> Stripe:
-    """Reconstruct up to two missing columns from the parity relations.
+    """Reconstruct up to two missing columns by solving H d = 0.
 
     With nothing erased this is a consistency check: a parity violation
     raises IntegrityError.
@@ -574,14 +525,14 @@ def decode(code: MdrCode, stripe: Stripe, erased: ErasurePattern) -> Stripe:
         if d not in erased.failed and not stripe.disk_present(d):
             raise ValueError(f"disk {d} is not marked erased but has missing blocks")
 
+    cols = [[0] * r if d in erased.failed else _column_ints(stripe, d) for d in range(1, k + 3)]
+    b = _apply(parity_check_matrix(code), [v for col in cols for v in col])
     if not missing:
-        if any(_syndrome(code, stripe, frozenset())):
+        if any(b):
             raise IntegrityError("surviving blocks violate the parity relations")
         return stripe.copy()
 
-    b = _syndrome(code, stripe, erased.failed)
-    solver = _erasure_solver(code, tuple(missing))
-    u = _apply(solver, b)
+    u = _apply(_erasure_solver(code, tuple(missing)), b)
     out = stripe.copy()
     for pos, d in enumerate(missing):
         blocks = _ints_to_blocks(u[pos * r : (pos + 1) * r], stripe.block_size)

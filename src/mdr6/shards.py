@@ -101,13 +101,19 @@ def _open_shard_set(
     """The shards in a directory by disk, each as the open file its header
     was read from (the stack closes it), one of their headers (they agree
     on every field but the disk index), the code they need (the given
-    one, or the built-in construction) and the missing disks.  Lanes are
-    read through the same files, so every byte used comes from a shard
-    whose header was checked, and each shard is opened once."""
+    one, or the built-in construction) and the missing disks.  Each file
+    must be exactly as long as its header says.  Lanes are read through
+    the same files, so every byte used comes from a shard whose header
+    and size were checked, and each shard is opened once."""
     headers: dict[int, tuple[BinaryIO, ShardHeader]] = {}
     for path in sorted(directory.glob(f"*{SHARD_SUFFIX}")):
         fh = stack.enter_context(path.open("rb", buffering=0))
         header = ShardHeader.unpack(fh.read(HEADER_SIZE))
+        size = os.fstat(fh.fileno()).st_size
+        expected = HEADER_SIZE + header.stripe_count * header.r * header.block_size
+        if size != expected:
+            state = "truncated" if size < expected else "longer than its header says"
+            raise IntegrityError(f"shard {path} is {state}: {size} bytes, not {expected}")
         if header.disk_index in headers:
             raise IntegrityError(f"duplicate shard for disk {header.disk_index}")
         headers[header.disk_index] = (fh, header)

@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 from .code import construct
 from .codec import repair_plan
 
+FAILED_DISK = 1  # physical index of the disk every simulation rebuilds
 HEADER_NOTE = (
     "disks modeled as independent FIFO servers (no bus contention); "
     "the failed disk's logical role rotates across the basic roles per stripe"
@@ -61,7 +62,6 @@ class SimConfig:
     block_size: int = 512
     background_rate: float = 0.0  # requests/s against surviving disks; 0 = offline
     seed: int = 0
-    failed_disk: int = 1  # physical index
 
     def __post_init__(self) -> None:
         if self.strategy not in ("conventional", "mdr"):
@@ -72,8 +72,6 @@ class SimConfig:
             raise ValueError("bad code parameters")
         if self.background_rate < 0:
             raise ValueError("background rate cannot be negative")
-        if not 1 <= self.failed_disk <= self.k + 2:
-            raise ValueError("failed disk outside the array")
 
 
 @dataclass(frozen=True)
@@ -143,7 +141,7 @@ def simulate(
     rng = random.Random(config.seed)
     rebuild_region = config.stripe_count * r
 
-    survivors_phys = [d for d in range(1, n_disks + 1) if d != config.failed_disk]
+    survivors_phys = [d for d in range(1, n_disks + 1) if d != FAILED_DISK]
     role_reads = {
         role: _read_rows(code, config.strategy, role) for role in range(1, k + 2)
     }
@@ -218,7 +216,7 @@ def simulate(
         writes_left[stripe] = r
         for row in range(1, r + 1):
             enqueue(
-                _Request(config.failed_disk, stripe * r + row - 1, "write", stripe),
+                _Request(FAILED_DISK, stripe * r + row - 1, "write", stripe),
                 now,
             )
 
@@ -285,7 +283,7 @@ def compare(
     base_config: SimConfig, other_config: SimConfig, model: DiskModel
 ) -> ComparisonReport:
     """Run two configs that differ only in strategy; ratios are other/base."""
-    for name in ("k", "stripe_count", "block_size", "background_rate", "seed", "failed_disk"):
+    for name in ("k", "stripe_count", "block_size", "background_rate", "seed"):
         if getattr(base_config, name) != getattr(other_config, name):
             raise ValueError(f"configs differ in {name}, not only in strategy")
     base = simulate(base_config, model)

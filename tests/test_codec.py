@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdr6.analysis import search_repair_optimal
 from mdr6.code import MdrCode, construct
 from mdr6.codec import (
     ErasurePattern,
@@ -91,15 +92,23 @@ def test_encode_naive_missing_disk():
         encode_naive(code, data)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_parity_check_annihilates_codewords(k):
-    code = construct(k)
-    rng = random.Random(20 + k)
+# decode solves through H, so H must hold for every code it decodes
+H_CODES = {str(k): construct(k) for k in range(1, 6)}
+H_CODES.update(
+    (f"found-{k}-{n}", code)
+    for k in (1, 2)
+    for n, code in enumerate(search_repair_optimal(k, 2).found)
+)
+
+
+@pytest.mark.parametrize("code", H_CODES.values(), ids=H_CODES.keys())
+def test_parity_check_annihilates_codewords(code):
+    rng = random.Random(20 + code.k)
     full = encode_naive(code, random_stripe(code, rng))
     h = parity_check_matrix(code)
     blocks = [
         int.from_bytes(full.get_block(d, j), "little")
-        for d in range(1, k + 3)
+        for d in range(1, code.k + 3)
         for j in range(1, code.r + 1)
     ]
     for mask in h.row_bits:

@@ -154,6 +154,36 @@ def test_truncated_shard_is_an_integrity_error(tmp_path):
     assert main(["repair", str(sh)]) == 2
 
 
+@pytest.mark.parametrize(
+    "disk, resize, match",
+    [
+        (2, lambda blob: blob + bytes(512), "longer than its header"),
+        # rebuilding disk 1 never reads Q's last block, so only the size shows this
+        (5, lambda blob: blob[:-512], "truncated"),
+    ],
+    ids=["overlong-data", "short-q"],
+)
+def test_shard_of_the_wrong_size_is_an_integrity_error(tmp_path, disk, resize, match):
+    src = make_file(tmp_path, 5000, seed=16)
+    sh = tmp_path / "sh"
+    shards.encode_file(src, sh, k=3, block_size=512)
+    target = sh / shards.shard_name(disk)
+    target.write_bytes(resize(target.read_bytes()))
+    out = tmp_path / "out.bin"
+    with pytest.raises(shards.IntegrityError, match=match):
+        shards.decode_file(sh, out)
+    lost = sh / shards.shard_name(1)
+    lost.unlink()
+    with pytest.raises(shards.IntegrityError, match=match):
+        shards.decode_file(sh, out)
+    assert main(["decode", str(sh), "--out", str(out)]) == 2
+    assert not out.exists()
+    with pytest.raises(shards.IntegrityError, match=match):
+        shards.repair_shard(sh)
+    assert main(["repair", str(sh)]) == 2
+    assert not lost.exists()
+
+
 def test_shard_opens_do_not_grow_with_stripes(tmp_path, monkeypatch):
     k, r = 3, 8
     opened = []
@@ -376,8 +406,10 @@ def test_cli_gen_k3(capsys):
     assert (doc["k"], doc["r"]) == (3, 8)
 
 
-def test_cli_gen_invalid_k(capsys):
-    assert main(["gen", "0"]) == 1
+@pytest.mark.parametrize("k", ["0", "13"])
+def test_cli_gen_invalid_k(capsys, k):
+    assert main(["gen", k]) == 1
+    assert capsys.readouterr().err == f"usage error: k must be in [1, 12], got {k}\n"
 
 
 def test_cli_unknown_command():
@@ -573,6 +605,12 @@ def test_cli_analyze_oracle(tmp_path, capsys):
     assert doc["update_io"] == [9, 4]
     mins = {d: doc["min_io"][d]["total"] for d in doc["min_io"]}
     assert mins == {"1": 6, "2": 6, "3": 6, "4": 8}
+
+
+def test_cli_analyze_has_no_large_oracle_flag(capsys):
+    # past r=4 the oracle has at least 2^36 candidates, so no such run could finish
+    assert main(["analyze", "--k", "3", "--oracle", "--allow-large-oracle"]) == 1
+    assert "unrecognized arguments: --allow-large-oracle" in capsys.readouterr().err
 
 
 def test_cli_analyze_with_code_document(tmp_path, capsys):
