@@ -202,16 +202,6 @@ def count_schedule_xors(schedule: XorSchedule, code: MdrCode) -> XorCountReport:
     return XorCountReport(total, Fraction(total, max(1, len(schedule.writes))))
 
 
-def search_space_size(k: int, r: int) -> int:
-    """Full candidate space: every (k+1)-tuple of r x r binary matrices
-    crossed with every per-disk choice of two r/2-row sets."""
-    from math import comb
-
-    families = 1 << ((k + 1) * r * r)
-    strategies = comb(r, r // 2) ** (2 * (k + 1))
-    return families * strategies
-
-
 def _first_feasible_strategy(
     mats: tuple[BitMatrix, ...], i: int, r: int
 ) -> RepairStrategy | None:

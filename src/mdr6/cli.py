@@ -195,6 +195,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.csv and args.strategy == "compare":
+        raise UsageError("--csv traces one run: pick --strategy conventional or mdr")
     model = sim.DiskModel(
         seek_ms=args.seek_ms,
         rotational_ms=args.rotational_ms,
@@ -259,7 +261,7 @@ def cmd_simulate(args) -> int:
         if args.json:
             print(json.dumps(report.to_document()))
 
-    if args.csv and trace is not None:
+    if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["completion_ms", "disk", "kind", "lba", "response_ms"])
@@ -322,7 +324,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rotational-ms", type=float, default=4.0)
     p.add_argument("--transfer", type=float, default=100_000.0, help="bytes per ms")
     p.add_argument("--seq-window", type=int, default=512)
-    p.add_argument("--csv", help="write per-event disk activity to a CSV file")
+    p.add_argument("--csv", help="write every request one strategy served to a CSV file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_simulate)
     return parser

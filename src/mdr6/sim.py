@@ -6,14 +6,20 @@ rebuild pipelines stripes: the recovered blocks of stripe t are written
 while the reads of stripe t+1 are in flight.  Read requests per stripe
 are exactly the codec's repair-plan read set, so block counts here are
 the codec's counts, not re-derived ones.
+
+There is no event queue.  A stripe's requests are dispatched when the
+previous stripe's last read ends, so every dispatch time is known once
+the requests before it are served, and a FIFO disk ends each request at
+the closed form max(arrival, disk free time) + service time.  Serving
+requests in arrival order with that recurrence gives the same times as
+an event-driven simulation.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 import random
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -100,22 +106,6 @@ class SimReport:
         }
 
 
-@dataclass
-class _Request:
-    disk: int
-    lba: int
-    kind: str  # "read" | "write" | "bg"
-    stripe: int
-    arrival: float = 0.0
-
-
-@dataclass
-class _DiskState:
-    pending: deque = field(default_factory=deque)
-    active: _Request | None = None
-    last_lba: int | None = None
-
-
 def _read_rows(code, strategy: str, failed_role: int) -> Mapping[int, Sequence[int]]:
     """Logical (disk -> rows) read to rebuild failed_role in one stripe."""
     k, r = code.k, code.r
@@ -130,10 +120,11 @@ def simulate(
     model: DiskModel,
     trace: list[tuple[float, int, str, int, float]] | None = None,
 ) -> SimReport:
-    """Deterministic event-driven rebuild of one failed physical disk.
+    """Deterministic rebuild of one failed physical disk, served in arrival
+    order by the FIFO recurrence of the module docstring.
 
-    If ``trace`` is a list, it receives one
-    (completion_ms, disk, kind, lba, response_ms) row per served request.
+    If ``trace`` is a list, it receives one sorted (completion_ms, disk,
+    kind, lba, response_ms) row per request ended by the end of the rebuild.
     """
     code = construct(config.k)
     k, r = code.k, code.r
@@ -145,115 +136,61 @@ def simulate(
     role_reads = {
         role: _read_rows(code, config.strategy, role) for role in range(1, k + 2)
     }
-
-    def stripe_requests(stripe: int) -> list[_Request]:
-        failed_role = (stripe % (k + 1)) + 1
-        logical_survivors = [d for d in range(1, n_disks + 1) if d != failed_role]
-        phys_of = {
-            logical: survivors_phys[(idx + stripe) % (k + 1)]
-            for idx, logical in enumerate(logical_survivors)
-        }
-        reqs = []
-        for logical, rows in sorted(role_reads[failed_role].items()):
-            for row in rows:
-                reqs.append(
-                    _Request(phys_of[logical], stripe * r + row - 1, "read", stripe)
-                )
-        return reqs
-
-    disks = {d: _DiskState() for d in range(1, n_disks + 1)}
-    events: list[tuple[float, int, str, object]] = []
-    seq = 0
     transfer = config.block_size / model.transfer_bytes_per_ms
-
-    def push(t: float, tag: str, payload: object) -> None:
-        nonlocal seq
-        heapq.heappush(events, (t, seq, tag, payload))
-        seq += 1
-
     reposition = model.seek_ms + model.rotational_ms
+    free = dict.fromkeys(range(1, n_disks + 1), 0.0)
+    head: dict[int, int] = {}
+    served: list[tuple[float, int, str, int, float]] = []  # kept only for a trace
 
-    def service_time(state: _DiskState, lba: int) -> float:
-        if state.last_lba is None:
-            return reposition + transfer
-        gap = lba - state.last_lba - 1
+    def serve(disk: int, lba: int, kind: str, arrival: float) -> float:
+        gap = lba - head.get(disk, lba) - 1  # a first access repositions
         if gap < 0:
-            return reposition + transfer
-        if gap < model.seq_window_blocks:
-            return transfer
-        return min(gap * transfer, reposition) + transfer
+            position = reposition
+        elif gap < model.seq_window_blocks:
+            position = 0.0
+        else:
+            position = min(gap * transfer, reposition)
+        done = free[disk] = max(arrival, free[disk]) + (position + transfer)
+        head[disk] = lba
+        if trace is not None:
+            served.append((done, disk, kind, lba, done - arrival))
+        return done
 
-    def start_next(disk: int, now: float) -> None:
-        state = disks[disk]
-        if state.active is not None or not state.pending:
-            return
-        req = state.pending.popleft()
-        state.active = req
-        done = now + service_time(state, req.lba)
-        state.last_lba = req.lba
-        push(done, "done", req)
+    bg_rate = config.background_rate / 1000.0
+    next_bg = rng.expovariate(bg_rate) if bg_rate else math.inf
+    bg_count = 0
 
-    def enqueue(req: _Request, now: float) -> None:
-        req.arrival = now
-        disks[req.disk].pending.append(req)
-        start_next(req.disk, now)
+    def serve_background(until: float) -> None:
+        # a background request that arrived before a dispatch is ahead of
+        # that dispatch in its disk's queue, so this keeps every disk FIFO
+        nonlocal next_bg, bg_count
+        while next_bg < until:
+            bg_count += 1
+            disk = rng.choice(survivors_phys)
+            serve(disk, rng.randrange(rebuild_region), "bg", next_bg)
+            next_bg += rng.expovariate(bg_rate)
 
-    reads_left: dict[int, int] = {}
-    writes_left: dict[int, int] = {}
     access_ms = {d: 0.0 for d in survivors_phys}
     blocks_read = {d: 0 for d in survivors_phys}
-    bg_count = 0
-    finished = False
-    finish_time = 0.0
-
-    def dispatch_reads(stripe: int, now: float) -> None:
-        reqs = stripe_requests(stripe)
-        reads_left[stripe] = len(reqs)
-        for req in reqs:
-            enqueue(req, now)
-
-    def dispatch_writes(stripe: int, now: float) -> None:
-        writes_left[stripe] = r
-        for row in range(1, r + 1):
-            enqueue(
-                _Request(FAILED_DISK, stripe * r + row - 1, "write", stripe),
-                now,
-            )
-
-    dispatch_reads(0, 0.0)
-    if config.background_rate > 0:
-        push(rng.expovariate(config.background_rate / 1000.0), "bg", None)
-
-    while events and not finished:
-        now, _, tag, payload = heapq.heappop(events)
-        if tag == "bg":
-            bg_count += 1
-            target = rng.choice(survivors_phys)
-            enqueue(_Request(target, rng.randrange(rebuild_region), "bg", -1), now)
-            push(now + rng.expovariate(config.background_rate / 1000.0), "bg", None)
-            continue
-        req = payload
-        state = disks[req.disk]
-        state.active = None
-        if trace is not None:
-            trace.append((now, req.disk, req.kind, req.lba, now - req.arrival))
-        if req.kind == "read":
-            access_ms[req.disk] += now - req.arrival
-            blocks_read[req.disk] += 1
-            reads_left[req.stripe] -= 1
-            if reads_left[req.stripe] == 0:
-                dispatch_writes(req.stripe, now)
-                if req.stripe + 1 < config.stripe_count:
-                    dispatch_reads(req.stripe + 1, now)
-        elif req.kind == "write":
-            writes_left[req.stripe] -= 1
-            if req.stripe == config.stripe_count - 1 and writes_left[req.stripe] == 0:
-                finished = True
-                finish_time = now
-        start_next(req.disk, now)
-
-    if not finished:
-        raise RuntimeError("simulation ended before the rebuild completed")
+    dispatch = 0.0  # stripe t's reads and t-1's writes start when t-1's reads end
+    for stripe in range(config.stripe_count):
+        serve_background(dispatch)
+        failed_role = (stripe % (k + 1)) + 1
+        logical_survivors = [d for d in range(1, n_disks + 1) if d != failed_role]
+        reads_done = dispatch
+        for idx, logical in enumerate(logical_survivors):
+            disk = survivors_phys[(idx + stripe) % (k + 1)]
+            for row in role_reads[failed_role].get(logical, ()):
+                done = serve(disk, stripe * r + row - 1, "read", dispatch)
+                access_ms[disk] += done - dispatch
+                blocks_read[disk] += 1
+                reads_done = max(reads_done, done)
+        for row in range(r):
+            finish_time = serve(FAILED_DISK, stripe * r + row, "write", reads_done)
+        dispatch = reads_done
+    serve_background(finish_time)
+    if trace is not None:
+        trace.extend(sorted(row for row in served if row[0] <= finish_time))
 
     total_read = sum(blocks_read.values())
     baseline = config.stripe_count * k * r

@@ -665,6 +665,13 @@ def test_cli_simulate_deterministic_and_csv(tmp_path, capsys):
     assert len(lines) > 3 * 4  # reads plus writes
 
 
+def test_cli_simulate_csv_needs_one_strategy(tmp_path, capsys):
+    csv_path = tmp_path / "trace.csv"
+    assert main(["simulate", "--k", "2", "--stripes", "3", "--csv", str(csv_path)]) == 1
+    assert "pick --strategy conventional or mdr" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
 def test_cli_simulate_k8_ratio(capsys):
     assert main(["simulate", "--k", "8", "--stripes", "4", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mdr6.sim import DiskModel, SimConfig, compare, simulate
+from mdr6.sim import HEADER_NOTE, DiskModel, SimConfig, SimReport, compare, simulate
 
 MODEL = DiskModel()
 
@@ -113,13 +113,79 @@ def test_online_slower_than_offline():
     assert online.total_time_ms >= offline.total_time_ms
 
 
-def test_trace_rows_recorded():
+def _golden(strategy, total, access, avg, blocks, ratio, background) -> SimReport:
+    return SimReport(
+        strategy, HEADER_NOTE, total, access, avg, blocks, sum(blocks.values()), ratio, background
+    )
+
+
+# Exact reports, floats included, of the event-heap simulator this module
+# replaced; the FIFO recurrence must reproduce them bit for bit.
+GOLDEN = [
+    (
+        SimConfig(k=3, stripe_count=6, strategy="mdr"),
+        _golden(
+            "mdr", 24.26624000000007, dict.fromkeys(range(2, 6), 48.30719999999997),
+            48.30719999999997, dict.fromkeys(range(2, 6), 24), Fraction(2, 3), 0,
+        ),
+    ),
+    (
+        SimConfig(k=3, stripe_count=6, strategy="conventional"),
+        _golden(
+            "conventional", 24.28672000000007,
+            {2: 96.7372800000002, 3: 96.92160000000018, 4: 96.92160000000018, 5: 96.73728000000025},
+            96.8294400000002, {2: 32, 3: 40, 4: 40, 5: 32}, Fraction(1), 0,
+        ),
+    ),
+    (
+        SimConfig(k=3, stripe_count=10, strategy="mdr", background_rate=300.0, seed=9),
+        _golden(
+            "mdr", 245.46170112272588,
+            {2: 595.2247665445892, 3: 410.71153530895106, 4: 210.75410945988304, 5: 702.2826099953338},
+            479.7432553271893, dict.fromkeys(range(2, 6), 40), Fraction(2, 3), 93,
+        ),
+    ),
+    (
+        SimConfig(
+            k=3, stripe_count=6, strategy="conventional", block_size=4096,
+            background_rate=300.0, seed=9,
+        ),
+        _golden(
+            "conventional", 158.7443200000003,
+            {2: 994.3532147802969, 3: 419.23796834087034, 4: 378.03862676500285, 5: 173.04774521970404},
+            491.1693887764685, {2: 32, 3: 40, 4: 40, 5: 32}, Fraction(1), 57,
+        ),
+    ),
+    (
+        SimConfig(k=8, stripe_count=4, strategy="mdr"),
+        _golden(
+            "mdr", 29.898240000001575, dict.fromkeys(range(2, 11), 1705.0828799999927),
+            1705.0828799999927, dict.fromkeys(range(2, 11), 512), Fraction(9, 16), 0,
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("config, expected", GOLDEN)
+def test_golden_reports(config, expected):
+    assert simulate(config, MODEL) == expected
+
+
+@pytest.mark.parametrize("rate, seed", [(0.0, 0), (300.0, 9), (2000.0, 3)])
+def test_trace_rows_recorded(rate, seed):
     trace: list = []
-    report = simulate(SimConfig(k=2, stripe_count=3, strategy="mdr"), MODEL, trace=trace)
+    config = SimConfig(k=2, stripe_count=3, strategy="mdr", background_rate=rate, seed=seed)
+    report = simulate(config, MODEL, trace=trace)
     reads = [row for row in trace if row[2] == "read"]
     writes = [row for row in trace if row[2] == "write"]
+    background = [row for row in trace if row[2] == "bg"]
     assert len(reads) == report.total_blocks_read
     assert len(writes) == 3 * 4  # stripe_count * r
+    assert len(background) <= report.background_requests
+    completions = [row[0] for row in trace]
+    assert completions == sorted(completions)
+    assert completions[-1] == report.total_time_ms
+    assert all(done <= report.total_time_ms for done in completions)
 
 
 def test_report_header_notes_divergence():
