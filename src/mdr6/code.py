@@ -265,6 +265,8 @@ def _strategy_from_document(doc, r: int, name: str) -> RepairStrategy:
         rows = _field(doc, key, list, name)
         if set(map(type, rows)) - {int}:
             raise ValueError(f"{name} field {key!r} must hold integers only")
+        if len(set(rows)) != len(rows):
+            raise ValueError(f"{name} field {key!r} repeats a row")
         try:
             sets.append(IndexSet.of(rows, r))
         except ValueError as exc:

@@ -1,14 +1,14 @@
 """Shard files: one file per disk column, a fixed little-endian header
-followed by r * stripe_count blocks.
-
-Encode, decode and repair run their XOR schedule once per batch of
-stripes, over lanes: one lane is the same (disk, row) block of every
-stripe in the batch, laid end to end.  A batch holds about BATCH_BYTES of
-stripe data, so memory is bounded by the batch and not by the file.
-Repair reads exactly the blocks its schedule reads, and decode those plus
-every block it outputs or checks; each lane goes to the schedule keyed by
-its (disk, row).  Every shard or output file is written beside its place
-and renamed into it only once the whole run has succeeded.
+followed by r * stripe_count blocks, so a file of stripes of r blocks;
+the payload is one of k * r blocks, data disk d's strip the d-th r.
+``block_index`` places each block of such a file, and ``_LaneIO`` moves
+chosen blocks between one and lanes, a lane being the same block of
+every stripe in a batch of about BATCH_BYTES of stripe data.  Each run of
+chosen blocks adjacent in the file is one ``os.preadv`` or ``os.pwritev``,
+so repair reads exactly the blocks its schedule reads, and decode those
+plus every block it outputs or checks.  Every shard or output file is
+written beside its place and renamed into it only once the whole run has
+succeeded.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import struct
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence
@@ -46,6 +45,13 @@ _IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 class TooManyErasuresError(Exception):
     """More shards are missing than the requested operation tolerates."""
+
+
+def block_index(stripe: int, slot: int, per_stripe: int) -> int:
+    """Block ``slot`` (from 1) of a stripe (from 0) of a file of stripes of
+    per_stripe blocks, counted in blocks from the file's body.  Format v1 lays stripes
+    end to end; batches move by offsets from stripe 0, so a layout must repeat per stripe."""
+    return stripe * per_stripe + slot - 1
 
 
 @dataclass(frozen=True)
@@ -83,12 +89,19 @@ class ShardHeader:
         header = cls(k, r, disk_index, block_size, stripe_count, payload_length)
         if not 1 <= disk_index <= k + 2:
             raise IntegrityError(f"disk index {disk_index} outside [1, {k + 2}]")
-        if payload_length > stripe_count * r * block_size * k:
+        if payload_length > block_index(stripe_count, 1, k * r) * block_size:
             raise IntegrityError("payload length exceeds shard-set capacity")
         return header
 
     def siblings_key(self) -> tuple:
         return (self.k, self.r, self.block_size, self.stripe_count, self.payload_length)
+
+    def file_size(self) -> int:
+        return HEADER_SIZE + block_index(self.stripe_count, 1, self.r) * self.block_size
+
+    def lane_io(self, rows: tuple[int, ...] | range, n: int) -> _LaneIO:
+        """The given rows of shards with this header: files of r blocks per stripe after it."""
+        return _LaneIO(HEADER_SIZE, self.r, self.block_size, rows, n, self.file_size())
 
 
 def shard_name(disk_index: int) -> str:
@@ -110,7 +123,7 @@ def _open_shard_set(
         fh = stack.enter_context(path.open("rb", buffering=0))
         header = ShardHeader.unpack(fh.read(HEADER_SIZE))
         size = os.fstat(fh.fileno()).st_size
-        expected = HEADER_SIZE + header.stripe_count * header.r * header.block_size
+        expected = header.file_size()
         if size != expected:
             state = "truncated" if size < expected else "longer than its header says"
             raise IntegrityError(f"shard {path} is {state}: {size} bytes, not {expected}")
@@ -140,116 +153,110 @@ def _batch_stripes(stripe_count: int, stripe_data_bytes: int) -> int:
     return max(1, min(stripe_count, BATCH_BYTES // stripe_data_bytes))
 
 
+def _cutter(slices: Sequence[slice]) -> Callable[[memoryview], tuple]:
+    """Cut a buffer into the tuple of its given slices."""
+    cut = itemgetter(*slices)
+    return cut if len(slices) > 1 else lambda buf: (cut(buf),)
+
+
+@lru_cache(maxsize=32)
+def _shape(per_stripe: int, slots: tuple[int, ...] | range, m: int, size: int) -> tuple:
+    """How m stripes move between a file of stripes and lanes of m blocks of size bytes
+    end to end in a buffer, lane i holding slot slots[i]: the lanes and iovecs, as cutters
+    of the buffer, and the transfers as (file offset from the batch's first stripe, first
+    iovec, iovec count, byte count).  An iovec spans blocks adjacent both in the file
+    and in the buffer, so at m = 1 a run of consecutive slots is one iovec."""
+    iovecs, moves, end = [], [], None  # [start, end] in the buffer; [file offset, first iovec, iovecs, bytes]
+    for s in range(m):
+        for i, slot in enumerate(slots):
+            at, start = block_index(s, slot, per_stripe) * size, (i * m + s) * size
+            if at == end and iovecs[-1][1] == start:
+                iovecs[-1][1] += size
+            else:
+                if at != end or moves[-1][2] == _IOV_MAX:
+                    moves.append([at, len(iovecs), 0, 0])
+                iovecs.append([start, start + size])
+                moves[-1][2] += 1
+            moves[-1][3] += size
+            end = at + size
+    lanes = [slice(i * m * size, (i + 1) * m * size) for i in range(len(slots))]
+    return _cutter(lanes), _cutter([slice(*span) for span in iovecs]), tuple(map(tuple, moves))
+
+
+class _LaneIO:
+    """Chosen slots of files of stripes, moved batch by batch between a file and lanes
+    of up to n stripes.  Such a file holds per_stripe blocks of block_size bytes per
+    stripe after base bytes and ends at byte end: past it a read gives zeros and a
+    write is cut off.  Lane i holds slot slots[i] of each stripe of a batch, and a
+    batch's lanes lie end to end in one buffer that every transfer reuses."""
+
+    def __init__(self, base: int, per_stripe: int, block_size: int,
+                 slots: tuple[int, ...] | range, n: int, end: int):
+        self.base, self.per_stripe, self.block_size, self.slots, self.end = base, per_stripe, block_size, slots, end
+        self.buf = memoryview(bytearray(len(slots) * n * block_size))
+        self._batches: dict[int, tuple[Callable, list]] = {}
+        self.bytes_read = 0
+
+    def _transfers(self, m: int) -> tuple[Callable, list[tuple[int, tuple, int]]]:
+        """The lane cutter and (file offset, iovecs, byte count) transfers of m stripes."""
+        if m not in self._batches:
+            lanes, iovecs, moves = _shape(self.per_stripe, self.slots, m, self.block_size)
+            views = iovecs(self.buf)
+            self._batches[m] = lanes, [(at, views[lo : lo + count], nbytes) for at, lo, count, nbytes in moves]
+        return self._batches[m]
+
+    def read(self, fh: BinaryIO, first: int, m: int) -> tuple:
+        """Read stripes first .. first+m-1 of fh into their lanes, returned valid until the next transfer."""
+        lanes, moves = self._transfers(m)
+        fd, preadv, total = fh.fileno(), os.preadv, 0
+        start = self.base + block_index(first, 1, self.per_stripe) * self.block_size
+        end = self.end - start
+        if end < block_index(m, 1, self.per_stripe) * self.block_size:  # lanes past the end read as zeros
+            self.buf[:] = bytes(len(self.buf))
+        for at, iovecs, nbytes in moves:
+            got = preadv(fd, iovecs, start + at)
+            total += got
+            # only the end of the file may cut a read short
+            if (got != nbytes or at + nbytes > end) and got != max(0, min(nbytes, end - at)):
+                raise IntegrityError(f"{fh.name} was truncated or grew: read to byte {start + at + got}")
+        self.bytes_read += total
+        return lanes(self.buf)
+
+    def write(self, fh: BinaryIO, first: int, m: int, lanes: Sequence[bytes]) -> None:
+        """Write stripes first .. first+m-1 of fh, up to its end, from their lanes in slot order."""
+        self.buf[: len(lanes) * m * self.block_size] = b"".join(lanes)
+        fd, start = fh.fileno(), self.base + block_index(first, 1, self.per_stripe) * self.block_size
+        for at, iovecs, nbytes in self._transfers(m)[1]:
+            if start + at + nbytes > self.end:
+                iovecs = [b"".join(iovecs)[: max(0, self.end - start - at)]]
+                nbytes = len(iovecs[0])
+            if os.pwritev(fd, iovecs, start + at) != nbytes:
+                raise OSError(f"short write to {fh.name} at byte {start + at}")
+
+
 @lru_cache(maxsize=16)
-def _cutter(count: int, size: int) -> Callable[[memoryview], tuple]:
-    """Split a buffer into a tuple of its first count blocks of size bytes."""
-    cut = itemgetter(*(slice(i * size, (i + 1) * size) for i in range(count)))
-    return cut if count > 1 else lambda buf: (cut(buf),)
+def _payload_blocks(k: int, r: int) -> tuple[tuple[int, int], ...]:
+    """The (disk, row) block in each payload slot: data disk d's strip is the d-th r slots."""
+    return tuple((d, j) for d in range(1, k + 1) for j in range(1, r + 1))
 
 
-def _interleave(lanes: Sequence[bytes], m: int, size: int) -> bytes:
-    """The blocks of m stripes in file order: block s of every lane in
-    turn, for s in range(m)."""
-    if m == 1:
-        return b"".join(lanes)
-    cut = _cutter(m, size)
-    return b"".join(chain.from_iterable(zip(*(cut(memoryview(lane)) for lane in lanes))))
-
-
-def _deinterleave(data: bytes, lanes: int, m: int, size: int) -> list[bytes]:
-    """Undo ``_interleave``: split m * lanes blocks in file order into lanes."""
-    blocks = _cutter(m * lanes, size)(memoryview(data))
-    if m == 1:
-        return list(blocks)
-    return [b"".join(blocks[i::lanes]) for i in range(lanes)]
+def _read_lanes(headers: dict, ios: dict[int, _LaneIO], first: int, m: int) -> dict[tuple[int, int], memoryview]:
+    return {(d, row): lane for d, io in ios.items() for row, lane in zip(io.slots, io.read(headers[d][0], first, m))}
 
 
 @contextmanager
 def _replace_on_success(path: Path) -> Iterator[BinaryIO]:
-    """Write to a temporary file beside path, renamed over path only if the
-    block completes and removed on any error.  Its name does not end in
-    SHARD_SUFFIX, so a half-written shard is never taken for a shard."""
+    """Write to an unbuffered temporary file beside path, renamed over path
+    only if the block completes and removed on any error.  Its name does not
+    end in SHARD_SUFFIX, so a half-written shard is never taken for one."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with tmp.open("wb") as fh:
+        with tmp.open("wb", buffering=0) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-# (offset in the batch, the lane blocks it fills, their byte count)
-_Read = tuple[int, list[memoryview], int]
-
-
-class _LaneReader:
-    """Reads chosen rows of one shard, batch by batch, each row into its
-    own lane.  Every run of wanted blocks that lie next to each other in
-    the file is one ``os.preadv`` that scatters each block straight to its
-    place in its lane, so exactly the wanted bytes are read."""
-
-    def __init__(self, fh: BinaryIO, header: ShardHeader, rows: Sequence[int], n: int):
-        self.fh = fh
-        self.r, self.block_size = header.r, header.block_size
-        self.rows, self.n = rows, n
-        # lane i (row rows[i]) holds block s of the batch at block i*n + s
-        buf = memoryview(bytearray(len(rows) * n * self.block_size))
-        self._lanes = _cutter(len(rows), n * self.block_size)(buf)
-        self._blocks = _cutter(len(rows) * n, self.block_size)(buf)
-        self._layouts: dict[int, tuple[list[_Read], dict[int, memoryview]]] = {}
-        self.bytes_read = 0
-
-    def _layout(self, m: int) -> tuple[list[_Read], dict[int, memoryview]]:
-        """The reads of a batch of m stripes, and its lanes by row."""
-        bs, n, rows = self.block_size, self.n, self.rows
-        row_runs: list[list[int]] = []  # [i, count]: rows[i : i + count] are consecutive
-        for i, j in enumerate(rows):
-            if i and rows[i - 1] == j - 1:
-                row_runs[-1][1] += 1
-            else:
-                row_runs.append([i, 1])
-        runs: list[tuple[int, list[memoryview]]] = []
-        end = -1
-        for s in range(m):
-            for i, count in row_runs:
-                offset = (s * self.r + rows[i] - 1) * bs
-                blocks = self._blocks[i * n + s : (i + count) * n : n]
-                if offset == end:  # continues the previous run, as whole strips do
-                    runs[-1][1].extend(blocks)
-                else:
-                    runs.append((offset, list(blocks)))
-                end = offset + count * bs
-        reads: list[_Read] = []
-        for offset, blocks in runs:
-            for i in range(0, len(blocks), _IOV_MAX):
-                part = blocks[i : i + _IOV_MAX]
-                reads.append((offset + i * bs, part, len(part) * bs))
-        lanes = self._lanes if m == n else [lane[: m * bs] for lane in self._lanes]
-        return reads, dict(zip(rows, lanes))
-
-    def read(self, first: int, m: int) -> dict[int, memoryview]:
-        """Read stripes first .. first+m-1 (m at most the batch size) and
-        return their lanes by row, valid until the next read."""
-        layout = self._layouts.get(m)
-        if layout is None:
-            layout = self._layouts[m] = self._layout(m)
-        reads, lanes = layout
-        fd, preadv = self.fh.fileno(), os.preadv
-        base = HEADER_SIZE + first * self.r * self.block_size
-        total = 0
-        for offset, blocks, nbytes in reads:
-            got = preadv(fd, blocks, base + offset)
-            if got != nbytes:
-                stripe = first + (offset + got) // (self.r * self.block_size)
-                raise IntegrityError(f"shard {self.fh.name} truncated at stripe {stripe}")
-            total += got
-        self.bytes_read += total
-        return lanes
-
-
-def _read_lanes(readers: dict[int, _LaneReader], first: int, m: int) -> dict[tuple[int, int], memoryview]:
-    return {(d, j): lane for d, reader in readers.items() for j, lane in reader.read(first, m).items()}
 
 
 @dataclass(frozen=True)
@@ -269,42 +276,40 @@ def encode_file(
     """Shard a file into k+2 shard files, parities via the optimal schedule.
 
     The shards appear only once every stripe has been encoded."""
+    if not 1 <= block_size < 1 << 32:  # the header stores it in 32 bits
+        raise ValueError(f"block size {block_size} outside [1, {(1 << 32) - 1}]")
     if code is None:
         code = construct(k)
     if code.k != k:
         raise ValueError("supplied code does not match k")
     r = code.r
     schedule = build_encode_schedule(code)
-    strip_bytes = r * block_size
-    stripe_bytes = k * strip_bytes
+    stripe_bytes = k * r * block_size
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / shard_name(d) for d in range(1, k + 3)]
     xor_total = 0
     with ExitStack() as stack:
-        src = stack.enter_context(Path(input_path).open("rb"))
+        src = stack.enter_context(Path(input_path).open("rb", buffering=0))
         payload_length = os.fstat(src.fileno()).st_size
         stripe_count = (payload_length + stripe_bytes - 1) // stripe_bytes
+        n = _batch_stripes(stripe_count, stripe_bytes)
+        payload = _LaneIO(0, k * r, block_size, range(1, k * r + 1), n, payload_length)
+        blocks = _payload_blocks(k, r)
         handles = [stack.enter_context(_replace_on_success(p)) for p in paths]
         for d, fh in enumerate(handles, start=1):
-            fh.write(ShardHeader(k, r, d, block_size, stripe_count, payload_length).pack())
-        n = _batch_stripes(stripe_count, stripe_bytes)
+            header = ShardHeader(k, r, d, block_size, stripe_count, payload_length)
+            fh.write(header.pack())
+        shard = header.lane_io(range(1, r + 1), n)  # every shard has the same layout
         for first in range(0, stripe_count, n):
             m = min(n, stripe_count - first)
-            # data disk d stores the d-th strip of r blocks of each stripe;
-            # the last stripe is zero-padded
-            chunk = src.read(m * stripe_bytes).ljust(m * stripe_bytes, b"\x00")
-            inputs = {}
-            for d, strips in enumerate(_deinterleave(chunk, k, m, strip_bytes), start=1):
-                handles[d - 1].write(strips)
-                for j, lane in enumerate(_deinterleave(strips, r, m, block_size), start=1):
-                    inputs[(d, j)] = lane
+            inputs = dict(zip(blocks, payload.read(src, first, m)))
             outputs, executed = execute_schedule(schedule, inputs, block_size)
             xor_total += executed
-            for d in (k + 1, k + 2):
-                column = [outputs[(d, j)] for j in range(1, r + 1)]
-                handles[d - 1].write(_interleave(column, m, block_size))
+            lanes = inputs | outputs
+            for d, fh in enumerate(handles, start=1):
+                shard.write(fh, first, m, [lanes[(d, j)] for j in range(1, r + 1)])
     return EncodeReport(stripe_count, xor_total, tuple(str(p) for p in paths))
 
 
@@ -318,11 +323,9 @@ class DecodeReport:
     xor_count: int
 
 
-def _read_counts(
-    headers: dict[int, tuple[BinaryIO, ShardHeader]], readers: dict[int, _LaneReader], block_size: int
-) -> tuple[dict[int, int], dict[int, int]]:
+def _read_counts(headers: dict, ios: dict[int, _LaneIO], block_size: int) -> tuple[dict, dict]:
     """Blocks and bytes read from every surviving shard, as the reads returned them."""
-    nbytes = {d: readers[d].bytes_read if d in readers else 0 for d in headers}
+    nbytes = {d: ios[d].bytes_read if d in ios else 0 for d in headers}
     return {d: n // block_size for d, n in nbytes.items()}, nbytes
 
 
@@ -351,34 +354,29 @@ def decode_file(
         if all(d > k for d in missing):
             checked = tuple(d for d in (k + 1, k + 2) if d in headers)
         schedule = build_encode_schedule(code) if checked else build_decode_schedule(code, missing)
-        rows = tuple(range(1, r + 1))
+        rows = range(1, r + 1)
         # every block of a surviving data disk is output; of P and Q, read only
         # what the schedule uses, or all of each checked one
         wanted = {d: rows for d in headers if d <= k or d in checked}
         for d, used in schedule.rows_by_disk.items():
             wanted.setdefault(d, used)
-        stripe_count, left = any_header.stripe_count, any_header.payload_length
+        stripe_count = any_header.stripe_count
         n = _batch_stripes(stripe_count, k * r * bs)
         xor_total = 0
-        readers = {d: _LaneReader(*headers[d], used, n) for d, used in wanted.items()}
         sink = stack.enter_context(_replace_on_success(Path(out_path)))
+        payload = _LaneIO(0, k * r, bs, range(1, k * r + 1), n, any_header.payload_length)
+        ios = {d: headers[d][1].lane_io(used, n) for d, used in wanted.items()}
+        blocks = _payload_blocks(k, r)
         for first in range(0, stripe_count, n):
             m = min(n, stripe_count - first)
-            lanes = _read_lanes(readers, first, m)
+            lanes = _read_lanes(headers, ios, first, m)
             outputs, executed = execute_schedule(schedule, {block: lanes[block] for block in schedule.reads}, bs)
             xor_total += executed
             # bytes against a memoryview compares byte by byte in Python; tobytes() makes it a memcmp
             if any(outputs[(d, j)] != lanes[(d, j)].tobytes() for d in checked for j in rows):
                 raise IntegrityError("surviving blocks violate the parity relations")
-            data = [
-                outputs[(d, j)] if d in missing else lanes[(d, j)]
-                for d in range(1, k + 1)
-                for j in rows
-            ]
-            chunk = memoryview(_interleave(data, m, bs))[:left]
-            sink.write(chunk)
-            left -= len(chunk)
-    blocks_read, bytes_read = _read_counts(headers, readers, bs)
+            payload.write(sink, first, m, [outputs[b] if b[0] in missing else lanes[b] for b in blocks])
+    blocks_read, bytes_read = _read_counts(headers, ios, bs)
     return DecodeReport(
         missing, stripe_count, any_header.payload_length, blocks_read, bytes_read, xor_total
     )
@@ -423,13 +421,14 @@ def repair_shard(
         out_path = directory / shard_name(failed)
         n = _batch_stripes(stripe_count, k * r * bs)
         xor_total = 0
-        readers = {d: _LaneReader(*headers[d], rows, n) for d, rows in schedule.rows_by_disk.items()}
+        ios = {d: headers[d][1].lane_io(rows, n) for d, rows in schedule.rows_by_disk.items()}
         fh = stack.enter_context(_replace_on_success(out_path))
         fh.write(header.pack())
+        shard = header.lane_io(range(1, r + 1), n)
         for first in range(0, stripe_count, n):
             m = min(n, stripe_count - first)
-            column, executed = execute_repair(schedule, _read_lanes(readers, first, m), bs)
+            column, executed = execute_repair(schedule, _read_lanes(headers, ios, first, m), bs)
             xor_total += executed
-            fh.write(_interleave(column, m, bs))
-    blocks_read, bytes_read = _read_counts(headers, readers, bs)
+            shard.write(fh, first, m, column)
+    blocks_read, bytes_read = _read_counts(headers, ios, bs)
     return RepairReport(failed, str(out_path), stripe_count, blocks_read, bytes_read, xor_total)

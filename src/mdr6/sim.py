@@ -13,6 +13,10 @@ the requests before it are served, and a FIFO disk ends each request at
 the closed form max(arrival, disk free time) + service time.  Serving
 requests in arrival order with that recurrence gives the same times as
 an event-driven simulation.
+
+Block addresses come from ``shards.block_index``, the layout of the shard
+files, and background load the survivors cannot serve is refused: past
+it the backlog, and with it the run, grows without bound.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from . import shards
 from .code import construct
 from .codec import repair_plan
 
@@ -125,19 +130,29 @@ def simulate(
 
     If ``trace`` is a list, it receives one sorted (completion_ms, disk,
     kind, lba, response_ms) row per request ended by the end of the rebuild.
+    Raises ValueError when the background rate would keep the k+1
+    survivors busy all the time: rate * (seek + rotational + transfer)
+    / (k+1) reaches 1.
     """
+    transfer = config.block_size / model.transfer_bytes_per_ms
+    reposition = model.seek_ms + model.rotational_ms
+    load = config.background_rate / 1000.0 * (reposition + transfer) / (config.k + 1)
+    if load >= 1:
+        limit = 1000.0 * (config.k + 1) / (reposition + transfer)
+        raise ValueError(
+            f"background rate {config.background_rate:g} req/s is more than the {config.k + 1}"
+            f" surviving disks can serve (utilisation {load:.2f}; it must stay below {limit:.4g} req/s)"
+        )
     code = construct(config.k)
     k, r = code.k, code.r
     n_disks = k + 2
     rng = random.Random(config.seed)
-    rebuild_region = config.stripe_count * r
+    rebuild_region = shards.block_index(config.stripe_count, 1, r)
 
     survivors_phys = [d for d in range(1, n_disks + 1) if d != FAILED_DISK]
     role_reads = {
         role: _read_rows(code, config.strategy, role) for role in range(1, k + 2)
     }
-    transfer = config.block_size / model.transfer_bytes_per_ms
-    reposition = model.seek_ms + model.rotational_ms
     free = dict.fromkeys(range(1, n_disks + 1), 0.0)
     head: dict[int, int] = {}
     served: list[tuple[float, int, str, int, float]] = []  # kept only for a trace
@@ -181,12 +196,12 @@ def simulate(
         for idx, logical in enumerate(logical_survivors):
             disk = survivors_phys[(idx + stripe) % (k + 1)]
             for row in role_reads[failed_role].get(logical, ()):
-                done = serve(disk, stripe * r + row - 1, "read", dispatch)
+                done = serve(disk, shards.block_index(stripe, row, r), "read", dispatch)
                 access_ms[disk] += done - dispatch
                 blocks_read[disk] += 1
                 reads_done = max(reads_done, done)
-        for row in range(r):
-            finish_time = serve(FAILED_DISK, stripe * r + row, "write", reads_done)
+        for row in range(1, r + 1):
+            finish_time = serve(FAILED_DISK, shards.block_index(stripe, row, r), "write", reads_done)
         dispatch = reads_done
     serve_background(finish_time)
     if trace is not None:

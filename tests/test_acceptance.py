@@ -191,7 +191,7 @@ def test_criterion_8_simulation_trends():
             DiskModel(seek_ms=3.0, rotational_ms=2.0, transfer_bytes_per_ms=50_000.0),
         )
         ok = ok and comp.access_time_ratio < 1.0
-    cfg = SimConfig(k=3, stripe_count=8, strategy="mdr", background_rate=400.0, seed=77)
+    cfg = SimConfig(k=3, stripe_count=8, strategy="mdr", background_rate=300.0, seed=77)
     ok = ok and simulate(cfg, model) == simulate(cfg, model)
     report(8, "sim: exact read ratio (k+1)/2k, access ratio < 1, deterministic", ok)
     assert ok

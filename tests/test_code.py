@@ -187,6 +187,15 @@ def test_document_strategies_optional_but_checked():
         code_from_document(bad)
 
 
+@pytest.mark.parametrize("key", ["q_rows", "basic_rows"])
+def test_document_rejects_repeated_strategy_rows(key):
+    doc = code_to_document(construct(2))
+    assert doc["strategies"][0][key] == [1, 3]
+    doc["strategies"][0][key] = [1, 3, 3]  # would load as (1, 3) if deduplicated
+    with pytest.raises(ValueError, match=f"strategies\\[0\\] field '{key}' repeats a row"):
+        code_from_document(doc)
+
+
 @pytest.mark.parametrize("row", [" 100", "1_00", "100+", "1002"])
 def test_document_rejects_non_binary_row(row):
     doc = code_to_document(construct(2))

@@ -16,6 +16,7 @@ from mdr6.analysis import search_repair_optimal
 from mdr6.code import code_from_document, code_to_document, construct
 from mdr6.codec import repair_plan
 from mdr6.shards import ShardHeader, TooManyErasuresError
+from mdr6.sim import DiskModel, SimConfig, simulate
 
 BS = 32
 
@@ -61,6 +62,18 @@ def test_encode_decode_roundtrip_sizes(tmp_path, size):
     report = shards.decode_file(tmp_path / "sh", out)
     assert out.read_bytes() == src.read_bytes()
     assert report.payload_length == size
+
+
+@pytest.mark.parametrize("block_size", [0, -1, 5_000_000_000])
+def test_block_size_out_of_range_is_a_usage_error(tmp_path, capsys, block_size):
+    src = make_file(tmp_path, 100)
+    out = tmp_path / "sh"
+    with pytest.raises(ValueError, match="block size"):
+        shards.encode_file(src, out, k=2, block_size=block_size)
+    argv = ["encode", str(src), "--k", "2", "--block-size", str(block_size), "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert "usage error: block size" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_empty_file_zero_stripes(tmp_path):
@@ -317,6 +330,86 @@ def test_repair_reads_exactly_its_plan_at_the_read_call(tmp_path, monkeypatch, k
         assert shard.read_bytes() == blob
         assert sum(returned) == (k + 1) * r // 2 * BS * stripes
         assert sum(report.bytes_read_per_shard.values()) == sum(returned)
+
+
+@pytest.mark.parametrize("k", [3, 6])
+def test_encode_repair_and_decode_write_exactly_their_output(tmp_path, monkeypatch, k):
+    r = construct(k).r
+    src = make_file(tmp_path, k * r * BS * 5 + 7, seed=90 + k)
+    written = []
+    original = os.pwritev
+
+    def counted(fd, buffers, offset):
+        n = original(fd, buffers, offset)
+        written.append(n)
+        return n
+
+    monkeypatch.setattr(os, "pwritev", counted)
+    sh = tmp_path / "sh"
+    stripes = shards.encode_file(src, sh, k=k, block_size=BS).stripe_count
+    body = stripes * r * BS
+    assert sum(written) == (k + 2) * body
+    for victim in (1, k + 1, k + 2):
+        shard = sh / shards.shard_name(victim)
+        blob = shard.read_bytes()
+        shard.unlink()
+        written.clear()
+        shards.repair_shard(sh)
+        assert shard.read_bytes() == blob
+        assert sum(written) == body
+    written.clear()
+    shards.decode_file(sh, tmp_path / "out.bin")  # no padding past the payload's end
+    assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
+    assert sum(written) == src.stat().st_size
+
+
+def test_simulator_and_shards_place_blocks_with_one_function(tmp_path, monkeypatch):
+    """Simulated LBAs and shard block positions both come from
+    shards.block_index: with the slots after the first of every stripe laid
+    out in reverse, the simulator's writes and the shard writes both follow
+    it, and the shards still round-trip."""
+    k, r = 2, 4
+    src = make_file(tmp_path, k * r * BS * 3 - 5, seed=80)
+
+    def reversed_tail(stripe, slot, per_stripe):
+        return stripe * per_stripe + (0 if slot == 1 else per_stripe + 1 - slot)
+
+    offsets = []
+    original = os.pwritev
+
+    def recorded(fd, buffers, offset):
+        offsets.append(offset)
+        return original(fd, buffers, offset)
+
+    shards._shape.cache_clear()
+    monkeypatch.setattr(shards, "block_index", reversed_tail)
+    monkeypatch.setattr(os, "pwritev", recorded)
+    try:
+        trace: list = []
+        simulate(SimConfig(k=k, stripe_count=2, strategy="mdr"), DiskModel(), trace=trace)
+        writes = [lba for _, _, kind, lba, _ in trace if kind == "write"]
+        assert writes == [reversed_tail(s, j, r) for s in range(2) for j in range(1, r + 1)]
+        plans = [repair_plan(construct(k), s % (k + 1) + 1).rows_by_disk for s in range(2)]
+        reads = [reversed_tail(s, j, r) for s in range(2) for rows in plans[s].values() for j in rows]
+        assert sorted(lba for _, _, kind, lba, _ in trace if kind == "read") == sorted(reads)
+
+        sh = tmp_path / "sh"
+        stripes = shards.encode_file(src, sh, k=k, block_size=BS).stripe_count
+        shard = sh / shards.shard_name(1)
+        blob = shard.read_bytes()
+        shard.unlink()
+        offsets.clear()
+        shards.repair_shard(sh)
+        assert shard.read_bytes() == blob
+        assert offsets == [
+            shards.HEADER_SIZE + reversed_tail(s, j, r) * BS for s in range(stripes) for j in range(1, r + 1)
+        ]
+        for d in (2, k + 2):
+            (sh / shards.shard_name(d)).unlink()
+        shards.decode_file(sh, tmp_path / "out.bin")
+        assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
+    finally:
+        shards._shape.cache_clear()
 
 
 @pytest.mark.parametrize("victim", [1, 2, 4, 5])
@@ -663,6 +756,13 @@ def test_cli_simulate_deterministic_and_csv(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("completion_ms")
     assert len(lines) > 3 * 4  # reads plus writes
+
+
+def test_cli_simulate_refuses_load_the_survivors_cannot_serve(capsys):
+    args = ["simulate", "--k", "1", "--stripes", "3", "--rate", "300", "--seek-ms", "30",
+            "--rotational-ms", "0.5", "--transfer", "1e6", "--seq-window", "2"]
+    assert main(args) == 1
+    assert "usage error: background rate 300 req/s" in capsys.readouterr().err
 
 
 def test_cli_simulate_csv_needs_one_strategy(tmp_path, capsys):

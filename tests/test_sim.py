@@ -98,7 +98,7 @@ def test_background_requests_only_online():
     offline = simulate(SimConfig(k=2, stripe_count=4, strategy="mdr"), MODEL)
     assert offline.background_requests == 0
     online = simulate(
-        SimConfig(k=2, stripe_count=4, strategy="mdr", background_rate=500.0, seed=1),
+        SimConfig(k=2, stripe_count=4, strategy="mdr", background_rate=200.0, seed=1),
         MODEL,
     )
     assert online.background_requests > 0
@@ -107,7 +107,7 @@ def test_background_requests_only_online():
 def test_online_slower_than_offline():
     offline = simulate(SimConfig(k=3, stripe_count=8, strategy="mdr"), MODEL)
     online = simulate(
-        SimConfig(k=3, stripe_count=8, strategy="mdr", background_rate=2000.0, seed=3),
+        SimConfig(k=3, stripe_count=8, strategy="mdr", background_rate=300.0, seed=3),
         MODEL,
     )
     assert online.total_time_ms >= offline.total_time_ms
@@ -175,7 +175,8 @@ def test_golden_reports(config, expected):
 def test_trace_rows_recorded(rate, seed):
     trace: list = []
     config = SimConfig(k=2, stripe_count=3, strategy="mdr", background_rate=rate, seed=seed)
-    report = simulate(config, MODEL, trace=trace)
+    # fast enough that three survivors can serve 2000 req/s (utilisation 0.67)
+    report = simulate(config, DiskModel(seek_ms=0.5, rotational_ms=0.5), trace=trace)
     reads = [row for row in trace if row[2] == "read"]
     writes = [row for row in trace if row[2] == "write"]
     background = [row for row in trace if row[2] == "bg"]
@@ -193,6 +194,22 @@ def test_report_header_notes_divergence():
     assert "bus" in report.notes
     doc = report.to_document()
     assert doc["strategy"] == "mdr"
+
+
+def test_load_the_survivors_cannot_serve_is_refused():
+    # at k=1 two survivors serve 300 req/s * 30.5 ms: utilisation 4.6, so the
+    # backlog and the run would grow without bound
+    slow = DiskModel(seek_ms=30.0, rotational_ms=0.5, transfer_bytes_per_ms=1e6, seq_window_blocks=2)
+    with pytest.raises(ValueError, match="more than the 2 surviving disks can serve"):
+        simulate(SimConfig(k=1, stripe_count=3, strategy="mdr", background_rate=300.0), slow)
+    # the default model serves 2 / 12.00512 ms = 166.6 req/s at k=1
+    ok = SimConfig(k=1, stripe_count=3, strategy="conventional", background_rate=166.0)
+    assert simulate(ok, MODEL).background_requests > 0
+    over = SimConfig(k=1, stripe_count=3, strategy="conventional", background_rate=167.0)
+    with pytest.raises(ValueError, match="below 166.6 req/s"):
+        compare(over, SimConfig(k=1, stripe_count=3, strategy="mdr", background_rate=167.0), MODEL)
+    # the README example: utilisation 0.27
+    simulate(SimConfig(k=8, stripe_count=2, strategy="mdr", background_rate=200.0, seed=7), MODEL)
 
 
 def test_config_validation():
