@@ -9,18 +9,28 @@ so repair reads exactly the blocks its schedule reads, and decode those
 plus every block it outputs or checks.  Every shard or output file is
 written beside its place and renamed into it only once the whole run has
 succeeded.
+
+A run of several batches is split into contiguous ranges of batches, one
+per process, up to one per CPU this process may run on (``_PROCESSES``):
+the caller runs the first range and a forked child each other one, all
+through the files already opened and checked, each moving its own stripes
+at their own offsets with its own lane buffers.  A child hands back its
+XOR and read-byte counts, or its exception, through shared memory, and the
+reports sum every process's counts.  A run of one batch, a threaded
+caller or a platform without ``os.fork`` runs in one process.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import threading
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .code import MdrCode, construct
 from .codec import (
@@ -41,6 +51,8 @@ SHARD_SUFFIX = ".mdr"
 # stripe data (k * r blocks per stripe) per batch; a batch holds at least one stripe
 BATCH_BYTES = 1 << 20
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
+# processes a run of several batches is split across, at most one per batch
+_PROCESSES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 class TooManyErasuresError(Exception):
@@ -259,6 +271,34 @@ def _replace_on_success(path: Path) -> Iterator[BinaryIO]:
         raise
 
 
+def _run_batches(stripe_count: int, n: int, ios: Iterable[_LaneIO], run: Callable[[int, int], int]) -> int:
+    """Run run(first, m) on every batch, m <= n stripes from stripe first, and return
+    the sum of the XOR counts it returns; each of ios then counts the bytes that every
+    process read through it.
+
+    The batches are cut into contiguous ranges, one per process: this process runs
+    the first range and a forked child each other one (see ``_forked.run_forked``)."""
+    firsts = range(0, stripe_count, n)
+    procs = max(1, min(_PROCESSES, len(firsts)))
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        procs = 1  # a forked child holds only the forking thread, and whatever locks the others held
+
+    def run_range(i: int) -> tuple[int, list[int]]:
+        batches = firsts[len(firsts) * i // procs : len(firsts) * (i + 1) // procs]
+        xors = sum(run(first, min(n, stripe_count - first)) for first in batches)
+        return xors, [io.bytes_read for io in ios]  # a child's own: it forked before any read
+
+    if procs == 1:
+        return run_range(0)[0]
+    from ._forked import run_forked  # pickle, mmap and signal load only for a split run
+
+    results = run_forked(run_range, procs)
+    for _, bytes_read in results[1:]:
+        for io, nbytes in zip(ios, bytes_read):
+            io.bytes_read += nbytes
+    return sum(xors for xors, _ in results)
+
+
 @dataclass(frozen=True)
 class EncodeReport:
     stripe_count: int
@@ -289,7 +329,6 @@ def encode_file(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / shard_name(d) for d in range(1, k + 3)]
-    xor_total = 0
     with ExitStack() as stack:
         src = stack.enter_context(Path(input_path).open("rb", buffering=0))
         payload_length = os.fstat(src.fileno()).st_size
@@ -302,14 +341,16 @@ def encode_file(
             header = ShardHeader(k, r, d, block_size, stripe_count, payload_length)
             fh.write(header.pack())
         shard = header.lane_io(range(1, r + 1), n)  # every shard has the same layout
-        for first in range(0, stripe_count, n):
-            m = min(n, stripe_count - first)
+
+        def encode_batch(first: int, m: int) -> int:
             inputs = dict(zip(blocks, payload.read(src, first, m)))
             outputs, executed = execute_schedule(schedule, inputs, block_size)
-            xor_total += executed
             lanes = inputs | outputs
             for d, fh in enumerate(handles, start=1):
                 shard.write(fh, first, m, [lanes[(d, j)] for j in range(1, r + 1)])
+            return executed
+
+        xor_total = _run_batches(stripe_count, n, (), encode_batch)
     return EncodeReport(stripe_count, xor_total, tuple(str(p) for p in paths))
 
 
@@ -362,20 +403,21 @@ def decode_file(
             wanted.setdefault(d, used)
         stripe_count = any_header.stripe_count
         n = _batch_stripes(stripe_count, k * r * bs)
-        xor_total = 0
         sink = stack.enter_context(_replace_on_success(Path(out_path)))
         payload = _LaneIO(0, k * r, bs, range(1, k * r + 1), n, any_header.payload_length)
         ios = {d: headers[d][1].lane_io(used, n) for d, used in wanted.items()}
         blocks = _payload_blocks(k, r)
-        for first in range(0, stripe_count, n):
-            m = min(n, stripe_count - first)
+
+        def decode_batch(first: int, m: int) -> int:
             lanes = _read_lanes(headers, ios, first, m)
             outputs, executed = execute_schedule(schedule, {block: lanes[block] for block in schedule.reads}, bs)
-            xor_total += executed
             # bytes against a memoryview compares byte by byte in Python; tobytes() makes it a memcmp
             if any(outputs[(d, j)] != lanes[(d, j)].tobytes() for d in checked for j in rows):
                 raise IntegrityError("surviving blocks violate the parity relations")
             payload.write(sink, first, m, [outputs[b] if b[0] in missing else lanes[b] for b in blocks])
+            return executed
+
+        xor_total = _run_batches(stripe_count, n, ios.values(), decode_batch)
     blocks_read, bytes_read = _read_counts(headers, ios, bs)
     return DecodeReport(
         missing, stripe_count, any_header.payload_length, blocks_read, bytes_read, xor_total
@@ -420,15 +462,16 @@ def repair_shard(
         header = ShardHeader(k, r, failed, bs, stripe_count, any_header.payload_length)
         out_path = directory / shard_name(failed)
         n = _batch_stripes(stripe_count, k * r * bs)
-        xor_total = 0
         ios = {d: headers[d][1].lane_io(rows, n) for d, rows in schedule.rows_by_disk.items()}
         fh = stack.enter_context(_replace_on_success(out_path))
         fh.write(header.pack())
         shard = header.lane_io(range(1, r + 1), n)
-        for first in range(0, stripe_count, n):
-            m = min(n, stripe_count - first)
+
+        def repair_batch(first: int, m: int) -> int:
             column, executed = execute_repair(schedule, _read_lanes(headers, ios, first, m), bs)
-            xor_total += executed
             shard.write(fh, first, m, column)
+            return executed
+
+        xor_total = _run_batches(stripe_count, n, ios.values(), repair_batch)
     blocks_read, bytes_read = _read_counts(headers, ios, bs)
     return RepairReport(failed, str(out_path), stripe_count, blocks_read, bytes_read, xor_total)

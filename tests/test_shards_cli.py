@@ -283,6 +283,8 @@ def test_encode_that_fails_leaves_no_shard(tmp_path, monkeypatch):
         return original(schedule, lanes, block_size)
 
     monkeypatch.setattr(shards, "BATCH_BYTES", 3 * 8 * BS * 2)
+    # calls counts the batches of one process; tests/test_batch_processes.py covers a split run
+    monkeypatch.setattr(shards, "_PROCESSES", 1)
     monkeypatch.setattr(shards, "execute_schedule", fail_second)
     out = tmp_path / "fresh"
     with pytest.raises(RuntimeError, match="executor failed"):
