@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 data integrity failure,
-3 unrecoverable erasure count.
+Exit codes: 0 success, 1 usage error or a batch process that died,
+2 data integrity failure, 3 unrecoverable erasure count.
 """
 
 from __future__ import annotations
@@ -344,6 +344,9 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
+    except ChildProcessError as exc:  # an OSError, but no fault of the command line
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,7 +12,10 @@ paths coexist on purpose:
   stripe row for recursion-built codes), ``build_decode_schedule`` rebuilds
   the data of up to two lost disks, and ``repair_plan`` picks the schedule
   that rebuilds one disk from the minimum read set (the minimum (k-1)
-  average XORs per lost block for recursion-built codes).
+  average XORs per lost block for recursion-built codes).  Q is always
+  rebuilt by the part of the encode schedule that Q needs, and one Q
+  recursion, ``_q_sources``, serves both hand-derived builders: encode
+  and basic-disk repair.
 
 Schedules that are not hand-derived are compiled by GF(2) elimination,
 which gives each target block as a flat XOR of input blocks, and then by
@@ -296,21 +299,27 @@ def parity_check_matrix(code: MdrCode) -> BitMatrix:
 # -- XOR schedules ----------------------------------------------------------
 
 
-def _q_sources(t: int, base: int, prefix_ref) -> dict[int, list[Buffer]]:
+def _q_sources(t: int, base: int, prefix_ref, failed: int = 0) -> dict[int, list[Buffer]]:
     """Source lists computing the Q column of the level-t sub-code on rows
     base+1 .. base+2^t.
 
     The doubling structure of the code family makes both halves of the Q
     column equal to the Q column of the half-size code plus one extra
     block: the upper half adds the last data disk's lower row, the lower
-    half adds the running row-parity prefix.  Unfolding gives one copy
-    source plus t-1 XOR sources per Q row.
+    half adds prefix_ref(t, row), the running row-parity prefix.  Unfolding
+    gives one copy source plus t-1 XOR sources per Q row.
+
+    With failed a basic disk, the lists are those a repair of it adds to
+    the Q rows it reads: where failed is t or t+1, only the half whose extra
+    block is that disk's is kept, without it, and the plain recursion runs.
     """
     if t == 0:
         return {base + 1: []}
     half = 1 << (t - 1)
-    upper = _q_sources(t - 1, base, prefix_ref)
-    lower = _q_sources(t - 1, base + half, prefix_ref)
+    if failed in (t, t + 1):
+        return _q_sources(t - 1, base if failed == t else base + half, prefix_ref)
+    upper = _q_sources(t - 1, base, prefix_ref, failed)
+    lower = _q_sources(t - 1, base + half, prefix_ref, failed)
     out: dict[int, list[Buffer]] = {}
     for row, srcs in upper.items():
         out[row] = srcs + [("in", t, row + half)]
@@ -329,8 +338,11 @@ def build_encode_schedule(code: MdrCode) -> XorSchedule:
     gets each P and Q block as the XOR of the data blocks it covers.
     """
     k, r = code.k, code.r
+    rows = range(1, r + 1)
     if not is_recursive_mdr(code):
-        return _parity_schedule(code, (k + 1, k + 2))
+        data = [("in", d, j) for d in range(1, k + 1) for j in rows]
+        targets = [(d, j) for d in (k + 1, k + 2) for j in rows]
+        return XorSchedule(k, r, _compile_ops(code, data, targets))
 
     def prefix_ref(t: int, row: int) -> Buffer:
         if t == 1:
@@ -340,7 +352,7 @@ def build_encode_schedule(code: MdrCode) -> XorSchedule:
         return ("tmp", "pfx", t, row)
 
     ops: list[XorOp] = []
-    for row in range(1, r + 1):
+    for row in rows:
         if k == 1:
             ops.append(XorOp(("out", 2, row), (("in", 1, row),)))
         else:
@@ -349,7 +361,7 @@ def build_encode_schedule(code: MdrCode) -> XorSchedule:
                     XorOp(prefix_ref(t, row), (prefix_ref(t - 1, row), ("in", t, row)))
                 )
     qmap = _q_sources(k, 0, prefix_ref)
-    for row in range(1, r + 1):
+    for row in rows:
         ops.append(XorOp(("out", k + 2, row), tuple(qmap[row])))
     return XorSchedule(k, r, tuple(ops))
 
@@ -464,15 +476,6 @@ def _compile_ops(
     return tuple(ops)
 
 
-def _parity_schedule(code: MdrCode, disks: Sequence[int]) -> XorSchedule:
-    """The schedule compiled from every data block that fills the given
-    parity disks."""
-    k, r = code.k, code.r
-    data = [("in", d, j) for d in range(1, k + 1) for j in range(1, r + 1)]
-    targets = [(d, j) for d in disks for j in range(1, r + 1)]
-    return XorSchedule(k, r, _compile_ops(code, data, targets))
-
-
 @lru_cache(maxsize=256)
 def build_decode_schedule(code: MdrCode, missing: tuple[int, ...]) -> XorSchedule:
     """Schedule that rebuilds the data blocks of the missing disks from
@@ -548,17 +551,17 @@ def repair_plan(code: MdrCode, failed: int) -> XorSchedule:
     """Pick the rebuild schedule for one disk; its reads are the blocks
     the rebuild needs.
 
-    The Q disk of a recursion-built code is rebuilt by the part of the
-    encode schedule that Q needs, and a basic disk by the minimum-XOR
-    ``build_repair_schedule``.  Any other code gets schedules compiled
-    from the data blocks (Q) or from the blocks its repair strategy
-    reads (a basic disk).
+    The Q disk of any code is rebuilt by the part of its encode schedule
+    that Q needs, from the data blocks.  A basic disk of a recursion-built
+    code gets the minimum-XOR ``build_repair_schedule``, and one of any
+    other code a schedule compiled from the blocks its repair strategy
+    reads.
     """
     k, r = code.k, code.r
     if not 1 <= failed <= k + 2:
         raise ValueError(f"disk index {failed} outside [1, {k + 2}]")
     if failed == k + 2:
-        return _q_repair_schedule(code) if is_recursive_mdr(code) else _parity_schedule(code, (k + 2,))
+        return _q_repair_schedule(code)
     if is_recursive_mdr(code):
         return build_repair_schedule(code, failed)
     if code.strategies is None:
@@ -640,22 +643,10 @@ def build_repair_schedule(code: MdrCode, failed: int) -> XorSchedule:
             srcs.append(w_ref(failed + 1, c))
         ops.append(XorOp(("out", failed, c), tuple(srcs)))
 
-    def s_sources(t: int, base: int) -> dict[int, list[Buffer]]:
-        half = 1 << (t - 1)
-        if failed == t:
-            return _q_sources(t - 1, base, u_ref)
-        if failed == t + 1:
-            return _q_sources(t - 1, base + half, u_ref)
-        upper = s_sources(t - 1, base)
-        lower = s_sources(t - 1, base + half)
-        out_map: dict[int, list[Buffer]] = {}
-        for row, sources in upper.items():
-            out_map[row] = sources + [("in", t, row + half)]
-        for row, sources in lower.items():
-            out_map[row] = sources + [w_ref(t + 1, row - half)]
-        return out_map
+    def prefix_ref(t: int, row: int) -> Buffer:
+        return u_ref(t, row) if t < failed else w_ref(t + 1, row)
 
-    smap = s_sources(k, 0)
+    smap = _q_sources(k, 0, prefix_ref, failed)
     for a, comp_row in enumerate(comp_sorted):
         q_row = q_sorted[a]
         ops.append(

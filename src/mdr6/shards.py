@@ -10,6 +10,9 @@ plus every block it outputs or checks.  Every shard or output file is
 written beside its place and renamed into it only once the whole run has
 succeeded.
 
+Encode, decode and repair run one batch loop, ``_run_batches``: each batch
+reads the lanes of its source files, runs ``execute_schedule`` on them,
+checks the blocks decode re-encodes and writes the lanes of its sink files.
 A run of several batches is split into contiguous ranges of batches, one
 per process, up to one per CPU this process may run on (``_PROCESSES``):
 the caller runs the first range and a forked child each other one, all
@@ -30,15 +33,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Collection, Iterator, Sequence
 
 from .code import MdrCode, construct
 from .codec import (
     IntegrityError,
+    XorSchedule,
     build_decode_schedule,
     build_encode_schedule,
     decode,  # noqa: F401  unused here, but perfbench/tracer.py wraps mdr6.shards.decode
-    execute_repair,
+    execute_repair,  # noqa: F401  unused here, but perfbench/tracer.py wraps mdr6.shards.execute_repair
     execute_schedule,
     repair_plan,
 )
@@ -252,10 +256,6 @@ def _payload_blocks(k: int, r: int) -> tuple[tuple[int, int], ...]:
     return tuple((d, j) for d in range(1, k + 1) for j in range(1, r + 1))
 
 
-def _read_lanes(headers: dict, ios: dict[int, _LaneIO], first: int, m: int) -> dict[tuple[int, int], memoryview]:
-    return {(d, row): lane for d, io in ios.items() for row, lane in zip(io.slots, io.read(headers[d][0], first, m))}
-
-
 @contextmanager
 def _replace_on_success(path: Path) -> Iterator[BinaryIO]:
     """Write to an unbuffered temporary file beside path, renamed over path
@@ -271,10 +271,15 @@ def _replace_on_success(path: Path) -> Iterator[BinaryIO]:
         raise
 
 
-def _run_batches(stripe_count: int, n: int, ios: Iterable[_LaneIO], run: Callable[[int, int], int]) -> int:
-    """Run run(first, m) on every batch, m <= n stripes from stripe first, and return
-    the sum of the XOR counts it returns; each of ios then counts the bytes that every
-    process read through it.
+def _run_batches(schedule: XorSchedule, sources: Collection[tuple], sinks: Collection[tuple],
+                 checked: Collection[tuple[int, int]], stripe_count: int, n: int, block_size: int) -> int:
+    """Run schedule on every batch of up to n stripes and return the XORs executed.
+
+    Sources and sinks are (file, ``_LaneIO``, the (disk, row) block of each of its
+    lanes) triples.  A batch reads every source, runs ``execute_schedule`` on exactly
+    the blocks the schedule reads, raises IntegrityError where a checked block read
+    differs from the one output, and writes every sink from the blocks read or output.
+    Each source's ``_LaneIO`` then counts the bytes that every process read through it.
 
     The batches are cut into contiguous ranges, one per process: this process runs
     the first range and a forked child each other one (see ``_forked.run_forked``)."""
@@ -284,9 +289,22 @@ def _run_batches(stripe_count: int, n: int, ios: Iterable[_LaneIO], run: Callabl
         procs = 1  # a forked child holds only the forking thread, and whatever locks the others held
 
     def run_range(i: int) -> tuple[int, list[int]]:
-        batches = firsts[len(firsts) * i // procs : len(firsts) * (i + 1) // procs]
-        xors = sum(run(first, min(n, stripe_count - first)) for first in batches)
-        return xors, [io.bytes_read for io in ios]  # a child's own: it forked before any read
+        xors = 0
+        for first in firsts[len(firsts) * i // procs : len(firsts) * (i + 1) // procs]:
+            m, lanes = min(n, stripe_count - first), {}
+            for fh, io, blocks in sources:
+                lanes.update(zip(blocks, io.read(fh, first, m)))
+            # sources cover the reads, so as many lanes as reads are exactly them
+            inputs = lanes if len(lanes) == len(schedule.reads) else {b: lanes[b] for b in schedule.reads}
+            outputs, executed = execute_schedule(schedule, inputs, block_size)
+            # bytes against a memoryview compares byte by byte in Python; tobytes() makes it a memcmp
+            if any(outputs[b] != lanes[b].tobytes() for b in checked):
+                raise IntegrityError("surviving blocks violate the parity relations")
+            lanes.update(outputs)
+            for fh, io, blocks in sinks:
+                io.write(fh, first, m, [lanes[b] for b in blocks])
+            xors += executed
+        return xors, [io.bytes_read for _, io, _ in sources]  # a child's own: it forked before any read
 
     if procs == 1:
         return run_range(0)[0]
@@ -294,7 +312,7 @@ def _run_batches(stripe_count: int, n: int, ios: Iterable[_LaneIO], run: Callabl
 
     results = run_forked(run_range, procs)
     for _, bytes_read in results[1:]:
-        for io, nbytes in zip(ios, bytes_read):
+        for (_, io, _), nbytes in zip(sources, bytes_read):
             io.bytes_read += nbytes
     return sum(xors for xors, _ in results)
 
@@ -335,22 +353,14 @@ def encode_file(
         stripe_count = (payload_length + stripe_bytes - 1) // stripe_bytes
         n = _batch_stripes(stripe_count, stripe_bytes)
         payload = _LaneIO(0, k * r, block_size, range(1, k * r + 1), n, payload_length)
-        blocks = _payload_blocks(k, r)
         handles = [stack.enter_context(_replace_on_success(p)) for p in paths]
         for d, fh in enumerate(handles, start=1):
             header = ShardHeader(k, r, d, block_size, stripe_count, payload_length)
             fh.write(header.pack())
         shard = header.lane_io(range(1, r + 1), n)  # every shard has the same layout
-
-        def encode_batch(first: int, m: int) -> int:
-            inputs = dict(zip(blocks, payload.read(src, first, m)))
-            outputs, executed = execute_schedule(schedule, inputs, block_size)
-            lanes = inputs | outputs
-            for d, fh in enumerate(handles, start=1):
-                shard.write(fh, first, m, [lanes[(d, j)] for j in range(1, r + 1)])
-            return executed
-
-        xor_total = _run_batches(stripe_count, n, (), encode_batch)
+        sinks = [(fh, shard, [(d, j) for j in range(1, r + 1)]) for d, fh in enumerate(handles, start=1)]
+        source = (src, payload, _payload_blocks(k, r))
+        xor_total = _run_batches(schedule, [source], sinks, (), stripe_count, n, block_size)
     return EncodeReport(stripe_count, xor_total, tuple(str(p) for p in paths))
 
 
@@ -364,9 +374,9 @@ class DecodeReport:
     xor_count: int
 
 
-def _read_counts(headers: dict, ios: dict[int, _LaneIO], block_size: int) -> tuple[dict, dict]:
+def _read_counts(headers: dict, sources: dict[int, tuple], block_size: int) -> tuple[dict, dict]:
     """Blocks and bytes read from every surviving shard, as the reads returned them."""
-    nbytes = {d: ios[d].bytes_read if d in ios else 0 for d in headers}
+    nbytes = {d: sources[d][1].bytes_read if d in sources else 0 for d in headers}
     return {d: n // block_size for d, n in nbytes.items()}, nbytes
 
 
@@ -403,22 +413,13 @@ def decode_file(
             wanted.setdefault(d, used)
         stripe_count = any_header.stripe_count
         n = _batch_stripes(stripe_count, k * r * bs)
+        sources = {d: (headers[d][0], headers[d][1].lane_io(js, n), [(d, j) for j in js]) for d, js in wanted.items()}
         sink = stack.enter_context(_replace_on_success(Path(out_path)))
         payload = _LaneIO(0, k * r, bs, range(1, k * r + 1), n, any_header.payload_length)
-        ios = {d: headers[d][1].lane_io(used, n) for d, used in wanted.items()}
-        blocks = _payload_blocks(k, r)
-
-        def decode_batch(first: int, m: int) -> int:
-            lanes = _read_lanes(headers, ios, first, m)
-            outputs, executed = execute_schedule(schedule, {block: lanes[block] for block in schedule.reads}, bs)
-            # bytes against a memoryview compares byte by byte in Python; tobytes() makes it a memcmp
-            if any(outputs[(d, j)] != lanes[(d, j)].tobytes() for d in checked for j in rows):
-                raise IntegrityError("surviving blocks violate the parity relations")
-            payload.write(sink, first, m, [outputs[b] if b[0] in missing else lanes[b] for b in blocks])
-            return executed
-
-        xor_total = _run_batches(stripe_count, n, ios.values(), decode_batch)
-    blocks_read, bytes_read = _read_counts(headers, ios, bs)
+        checked_blocks = [(d, j) for d in checked for j in rows]
+        xor_total = _run_batches(schedule, sources.values(), [(sink, payload, _payload_blocks(k, r))], checked_blocks,
+                                 stripe_count, n, bs)
+    blocks_read, bytes_read = _read_counts(headers, sources, bs)
     return DecodeReport(
         missing, stripe_count, any_header.payload_length, blocks_read, bytes_read, xor_total
     )
@@ -462,16 +463,11 @@ def repair_shard(
         header = ShardHeader(k, r, failed, bs, stripe_count, any_header.payload_length)
         out_path = directory / shard_name(failed)
         n = _batch_stripes(stripe_count, k * r * bs)
-        ios = {d: headers[d][1].lane_io(rows, n) for d, rows in schedule.rows_by_disk.items()}
+        sources = {d: (headers[d][0], headers[d][1].lane_io(js, n), [(d, j) for j in js])
+                   for d, js in schedule.rows_by_disk.items()}
         fh = stack.enter_context(_replace_on_success(out_path))
         fh.write(header.pack())
-        shard = header.lane_io(range(1, r + 1), n)
-
-        def repair_batch(first: int, m: int) -> int:
-            column, executed = execute_repair(schedule, _read_lanes(headers, ios, first, m), bs)
-            shard.write(fh, first, m, column)
-            return executed
-
-        xor_total = _run_batches(stripe_count, n, ios.values(), repair_batch)
-    blocks_read, bytes_read = _read_counts(headers, ios, bs)
+        shard = (fh, header.lane_io(range(1, r + 1), n), sorted(schedule.writes))
+        xor_total = _run_batches(schedule, sources.values(), [shard], (), stripe_count, n, bs)
+    blocks_read, bytes_read = _read_counts(headers, sources, bs)
     return RepairReport(failed, str(out_path), stripe_count, blocks_read, bytes_read, xor_total)

@@ -77,7 +77,7 @@ def run_op(op, tmp_path, src):
 CALLS = {
     "encode": ("execute_schedule", lambda src, sh, out: shards.encode_file(src, sh.with_name("fresh"), K, BS)),
     "decode": ("execute_schedule", lambda src, sh, out: shards.decode_file(sh, out)),
-    "repair": ("execute_repair", lambda src, sh, out: shards.repair_shard(sh)),
+    "repair": ("execute_schedule", lambda src, sh, out: shards.repair_shard(sh)),
 }
 
 
@@ -143,6 +143,18 @@ def test_a_flipped_parity_byte_in_the_last_stripe_is_an_integrity_error(tmp_path
         shards.decode_file(sh, out)
     assert main(["decode", str(sh), "--out", str(out)]) == 2
     assert_nothing_published("decode", tmp_path, sh, before)
+    assert no_child_left()
+
+
+def test_a_killed_child_of_a_command_is_an_error_not_a_usage_error(tmp_path, monkeypatch, capsys, split, payload):
+    sh = run_op("repair", tmp_path, payload)
+    before = sorted(sh.iterdir())
+    monkeypatch.setattr(shards, "execute_schedule", in_child(os.getpid(), kill_self, shards.execute_schedule))
+    assert main(["repair", str(sh)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: forked process ") and "was killed by signal 9 " in err
+    assert "usage error" not in err
+    assert_nothing_published("repair", tmp_path, sh, before)
     assert no_child_left()
 
 

@@ -13,8 +13,8 @@ import pytest
 from mdr6 import cli, shards
 from mdr6.cli import main
 from mdr6.analysis import search_repair_optimal
-from mdr6.code import code_from_document, code_to_document, construct
-from mdr6.codec import repair_plan
+from mdr6.code import code_from_document, code_to_document, construct, is_recursive_mdr
+from mdr6.codec import repair_plan, verify_schedule
 from mdr6.shards import ShardHeader, TooManyErasuresError
 from mdr6.sim import DiskModel, SimConfig, simulate
 
@@ -437,21 +437,45 @@ def test_repair_rebuilds_identical_shard(tmp_path, victim):
         assert rrep.blocks_read_per_shard.get(k + 1, 0) == 0
 
 
-@pytest.mark.parametrize("k, q_xors", [(3, 26), (6, 578)])
-def test_repair_xor_count_per_stripe(tmp_path, k, q_xors):
-    code = construct(k)
+def swapped_document(k):
+    """The built-in code's document with data disks 1 and 2 swapped: MDS and
+    repair-optimal, but not the recursion's own code."""
+    doc = code_to_document(construct(k))
+    for key in ("b_matrices", "strategies"):
+        doc[key][0], doc[key][1] = doc[key][1], doc[key][0]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "k, swap, q_xors",
+    [(1, False, 0), (2, False, 6), (3, False, 26), (4, False, 82), (5, False, 226), (6, False, 578),
+     (3, True, 28), (4, True, 92), (5, True, 272), (6, True, 744)],
+)
+def test_repair_xor_count_per_stripe(tmp_path, capsys, k, swap, q_xors):
+    doc = swapped_document(k) if swap else code_to_document(construct(k))
+    code = code_from_document(doc)
+    assert is_recursive_mdr(code) != swap
+    code_path = tmp_path / "code.json"
+    code_path.write_text(json.dumps(doc))
     r = code.r
     src = make_file(tmp_path, k * r * 8 * 2 + 1, seed=40 + k)
     sh = tmp_path / "sh"
-    stripes = shards.encode_file(src, sh, k=k, block_size=8).stripe_count
-    assert repair_plan(code, k + 2).xor_count == q_xors
+    stripes = shards.encode_file(src, sh, k=k, block_size=8, code=code).stripe_count
+    q_plan = repair_plan(code, k + 2)
+    assert q_plan.xor_count == q_xors
+    assert verify_schedule(code, q_plan)
+    assert q_plan.reads == {(d, j) for d in range(1, k + 1) for j in range(1, r + 1)}
     for victim in range(1, k + 3):
         original = (sh / shards.shard_name(victim)).read_bytes()
         os.remove(sh / shards.shard_name(victim))
-        report = shards.repair_shard(sh)
+        assert main(["repair", str(sh), "--code", str(code_path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
         assert (sh / shards.shard_name(victim)).read_bytes() == original
-        per_stripe = (k - 1) * r if victim <= k + 1 else q_xors
-        assert report.xor_count == per_stripe * stripes, victim
+        if victim == k + 2:
+            per_stripe = q_xors
+        else:
+            per_stripe = repair_plan(code, victim).xor_count if swap else (k - 1) * r
+        assert report["xor_count"] == per_stripe * stripes, victim
 
 
 def test_repair_rejects_two_missing(tmp_path):
