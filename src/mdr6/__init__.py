@@ -19,9 +19,7 @@ from .code import (
     verify_repair_optimal,
 )
 from .codec import (
-    ErasurePattern,
     IntegrityError,
-    Stripe,
     XorSchedule,
     build_encode_schedule,
     build_repair_schedule,
@@ -36,13 +34,11 @@ from .f2 import BitMatrix, IndexSet, SingularMatrixError
 
 __all__ = [
     "BitMatrix",
-    "ErasurePattern",
     "IndexSet",
     "IntegrityError",
     "MdrCode",
     "RepairStrategy",
     "SingularMatrixError",
-    "Stripe",
     "XorSchedule",
     "build_encode_schedule",
     "build_repair_schedule",

@@ -222,7 +222,7 @@ def cmd_simulate(args) -> int:
         print(f"[{report.strategy}] {report.notes}")
         print(
             f"  recovery time: {report.total_time_ms:.2f} ms; "
-            f"avg access time: {report.avg_access_ms:.2f} ms"
+            f"summed read time per survivor, mean over survivors: {report.avg_access_ms:.2f} ms"
         )
         print(
             f"  blocks read: {report.total_blocks_read} "

@@ -1,11 +1,13 @@
-"""Stripe encode/decode/repair for MDR codes.
+"""Encode, decode and repair of the stripes of MDR codes.
 
 Blocks are byte strings of one fixed size per stripe.  Two execution
 paths coexist on purpose:
 
 * ``encode_naive`` evaluates the generator relations directly and
   ``decode`` solves the parity checks H d = 0 with ``BitMatrix.invert``;
-  both are the test reference for everything else;
+  both take and return one stripe's blocks as a {(disk, row): bytes} map,
+  the map schedules run on, and are the test reference for everything
+  else;
 * every other linear map is an ``XorSchedule`` run by ``execute_schedule``,
   one op per lane of blocks (the same block of a whole batch of stripes):
   ``build_encode_schedule`` fills P and Q (the minimum 2(k-1) XORs per
@@ -39,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .code import MdrCode, generator_submatrices, is_recursive_mdr
 from .f2 import BitMatrix, IndexSet
@@ -49,94 +51,6 @@ Buffer = tuple  # ("in", disk, row) | ("tmp", ...) | ("out", disk, row)
 
 class IntegrityError(Exception):
     """Surviving blocks contradict the parity relations."""
-
-
-def xor_blocks(blocks: Iterable[bytes], size: int) -> bytes:
-    acc = 0
-    for b in blocks:
-        acc ^= int.from_bytes(b, "little")
-    return acc.to_bytes(size, "little")
-
-
-class Stripe:
-    """One r x (k+2) block array.  Disk columns are present or absent as a
-    whole."""
-
-    def __init__(self, k: int, r: int, block_size: int):
-        if k < 1 or r < 1 or block_size < 1:
-            raise ValueError("stripe dimensions must be positive")
-        self.k = k
-        self.r = r
-        self.block_size = block_size
-        self._cols: list[list[bytes | None]] = [[None] * r for _ in range(k + 2)]
-
-    @classmethod
-    def from_data_columns(
-        cls, k: int, r: int, block_size: int, columns: Sequence[Sequence[bytes]]
-    ) -> "Stripe":
-        if len(columns) != k:
-            raise ValueError(f"expected {k} data columns")
-        stripe = cls(k, r, block_size)
-        for disk, col in enumerate(columns, start=1):
-            stripe.set_column(disk, col)
-        return stripe
-
-    def _check_pos(self, disk: int, row: int) -> None:
-        if not (1 <= disk <= self.k + 2 and 1 <= row <= self.r):
-            raise ValueError(f"block ({disk},{row}) outside stripe")
-
-    def set_block(self, disk: int, row: int, data: bytes) -> None:
-        self._check_pos(disk, row)
-        if len(data) != self.block_size:
-            raise ValueError(
-                f"block size {len(data)} != stripe block size {self.block_size}"
-            )
-        self._cols[disk - 1][row - 1] = bytes(data)
-
-    def set_column(self, disk: int, blocks: Sequence[bytes]) -> None:
-        if len(blocks) != self.r:
-            raise ValueError(f"column must contain {self.r} blocks")
-        for row, b in enumerate(blocks, start=1):
-            self.set_block(disk, row, b)
-
-    def get_block(self, disk: int, row: int) -> bytes:
-        self._check_pos(disk, row)
-        data = self._cols[disk - 1][row - 1]
-        if data is None:
-            raise ValueError(f"block ({disk},{row}) is missing")
-        return data
-
-    def column(self, disk: int) -> list[bytes]:
-        return [self.get_block(disk, row) for row in range(1, self.r + 1)]
-
-    def disk_present(self, disk: int) -> bool:
-        self._check_pos(disk, 1)
-        return all(b is not None for b in self._cols[disk - 1])
-
-    def present_disks(self) -> list[int]:
-        return [d for d in range(1, self.k + 3) if self.disk_present(d)]
-
-    def erase_disk(self, disk: int) -> None:
-        self._check_pos(disk, 1)
-        self._cols[disk - 1] = [None] * self.r
-
-    def copy(self) -> "Stripe":
-        dup = Stripe(self.k, self.r, self.block_size)
-        dup._cols = [list(col) for col in self._cols]
-        return dup
-
-
-@dataclass(frozen=True)
-class ErasurePattern:
-    failed: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if len(self.failed) > 2:
-            raise ValueError("RAID-6 tolerates at most two erasures")
-
-    @classmethod
-    def of(cls, *disks: int) -> "ErasurePattern":
-        return cls(frozenset(disks))
 
 
 @dataclass(frozen=True)
@@ -233,67 +147,6 @@ def _slot_program(schedule: XorSchedule) -> tuple:
         steps.append((target, first, tuple(rest)))
     outputs = tuple((block, slot_of[("out", *block)]) for block in sorted(schedule.writes))
     return inputs, slots, tuple(steps), outputs
-
-
-# -- direct (reference) encoding -------------------------------------------
-
-
-def _column_ints(stripe: Stripe, disk: int) -> list[int]:
-    return [int.from_bytes(b, "little") for b in stripe.column(disk)]
-
-
-def _apply(matrix: BitMatrix, blocks: Sequence[int]) -> list[int]:
-    """Multiply a binary matrix by a column vector of block payloads."""
-    out = []
-    for mask in matrix.row_bits:
-        acc = 0
-        cur = mask
-        while cur:
-            low = cur & -cur
-            acc ^= blocks[low.bit_length() - 1]
-            cur ^= low
-        out.append(acc)
-    return out
-
-
-def _ints_to_blocks(vals: Sequence[int], size: int) -> list[bytes]:
-    return [v.to_bytes(size, "little") for v in vals]
-
-
-def encode_naive(code: MdrCode, data: Stripe) -> Stripe:
-    """Fill P and Q by direct evaluation of the generator relations."""
-    if (data.k, data.r) != (code.k, code.r):
-        raise ValueError("stripe shape does not match code")
-    for disk in range(1, code.k + 1):
-        if not data.disk_present(disk):
-            raise ValueError(f"data disk {disk} is missing")
-    k, r, size = code.k, code.r, data.block_size
-    cols = [_column_ints(data, d) for d in range(1, k + 1)]
-
-    p = [0] * r
-    for col in cols:
-        for j in range(r):
-            p[j] ^= col[j]
-    q = [0] * r
-    for a, col in zip(generator_submatrices(code), cols):
-        contrib = _apply(a, col)
-        for j in range(r):
-            q[j] ^= contrib[j]
-
-    out = data.copy()
-    out.set_column(k + 1, _ints_to_blocks(p, size))
-    out.set_column(k + 2, _ints_to_blocks(q, size))
-    return out
-
-
-def parity_check_matrix(code: MdrCode) -> BitMatrix:
-    """The 2r x (k+2)r parity-check matrix H with H d = 0."""
-    k, r = code.k, code.r
-    eye = BitMatrix.identity(r)
-    zero = BitMatrix.zeros(r, r)
-    top = [eye] * (k + 1) + [zero]
-    bottom = list(generator_submatrices(code)) + [zero, eye]
-    return BitMatrix.from_blocks([top, bottom])
 
 
 # -- XOR schedules ----------------------------------------------------------
@@ -491,7 +344,71 @@ def build_decode_schedule(code: MdrCode, missing: tuple[int, ...]) -> XorSchedul
     return XorSchedule(k, r, _compile_ops(code, candidates, targets))
 
 
-# -- reference decoding ------------------------------------------------------
+# -- reference encoding and decoding ---------------------------------------
+
+
+def _columns(code: MdrCode, blocks: Mapping[tuple[int, int], bytes]) -> tuple[dict[int, list[int]], int]:
+    """The columns of the disks present in a block map of one stripe of
+    code, as block ints by disk, and the block size.  A disk with any block
+    is present and must have all r; every block has the same positive size."""
+    k, r = code.k, code.r
+    sizes = {len(data) for data in blocks.values()}
+    if len(sizes) > 1 or 0 in sizes:
+        raise ValueError(f"block sizes {sorted(sizes)}; a stripe's blocks share one positive size")
+    for disk, row in blocks:
+        if not (1 <= disk <= k + 2 and 1 <= row <= r):
+            raise ValueError(f"block ({disk},{row}) outside the stripe")
+    cols = {}
+    for disk in sorted({disk for disk, _ in blocks}):
+        if any((disk, j) not in blocks for j in range(1, r + 1)):
+            raise ValueError(f"disk {disk} has some of its {r} blocks, not all")
+        cols[disk] = [int.from_bytes(blocks[disk, j], "little") for j in range(1, r + 1)]
+    return cols, max(sizes, default=0)
+
+
+def _apply(matrix: BitMatrix, blocks: Sequence[int]) -> list[int]:
+    """Multiply a binary matrix by a column vector of block payloads."""
+    out = []
+    for cur in matrix.row_bits:
+        acc = 0
+        while cur:
+            low = cur & -cur
+            acc ^= blocks[low.bit_length() - 1]
+            cur ^= low
+        out.append(acc)
+    return out
+
+
+def _to_blocks(disks: Sequence[int], vals: Sequence[int], r: int, size: int) -> dict[tuple[int, int], bytes]:
+    """The stacked columns vals of the given disks as a block map."""
+    blocks = ((d, j) for d in disks for j in range(1, r + 1))
+    return {block: v.to_bytes(size, "little") for block, v in zip(blocks, vals)}
+
+
+def encode_naive(code: MdrCode, data: Mapping[tuple[int, int], bytes]) -> dict[tuple[int, int], bytes]:
+    """Every block of the stripe whose data blocks are data, which holds
+    the k data disks and nothing else: P and Q by direct evaluation of the
+    generator relations."""
+    k, r = code.k, code.r
+    cols, size = _columns(code, data)
+    if cols.keys() != set(range(1, k + 1)):
+        raise ValueError(f"data holds disks {sorted(cols)}, not exactly the data disks 1..{k}")
+    p, q = [0] * r, [0] * r
+    for a, col in zip(generator_submatrices(code), cols.values()):
+        for j, (block, term) in enumerate(zip(col, _apply(a, col))):
+            p[j] ^= block
+            q[j] ^= term
+    return {**data, **_to_blocks((k + 1, k + 2), p + q, r, size)}
+
+
+def parity_check_matrix(code: MdrCode) -> BitMatrix:
+    """The 2r x (k+2)r parity-check matrix H with H d = 0."""
+    k, r = code.k, code.r
+    eye = BitMatrix.identity(r)
+    zero = BitMatrix.zeros(r, r)
+    top = [eye] * (k + 1) + [zero]
+    bottom = list(generator_submatrices(code)) + [zero, eye]
+    return BitMatrix.from_blocks([top, bottom])
 
 
 @lru_cache(maxsize=256)
@@ -511,36 +428,26 @@ def _erasure_solver(code: MdrCode, erased: tuple[int, ...]) -> BitMatrix:
     return BitMatrix.from_blocks([[zero, eye] if erased == (k + 2,) else [eye, zero]])
 
 
-def decode(code: MdrCode, stripe: Stripe, erased: ErasurePattern) -> Stripe:
-    """Reconstruct up to two missing columns by solving H d = 0.
+def decode(code: MdrCode, blocks: Mapping[tuple[int, int], bytes]) -> dict[tuple[int, int], bytes]:
+    """Every block of the stripe, from the blocks of the disks that
+    survive: a disk with no block in blocks is lost, and up to two lost
+    disks are rebuilt by solving H d = 0.
 
-    With nothing erased this is a consistency check: a parity violation
+    With nothing lost this is a consistency check: a parity violation
     raises IntegrityError.
     """
-    if (stripe.k, stripe.r) != (code.k, code.r):
-        raise ValueError("stripe shape does not match code")
     k, r = code.k, code.r
-    missing = sorted(erased.failed)
-    for d in missing:
-        if not 1 <= d <= k + 2:
-            raise ValueError(f"erased disk {d} outside [1, {k + 2}]")
-    for d in range(1, k + 3):
-        if d not in erased.failed and not stripe.disk_present(d):
-            raise ValueError(f"disk {d} is not marked erased but has missing blocks")
-
-    cols = [[0] * r if d in erased.failed else _column_ints(stripe, d) for d in range(1, k + 3)]
-    b = _apply(parity_check_matrix(code), [v for col in cols for v in col])
+    cols, size = _columns(code, blocks)
+    missing = tuple(d for d in range(1, k + 3) if d not in cols)
+    if len(missing) > 2:
+        raise ValueError(f"disks {list(missing)} are lost; RAID-6 tolerates at most two erasures")
+    b = _apply(parity_check_matrix(code), [v for d in range(1, k + 3) for v in cols.get(d, [0] * r)])
     if not missing:
         if any(b):
             raise IntegrityError("surviving blocks violate the parity relations")
-        return stripe.copy()
-
-    u = _apply(_erasure_solver(code, tuple(missing)), b)
-    out = stripe.copy()
-    for pos, d in enumerate(missing):
-        blocks = _ints_to_blocks(u[pos * r : (pos + 1) * r], stripe.block_size)
-        out.set_column(d, blocks)
-    return out
+        return dict(blocks)
+    u = _apply(_erasure_solver(code, missing), b)
+    return {**blocks, **_to_blocks(missing, u, r, size)}
 
 
 # -- single-disk repair ------------------------------------------------------

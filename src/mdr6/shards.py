@@ -105,6 +105,8 @@ class ShardHeader:
         header = cls(k, r, disk_index, block_size, stripe_count, payload_length)
         if not 1 <= disk_index <= k + 2:
             raise IntegrityError(f"disk index {disk_index} outside [1, {k + 2}]")
+        if not block_size:
+            raise IntegrityError("shard block size is 0")
         if payload_length > block_index(stripe_count, 1, k * r) * block_size:
             raise IntegrityError("payload length exceeds shard-set capacity")
         return header
@@ -164,7 +166,7 @@ def _open_shard_set(
 
 
 def _batch_stripes(stripe_count: int, stripe_data_bytes: int) -> int:
-    """Stripes per batch: about BATCH_BYTES of stripe data, at least one
+    """The stripes in one batch: about BATCH_BYTES of stripe data, at least one
     stripe and at most all of them."""
     return max(1, min(stripe_count, BATCH_BYTES // stripe_data_bytes))
 

@@ -87,6 +87,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimReport:
+    """One simulated rebuild.  per_disk_access_ms sums each survivor's
+    rebuild-read response times; avg_access_ms is the mean of those sums
+    over the survivors, not the mean response time of one read."""
+
     strategy: str
     notes: str
     total_time_ms: float

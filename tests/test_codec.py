@@ -1,5 +1,6 @@
 """Encode/decode/repair behavior, with the naive evaluator and the generic
-decoder as reference paths for the optimized ones."""
+decoder as reference paths for the optimized ones.  All of them take and
+return one stripe's blocks as a {(disk, row): bytes} map."""
 
 import itertools
 import random
@@ -11,9 +12,7 @@ from hypothesis import strategies as st
 from mdr6.analysis import search_repair_optimal
 from mdr6.code import MdrCode, construct
 from mdr6.codec import (
-    ErasurePattern,
     IntegrityError,
-    Stripe,
     XorOp,
     XorSchedule,
     build_encode_schedule,
@@ -25,42 +24,26 @@ from mdr6.codec import (
     parity_check_matrix,
     repair_plan,
     verify_schedule,
-    xor_blocks,
 )
 
 BS = 16
 
 
-def random_stripe(code, rng, block_size=BS):
-    cols = [
-        [rng.randbytes(block_size) for _ in range(code.r)] for _ in range(code.k)
-    ]
-    return Stripe.from_data_columns(code.k, code.r, block_size, cols)
-
-
-def stripes_equal(a, b):
-    return all(a.column(d) == b.column(d) for d in range(1, a.k + 3))
-
-
-def plan_blocks(stripe, plan):
-    return {(d, j): stripe.get_block(d, j) for d, j in plan.reads}
-
-
-def data_inputs(stripe):
+def random_data(code, rng, block_size=BS):
+    """The blocks of the k data disks of one random stripe."""
     return {
-        (d, j): stripe.get_block(d, j)
-        for d in range(1, stripe.k + 1)
-        for j in range(1, stripe.r + 1)
+        (d, j): rng.randbytes(block_size)
+        for d in range(1, code.k + 1)
+        for j in range(1, code.r + 1)
     }
 
 
-def parity_outputs(stripe):
-    k = stripe.k
-    return {
-        (d, j): stripe.get_block(d, j)
-        for d in (k + 1, k + 2)
-        for j in range(1, stripe.r + 1)
-    }
+def column(blocks, disk):
+    return [block for (d, _), block in sorted(blocks.items()) if d == disk]
+
+
+def without(blocks, *disks):
+    return {b: data for b, data in blocks.items() if b[0] not in disks}
 
 
 # -- encode ------------------------------------------------------------------
@@ -69,27 +52,34 @@ def parity_outputs(stripe):
 def test_encode_naive_zero_data():
     code = construct(2)
     zero = bytes(BS)
-    data = Stripe.from_data_columns(2, 4, BS, [[zero] * 4, [zero] * 4])
+    data = {(d, j): zero for d in (1, 2) for j in range(1, 5)}
     full = encode_naive(code, data)
-    assert all(b == zero for b in full.column(3))
-    assert all(b == zero for b in full.column(4))
+    assert full == {(d, j): zero for d in range(1, 5) for j in range(1, 5)}
 
 
 def test_encode_naive_k1_replication():
     code = construct(1)
     rng = random.Random(0)
-    data = random_stripe(code, rng)
-    full = encode_naive(code, data)
-    assert full.column(2) == full.column(1)  # row parity of one disk
-    d1 = full.column(1)
-    assert full.column(3) == [d1[1], d1[0]]  # Q swaps the two rows
+    full = encode_naive(code, random_data(code, rng))
+    assert column(full, 2) == column(full, 1)  # row parity of one disk
+    d1 = column(full, 1)
+    assert column(full, 3) == [d1[1], d1[0]]  # Q swaps the two rows
 
 
 def test_encode_naive_missing_disk():
     code = construct(2)
-    data = Stripe(2, 4, BS)
-    with pytest.raises(ValueError):
+    data = without(random_data(code, random.Random(1)), 2)
+    with pytest.raises(ValueError, match="not exactly the data disks"):
         encode_naive(code, data)
+    with pytest.raises(ValueError, match="not exactly the data disks"):
+        encode_naive(code, {})
+
+
+def test_encode_naive_rejects_parity_blocks():
+    code = construct(2)
+    full = encode_naive(code, random_data(code, random.Random(2)))
+    with pytest.raises(ValueError, match="not exactly the data disks"):
+        encode_naive(code, full)
 
 
 # decode solves through H, so H must hold for every code it decodes
@@ -104,13 +94,9 @@ H_CODES.update(
 @pytest.mark.parametrize("code", H_CODES.values(), ids=H_CODES.keys())
 def test_parity_check_annihilates_codewords(code):
     rng = random.Random(20 + code.k)
-    full = encode_naive(code, random_stripe(code, rng))
+    full = encode_naive(code, random_data(code, rng))
     h = parity_check_matrix(code)
-    blocks = [
-        int.from_bytes(full.get_block(d, j), "little")
-        for d in range(1, code.k + 3)
-        for j in range(1, code.r + 1)
-    ]
+    blocks = [int.from_bytes(full[block], "little") for block in sorted(full)]
     for mask in h.row_bits:
         acc = 0
         cur = mask
@@ -150,17 +136,16 @@ def test_encode_matches_naive(k):
     rng = random.Random(40 + k)
     sched = build_encode_schedule(code)
     for _ in range(3):
-        data = random_stripe(code, rng)
-        outputs, _ = execute_schedule(sched, data_inputs(data), BS)
-        assert outputs == parity_outputs(encode_naive(code, data))
+        data = random_data(code, rng)
+        outputs, _ = execute_schedule(sched, data, BS)
+        assert outputs == without(encode_naive(code, data), *range(1, k + 1))
 
 
 def test_encode_executed_xor_count():
     code = construct(4)
     rng = random.Random(44)
-    data = random_stripe(code, rng)
     sched = build_encode_schedule(code)
-    _, executed = execute_schedule(sched, data_inputs(data), BS)
+    _, executed = execute_schedule(sched, random_data(code, rng), BS)
     assert executed == 2 * 3 * 16 == sched.xor_count
 
 
@@ -173,9 +158,9 @@ def test_encode_schedule_for_foreign_code():
     assert verify_schedule(foreign, sched)
     rng = random.Random(45)
     for _ in range(3):
-        data = random_stripe(foreign, rng)
-        outputs, _ = execute_schedule(sched, data_inputs(data), BS)
-        assert outputs == parity_outputs(encode_naive(foreign, data))
+        data = random_data(foreign, rng)
+        outputs, _ = execute_schedule(sched, data, BS)
+        assert outputs == without(encode_naive(foreign, data), 1, 2)
 
 
 # -- decode ------------------------------------------------------------------
@@ -186,54 +171,87 @@ def test_decode_all_patterns_roundtrip(k):
     code = construct(k)
     rng = random.Random(60 + k)
     for _ in range(3):
-        full = encode_naive(code, random_stripe(code, rng))
+        full = encode_naive(code, random_data(code, rng))
         for pat in itertools.combinations(range(1, k + 3), 2):
-            damaged = full.copy()
-            for d in pat:
-                damaged.erase_disk(d)
-            restored = decode(code, damaged, ErasurePattern.of(*pat))
-            assert stripes_equal(restored, full), pat
+            assert decode(code, without(full, *pat)) == full, pat
         for d in range(1, k + 3):
-            damaged = full.copy()
-            damaged.erase_disk(d)
-            restored = decode(code, damaged, ErasurePattern.of(d))
-            assert stripes_equal(restored, full), d
+            assert decode(code, without(full, d)) == full, d
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from([construct(k) for k in range(1, 5)]),
+        st.sampled_from([code for name, code in H_CODES.items() if name.startswith("found")]),
+    ),
+    st.integers(1, 48),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_decode_of_the_survivors_is_the_encoded_stripe(code, block_size, seed, data):
+    full = encode_naive(code, random_data(code, random.Random(seed), block_size))
+    lost = data.draw(st.sets(st.integers(1, code.k + 2), max_size=2))
+    assert decode(code, without(full, *lost)) == full
 
 
 def test_decode_parity_erasures_reencode():
     code = construct(3)
     rng = random.Random(70)
-    full = encode_naive(code, random_stripe(code, rng))
-    damaged = full.copy()
-    damaged.erase_disk(4)
-    damaged.erase_disk(5)
-    assert stripes_equal(decode(code, damaged, ErasurePattern.of(4, 5)), full)
+    full = encode_naive(code, random_data(code, rng))
+    assert decode(code, without(full, 4, 5)) == full
 
 
 def test_decode_consistency_check():
     code = construct(2)
     rng = random.Random(71)
-    full = encode_naive(code, random_stripe(code, rng))
-    assert stripes_equal(decode(code, full, ErasurePattern.of()), full)
-    corrupted = full.copy()
-    block = bytearray(corrupted.get_block(1, 1))
+    full = encode_naive(code, random_data(code, rng))
+    assert decode(code, full) == full
+    block = bytearray(full[1, 1])
     block[0] ^= 0xFF
-    corrupted.set_block(1, 1, bytes(block))
     with pytest.raises(IntegrityError):
-        decode(code, corrupted, ErasurePattern.of())
+        decode(code, {**full, (1, 1): bytes(block)})
 
 
-def test_decode_rejects_three_erasures():
-    with pytest.raises(ValueError):
-        ErasurePattern.of(1, 2, 3)
-
-
-def test_decode_rejects_out_of_range_disk():
+def test_decode_rejects_three_lost_disks():
     code = construct(2)
-    rng = random.Random(72)
-    full = encode_naive(code, random_stripe(code, rng))
-    with pytest.raises(ValueError):
-        decode(code, full, ErasurePattern.of(9))
+    full = encode_naive(code, random_data(code, random.Random(72)))
+    with pytest.raises(ValueError, match="at most two"):
+        decode(code, without(full, 1, 2, 3))
+    with pytest.raises(ValueError, match="at most two"):
+        decode(code, {})
+
+
+@pytest.mark.parametrize("block", [(9, 1), (0, 1), (1, 0), (1, 5)])
+def test_reference_rejects_a_block_outside_the_stripe(block):
+    code = construct(2)
+    data = random_data(code, random.Random(73))
+    full = encode_naive(code, data)
+    with pytest.raises(ValueError, match="outside the stripe"):
+        decode(code, {**full, block: bytes(BS)})
+    with pytest.raises(ValueError, match="outside the stripe"):
+        encode_naive(code, {**data, block: bytes(BS)})
+
+
+def test_reference_rejects_a_partial_column():
+    code = construct(2)
+    data = random_data(code, random.Random(74))
+    full = encode_naive(code, data)
+    partial = {b: v for b, v in without(full, 3).items() if b != (2, 4)}
+    with pytest.raises(ValueError, match="not all"):
+        decode(code, partial)
+    with pytest.raises(ValueError, match="not all"):
+        encode_naive(code, {b: v for b, v in data.items() if b != (1, 1)})
+
+
+@pytest.mark.parametrize("size", [BS - 1, BS + 1, 0])
+def test_reference_rejects_blocks_of_different_sizes(size):
+    code = construct(2)
+    data = random_data(code, random.Random(75))
+    full = encode_naive(code, data)
+    with pytest.raises(ValueError, match="one positive size"):
+        decode(code, {**without(full, 4), (1, 1): bytes(size)})
+    with pytest.raises(ValueError, match="one positive size"):
+        encode_naive(code, {**data, (2, 3): bytes(size)})
 
 
 # -- repair plans -------------------------------------------------------------
@@ -277,37 +295,33 @@ def test_repair_plan_bad_disk():
 def test_execute_repair_rebuilds_every_disk(k):
     code = construct(k)
     rng = random.Random(80 + k)
-    full = encode_naive(code, random_stripe(code, rng))
+    full = encode_naive(code, random_data(code, rng))
     for failed in range(1, k + 3):
         plan = repair_plan(code, failed)
-        column, _ = execute_repair(plan, plan_blocks(full, plan), BS)
-        assert column == full.column(failed)
+        rebuilt, _ = execute_repair(plan, {b: full[b] for b in plan.reads}, BS)
+        assert rebuilt == column(full, failed)
 
 
 def test_execute_repair_matches_decode():
     code = construct(3)
     rng = random.Random(85)
-    full = encode_naive(code, random_stripe(code, rng))
+    full = encode_naive(code, random_data(code, rng))
     for failed in range(1, code.k + 3):
-        damaged = full.copy()
-        damaged.erase_disk(failed)
-        via_decode = decode(code, damaged, ErasurePattern.of(failed)).column(failed)
+        damaged = without(full, failed)
+        via_decode = column(decode(code, damaged), failed)
         plan = repair_plan(code, failed)
-        via_repair, _ = execute_repair(plan, plan_blocks(damaged, plan), BS)
+        via_repair, _ = execute_repair(plan, {b: damaged[b] for b in plan.reads}, BS)
         assert via_repair == via_decode
 
 
 def test_execute_repair_row_parity_identity():
     code = construct(2)
     rng = random.Random(86)
-    full = encode_naive(code, random_stripe(code, rng))
+    full = encode_naive(code, random_data(code, rng))
     plan = repair_plan(code, 1)
-    rebuilt, _ = execute_repair(plan, plan_blocks(full, plan), BS)
+    rebuilt, _ = execute_repair(plan, {b: full[b] for b in plan.reads}, BS)
     for c in code.strategies[0].basic_rows:
-        expect = xor_blocks(
-            [full.get_block(d, c) for d in (2, 3)], full.block_size
-        )
-        assert rebuilt[c - 1] == expect
+        assert rebuilt[c - 1] == bytes(x ^ y for x, y in zip(full[2, c], full[3, c]))
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -315,10 +329,10 @@ def test_execute_repair_meter(k):
     # the executed XOR count is the schedule's: (k-1)r for a basic disk
     code = construct(k)
     rng = random.Random(90 + k)
-    full = encode_naive(code, random_stripe(code, rng))
+    full = encode_naive(code, random_data(code, rng))
     for failed in range(1, k + 3):
         plan = repair_plan(code, failed)
-        _, executed = execute_repair(plan, plan_blocks(full, plan), BS)
+        _, executed = execute_repair(plan, {b: full[b] for b in plan.reads}, BS)
         assert executed == plan.xor_count
         if failed <= k + 1:
             assert executed == (k - 1) * code.r
@@ -327,11 +341,11 @@ def test_execute_repair_meter(k):
 def test_execute_repair_stays_inside_plan():
     code = construct(2)
     rng = random.Random(95)
-    full = encode_naive(code, random_stripe(code, rng))
+    full = encode_naive(code, random_data(code, rng))
     plan = repair_plan(code, 1)
-    blocks = plan_blocks(full, plan)
+    blocks = {b: full[b] for b in plan.reads}
     outside = next((2, j) for j in range(1, code.r + 1) if (2, j) not in plan.reads)
-    blocks[outside] = full.get_block(*outside)
+    blocks[outside] = full[outside]
     with pytest.raises(ValueError):
         execute_repair(plan, blocks, BS)
 
@@ -339,9 +353,9 @@ def test_execute_repair_stays_inside_plan():
 def test_execute_repair_missing_block():
     code = construct(2)
     rng = random.Random(96)
-    full = encode_naive(code, random_stripe(code, rng))
+    full = encode_naive(code, random_data(code, rng))
     plan = repair_plan(code, 1)
-    blocks = {key: b for key, b in plan_blocks(full, plan).items() if key[0] != 2}
+    blocks = {b: full[b] for b in plan.reads if b[0] != 2}
     with pytest.raises(ValueError):
         execute_repair(plan, blocks, BS)
 
@@ -349,9 +363,9 @@ def test_execute_repair_missing_block():
 def test_execute_repair_rejects_wrong_block_size():
     code = construct(2)
     rng = random.Random(97)
-    full = encode_naive(code, random_stripe(code, rng))
+    full = encode_naive(code, random_data(code, rng))
     plan = repair_plan(code, 1)
-    blocks = plan_blocks(full, plan)
+    blocks = {b: full[b] for b in plan.reads}
     first = min(blocks)
     blocks[first] = blocks[first][:-1]
     with pytest.raises(ValueError):
@@ -467,13 +481,11 @@ def test_repair_schedule_counts_and_soundness(k):
 def test_repair_schedule_executes_like_plan(k):
     code = construct(k)
     rng = random.Random(100 + k)
-    full = encode_naive(code, random_stripe(code, rng))
+    full = encode_naive(code, random_data(code, rng))
     for failed in range(1, k + 2):
         sched = build_repair_schedule(code, failed)
-        inputs = {(d, j): full.get_block(d, j) for d, j in sched.reads}
-        outputs, executed = execute_schedule(sched, inputs, full.block_size)
-        column = [outputs[(failed, j)] for j in range(1, code.r + 1)]
-        assert column == full.column(failed)
+        outputs, executed = execute_schedule(sched, {b: full[b] for b in sched.reads}, BS)
+        assert outputs == {b: full[b] for b in full if b[0] == failed}
         assert executed == (k - 1) * code.r
 
 
@@ -505,23 +517,3 @@ def test_repair_schedule_reads_match_plan():
             if src[0] == "in"
         }
         assert touched == plan.reads
-
-
-# -- stripe bookkeeping -----------------------------------------------------------
-
-
-def test_stripe_block_size_checked():
-    stripe = Stripe(1, 2, 4)
-    with pytest.raises(ValueError):
-        stripe.set_block(1, 1, b"too long for 4")
-
-
-def test_stripe_presence_and_erase():
-    code = construct(1)
-    rng = random.Random(1)
-    full = encode_naive(code, random_stripe(code, rng))
-    assert full.present_disks() == [1, 2, 3]
-    full.erase_disk(2)
-    assert not full.disk_present(2)
-    with pytest.raises(ValueError):
-        full.get_block(2, 1)

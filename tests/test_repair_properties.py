@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 from mdr6.analysis import search_repair_optimal
 from mdr6.code import construct, is_recursive_mdr
 from mdr6.codec import (
-    ErasurePattern,
-    Stripe,
     XorOp,
     XorSchedule,
     build_decode_schedule,
@@ -32,9 +30,18 @@ FOUND = [*search_repair_optimal(1, 2).found, *search_repair_optimal(2, 2).found]
 
 
 def full_stripe(code, block_size, seed):
+    """Every block of one stripe of random data, by (disk, row)."""
     rng = random.Random(seed)
-    cols = [[rng.randbytes(block_size) for _ in range(code.r)] for _ in range(code.k)]
-    return encode_naive(code, Stripe.from_data_columns(code.k, code.r, block_size, cols))
+    data = {(d, j): rng.randbytes(block_size) for d in range(1, code.k + 1) for j in range(1, code.r + 1)}
+    return encode_naive(code, data)
+
+
+def block_size_of(full):
+    return len(full[1, 1])
+
+
+def without(full, *lost):
+    return {b: data for b, data in full.items() if b[0] not in lost}
 
 
 def erasure_patterns(code):
@@ -94,13 +101,11 @@ def test_every_plan_schedule_verifies_and_reads_its_strategy(code):
 def test_execute_repair_matches_column_and_decode(case):
     code, disk, full = case
     plan = repair_plan(code, disk)
-    blocks = {(d, j): full.get_block(d, j) for d, j in plan.reads}
-    column, executed = execute_repair(plan, blocks, full.block_size)
-    assert column == full.column(disk)
+    column, executed = execute_repair(plan, {b: full[b] for b in plan.reads}, block_size_of(full))
+    assert column == [full[disk, j] for j in range(1, code.r + 1)]
     assert executed == plan.xor_count
-    damaged = full.copy()
-    damaged.erase_disk(disk)
-    assert column == decode(code, damaged, ErasurePattern.of(disk)).column(disk)
+    oracle = decode(code, without(full, disk))
+    assert column == [oracle[disk, j] for j in range(1, code.r + 1)]
 
 
 @st.composite
@@ -121,11 +126,11 @@ def schedule_cases(draw):
 @given(schedule_cases(), st.data())
 def test_execute_repair_refuses_a_wrong_block_map(case, data):
     code, full, schedule, execute = case
-    blocks = {(d, j): full.get_block(d, j) for d, j in schedule.reads}
+    blocks = {b: full[b] for b in schedule.reads}
     missing = data.draw(st.sampled_from(sorted(schedule.reads)))
     short = {key: b for key, b in blocks.items() if key != missing}
     with pytest.raises(ValueError):
-        execute(schedule, short, full.block_size)
+        execute(schedule, short, block_size_of(full))
     outside = sorted(
         (d, j)
         for d in range(1, code.k + 3)
@@ -134,7 +139,7 @@ def test_execute_repair_refuses_a_wrong_block_map(case, data):
     )
     extra = data.draw(st.sampled_from(outside))
     with pytest.raises(ValueError):
-        execute(schedule, {**blocks, extra: full.get_block(*extra)}, full.block_size)
+        execute(schedule, {**blocks, extra: full[extra]}, block_size_of(full))
 
 
 def _with_last_op(schedule, op):
@@ -207,17 +212,8 @@ def decode_cases(draw):
 def test_decode_schedule_matches_stripe_and_oracle(case):
     code, missing, full = case
     schedule = build_decode_schedule(code, missing)
-    inputs = {(d, j): full.get_block(d, j) for d, j in schedule.reads}
-    outputs, executed = execute_schedule(schedule, inputs, full.block_size)
+    outputs, executed = execute_schedule(schedule, {b: full[b] for b in schedule.reads}, block_size_of(full))
     assert executed == schedule.xor_count
-    damaged = full.copy()
-    for d in missing:
-        damaged.erase_disk(d)
-    oracle = decode(code, damaged, ErasurePattern(frozenset(missing)))
-    assert outputs == {
-        (d, j): full.get_block(d, j)
-        for d in missing
-        if d <= code.k
-        for j in range(1, code.r + 1)
-    }
-    assert all(data == oracle.get_block(*block) for block, data in outputs.items())
+    oracle = decode(code, without(full, *missing))
+    assert outputs == {b: full[b] for b in full if b[0] in missing and b[0] <= code.k}
+    assert all(data == oracle[block] for block, data in outputs.items())

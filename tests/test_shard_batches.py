@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from mdr6 import shards
 from mdr6.code import construct
 from mdr6.codec import (
-    Stripe,
     build_decode_schedule,
     build_encode_schedule,
     encode_naive,
@@ -51,11 +50,10 @@ def expected_shards(code, payload, block_size, stripes):
     }
     for s in range(stripes):
         base = s * k * strip
-        blocks = [padded[base + i * block_size : base + (i + 1) * block_size] for i in range(k * r)]
-        cols = [blocks[d * r : (d + 1) * r] for d in range(k)]
-        full = encode_naive(code, Stripe.from_data_columns(k, r, block_size, cols))
-        for d in range(1, k + 3):
-            files[d] += b"".join(full.column(d))
+        blocks = (padded[base + i * block_size : base + (i + 1) * block_size] for i in range(k * r))
+        data = {(d, j): next(blocks) for d in range(1, k + 1) for j in range(1, r + 1)}
+        for (d, _), block in sorted(encode_naive(code, data).items()):
+            files[d] += block
     return files
 
 

@@ -603,6 +603,23 @@ def test_cli_corrupt_header_exit_code(tmp_path):
     assert main(["decode", str(sh), "--out", str(tmp_path / "o.bin")]) == 2
 
 
+def test_cli_zero_block_size_header_exit_code(tmp_path):
+    # header-only shards of block size 0 pass the size check at open, so
+    # the header itself must refuse them before a batch size divides by 0
+    sh = tmp_path / "sh"
+    sh.mkdir()
+    for d in range(1, 6):
+        (sh / shards.shard_name(d)).write_bytes(ShardHeader(3, 8, d, 0, 0, 0).pack())
+    with pytest.raises(shards.IntegrityError):
+        ShardHeader.unpack((sh / shards.shard_name(1)).read_bytes())
+    (sh / shards.shard_name(2)).unlink()
+    before = sorted(sh.iterdir())
+    assert main(["decode", str(sh), "--out", str(tmp_path / "o.bin")]) == 2
+    assert main(["repair", str(sh)]) == 2
+    assert sorted(sh.iterdir()) == before
+    assert sorted(tmp_path.iterdir()) == [sh]
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [
@@ -820,6 +837,13 @@ def test_public_api_resolves():
     import mdr6
 
     assert [name for name in mdr6.__all__ if not hasattr(mdr6, name)] == []
-    for gone in ("RepairPlan", "verify_encode_schedule", "verify_repair_schedule"):
+    for gone in (
+        "RepairPlan",
+        "verify_encode_schedule",
+        "verify_repair_schedule",
+        "Stripe",
+        "ErasurePattern",
+        "xor_blocks",
+    ):
         assert gone not in mdr6.__all__
         assert not hasattr(mdr6, gone)
