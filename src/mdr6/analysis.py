@@ -8,10 +8,10 @@ certify that the repair plans hit the true minimum, not to be fast.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import codec
+from ._record import record
 from .code import (
     MdrCode,
     RepairStrategy,
@@ -26,7 +26,7 @@ from .f2 import BitMatrix, IndexSet
 ORACLE_MAX_R = 4
 
 
-@dataclass(frozen=True)
+@record
 class IoReport:
     """Exhaustive minimum reads to rebuild one disk, with a witness."""
 
@@ -46,7 +46,7 @@ class IoReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class SearchResult:
     k: int
     r: int
@@ -188,7 +188,7 @@ def update_io(code: MdrCode) -> Fraction:
     return 1 + Fraction(ones, k * r)
 
 
-@dataclass(frozen=True)
+@record
 class XorCountReport:
     total: int
     average_per_block: Fraction  # XORs per block the schedule writes

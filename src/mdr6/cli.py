@@ -7,14 +7,13 @@ Exit codes: 0 success, 1 usage error or a batch process that died,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from functools import cache
 from itertools import combinations
 from pathlib import Path
 
-from . import analysis, shards, sim
+from . import shards
 from .code import MdrCode, code_from_document, code_to_document, construct
 from .codec import IntegrityError, build_decode_schedule, build_encode_schedule, repair_plan
 
@@ -134,6 +133,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis  # the offline tools load only for the commands that use them
+
     code = _load_code_arg(args)
     if code is None:
         code = construct(_require_k(args))
@@ -195,6 +196,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import csv
+
+    from . import sim
+
     if args.csv and args.strategy == "compare":
         raise UsageError("--csv traces one run: pick --strategy conventional or mdr")
     model = sim.DiskModel(

@@ -11,10 +11,10 @@ one-data-disk seed, giving r = 2^k rows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import itemgetter, or_, xor
 
+from ._record import record
 from .f2 import BitMatrix, IndexSet
 
 # B matrices are r x r bit-packed, so memory grows as 4^k; k = 12 keeps a
@@ -22,7 +22,7 @@ from .f2 import BitMatrix, IndexSet
 DEFAULT_MAX_K = 12
 
 
-@dataclass(frozen=True)
+@record
 class RepairStrategy:
     """Row sets read to rebuild one basic disk.
 
@@ -44,7 +44,7 @@ class RepairStrategy:
             raise ValueError("strategy row sets must each contain r/2 rows")
 
 
-@dataclass(frozen=True)
+@record
 class MdrCode:
     """A (k, r) RAID-6 code in B-matrix form, immutable once built."""
 

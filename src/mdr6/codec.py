@@ -38,11 +38,11 @@ schedule symbolically against a code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+from ._record import record
 from .code import MdrCode, generator_submatrices, is_recursive_mdr
 from .f2 import BitMatrix, IndexSet
 
@@ -53,7 +53,7 @@ class IntegrityError(Exception):
     """Surviving blocks contradict the parity relations."""
 
 
-@dataclass(frozen=True)
+@record
 class XorOp:
     """target := XOR of sources (a single source is a block copy)."""
 
@@ -61,7 +61,7 @@ class XorOp:
     sources: tuple[Buffer, ...]
 
 
-@dataclass(frozen=True)
+@record
 class XorSchedule:
     """Ordered XOR operations with named shared intermediates.
 

@@ -7,8 +7,9 @@ All public indices are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+from ._record import record
 
 
 # bits of a matrix parsed by one int() in BitMatrix.from_bitstrings; each
@@ -20,7 +21,7 @@ class SingularMatrixError(ValueError):
     """Raised when a matrix that must be invertible is singular."""
 
 
-@dataclass(frozen=True)
+@record
 class IndexSet:
     """A sorted set of 1-based indices drawn from the universe [1..universe]."""
 
@@ -63,7 +64,7 @@ class IndexSet:
         return len(self.members)
 
 
-@dataclass(frozen=True)
+@record
 class BitMatrix:
     """Immutable binary matrix; addition is XOR, products are over GF(2)."""
 

@@ -29,13 +29,13 @@ import os
 import struct
 import threading
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Collection, Iterator, Sequence
 
-from .code import MdrCode, construct
+from ._record import record
+from .code import DEFAULT_MAX_K, MdrCode, construct
 from .codec import (
     IntegrityError,
     XorSchedule,
@@ -70,7 +70,7 @@ def block_index(stripe: int, slot: int, per_stripe: int) -> int:
     return stripe * per_stripe + slot - 1
 
 
-@dataclass(frozen=True)
+@record
 class ShardHeader:
     k: int
     r: int
@@ -156,6 +156,8 @@ def _open_shard_set(
     any_header = next(iter(headers.values()))[1]
     k, r = any_header.k, any_header.r
     if code is None:
+        if not 1 <= k <= DEFAULT_MAX_K:  # construct would call it a bad argument
+            raise IntegrityError(f"shard headers give k={k}, outside the built-in codes' [1, {DEFAULT_MAX_K}]")
         code = construct(k)
     if (code.k, code.r) != (k, r):
         raise IntegrityError(
@@ -319,7 +321,7 @@ def _run_batches(schedule: XorSchedule, sources: Collection[tuple], sinks: Colle
     return sum(xors for xors, _ in results)
 
 
-@dataclass(frozen=True)
+@record
 class EncodeReport:
     stripe_count: int
     xor_count: int
@@ -366,7 +368,7 @@ def encode_file(
     return EncodeReport(stripe_count, xor_total, tuple(str(p) for p in paths))
 
 
-@dataclass(frozen=True)
+@record
 class DecodeReport:
     missing: tuple[int, ...]
     stripe_count: int
@@ -427,7 +429,7 @@ def decode_file(
     )
 
 
-@dataclass(frozen=True)
+@record
 class RepairReport:
     disk_index: int
     shard_path: str

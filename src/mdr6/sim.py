@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import shards
+from ._record import record
 from .code import construct
 from .codec import repair_plan
 
@@ -38,7 +38,7 @@ HEADER_NOTE = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class DiskModel:
     """Three-parameter disk: repositioning cost, rotational delay, and a
     linear transfer rate.
@@ -65,7 +65,7 @@ class DiskModel:
             raise ValueError("sequential window must be at least one block")
 
 
-@dataclass(frozen=True)
+@record
 class SimConfig:
     k: int
     stripe_count: int
@@ -85,7 +85,7 @@ class SimConfig:
             raise ValueError("background rate cannot be negative")
 
 
-@dataclass(frozen=True)
+@record
 class SimReport:
     """One simulated rebuild.  per_disk_access_ms sums each survivor's
     rebuild-read response times; avg_access_ms is the mean of those sums
@@ -226,7 +226,7 @@ def simulate(
     )
 
 
-@dataclass(frozen=True)
+@record
 class ComparisonReport:
     base: SimReport
     other: SimReport

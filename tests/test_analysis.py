@@ -1,7 +1,6 @@
 """Oracles, bounds, update I/O, XOR accounting, and the code search."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,7 @@ from mdr6.analysis import (
     update_io,
 )
 from mdr6.code import construct, generator_submatrices, initial_code, verify_mds, verify_repair_optimal
-from mdr6.codec import build_encode_schedule, build_repair_schedule, repair_plan
+from mdr6.codec import XorOp, XorSchedule, build_encode_schedule, build_repair_schedule, repair_plan
 from mdr6.f2 import BitMatrix
 
 
@@ -92,7 +91,7 @@ def test_plan_with_extra_read_fails_bounds():
     code = construct(2)
     plan = repair_plan(code, 1)
     first = plan.ops[0]
-    padded = replace(plan, ops=(replace(first, sources=(*first.sources, ("in", 2, 2))), *plan.ops[1:]))
+    padded = XorSchedule(plan.k, plan.r, (XorOp(first.target, (*first.sources, ("in", 2, 2))), *plan.ops[1:]))
     assert padded.reads == plan.reads | {(2, 2)}
     assert not plan_meets_bounds(code, padded)
 
@@ -105,8 +104,8 @@ def test_skewed_per_disk_reads_fail_bounds():
     moved = min(row for d, row in plan.reads if d == 3)
     extra_row = next(j for j in range(1, code.r + 1) if (2, j) not in plan.reads)
     swap = {("in", 3, moved): ("in", 2, extra_row)}
-    ops = tuple(replace(op, sources=tuple(swap.get(s, s) for s in op.sources)) for op in plan.ops)
-    skewed = replace(plan, ops=ops)
+    ops = tuple(XorOp(op.target, tuple(swap.get(s, s) for s in op.sources)) for op in plan.ops)
+    skewed = XorSchedule(plan.k, plan.r, ops)
     assert skewed.reads == plan.reads - {(3, moved)} | {(2, extra_row)}
     assert not plan_meets_bounds(code, skewed)
 

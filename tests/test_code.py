@@ -152,6 +152,23 @@ def test_strategy_size_validation():
         RepairStrategy(IndexSet.of([1, 2], 4), IndexSet.of([1], 4))
     with pytest.raises(ValueError):
         RepairStrategy(IndexSet.of([1], 2), IndexSet.of([1], 4))
+    with pytest.raises(ValueError, match="must be even"):
+        RepairStrategy(IndexSet.of([1], 3), IndexSet.of([1], 3))
+
+
+def test_code_shape_validation():
+    code = construct(2)
+    mats, strategies = code.b_matrices, code.strategies
+    for args, message in [
+        ((0, 4, mats[:1]), "k must be at least 1"),
+        ((2, 3, mats), "r must be a positive even number"),
+        ((2, 4, mats[:2]), "expected 3 B matrices"),
+        ((2, 4, (*mats[:2], BitMatrix.identity(2))), "every B matrix must be r x r"),
+        ((2, 4, mats, strategies[:2]), "expected 3 repair strategies"),
+        ((2, 4, mats, construct(1).strategies + strategies[:1]), "strategy universe must equal r"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            MdrCode(*args)
 
 
 def test_is_recursive_mdr():

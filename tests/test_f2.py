@@ -290,3 +290,24 @@ def test_index_set_basics():
         IndexSet.of([0], 4)
     with pytest.raises(ValueError):
         IndexSet.of([5], 4)
+    with pytest.raises(ValueError, match="universe must be positive"):
+        IndexSet(0, ())
+    with pytest.raises(ValueError, match="out of order"):
+        IndexSet(4, (3, 1))
+    with pytest.raises(ValueError, match="out of order"):
+        IndexSet(4, (1, 1))
+
+
+@pytest.mark.parametrize(
+    "rows, cols, row_bits, message",
+    [
+        (0, 2, (), "dimensions must be positive"),
+        (2, 0, (0, 0), "dimensions must be positive"),
+        (2, 2, (1,), "row count does not match"),
+        (2, 2, (1, 4), "wider than declared"),
+        (2, 2, (1, -1), "wider than declared"),
+    ],
+)
+def test_matrix_shape_validation(rows, cols, row_bits, message):
+    with pytest.raises(ValueError, match=message):
+        BitMatrix(rows, cols, row_bits)

@@ -620,6 +620,23 @@ def test_cli_zero_block_size_header_exit_code(tmp_path):
     assert sorted(tmp_path.iterdir()) == [sh]
 
 
+@pytest.mark.parametrize("k", [0, 13, 20])
+def test_cli_header_k_outside_the_built_in_codes_exit_code(tmp_path, capsys, k):
+    # consistent header-only shards whose k no built-in code has: with no
+    # --code document that is corrupt data, not a bad command line
+    sh = tmp_path / "sh"
+    sh.mkdir()
+    for d in range(1, min(k + 2, 5) + 1):
+        (sh / shards.shard_name(d)).write_bytes(ShardHeader(k, 8, d, 16, 0, 0).pack())
+    before = sorted(sh.iterdir())
+    assert main(["decode", str(sh), "--out", str(tmp_path / "o.bin")]) == 2
+    assert main(["repair", str(sh)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("integrity error: ") and f"k={k}" in line for line in err)
+    assert sorted(sh.iterdir()) == before
+    assert sorted(tmp_path.iterdir()) == [sh]
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [
@@ -669,6 +686,16 @@ def test_importing_the_cli_builds_no_parser():
         env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
+def test_importing_the_cli_loads_no_offline_tool_or_introspection_module():
+    # what every encode, decode and repair process pays before its first byte
+    unwanted = ["dataclasses", "inspect", "mdr6.analysis", "mdr6.sim"]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, mdr6.cli; print([m for m in {unwanted!r} if m in sys.modules])"],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 @pytest.fixture(scope="module")

@@ -219,3 +219,13 @@ def test_config_validation():
         SimConfig(k=2, stripe_count=1, strategy="bogus")
     with pytest.raises(ValueError):
         DiskModel(seek_ms=0)
+    with pytest.raises(ValueError, match="bad code parameters"):
+        SimConfig(k=2, stripe_count=1, strategy="mdr", block_size=0)
+    with pytest.raises(ValueError, match="bad code parameters"):
+        SimConfig(k=0, stripe_count=1, strategy="mdr")
+    with pytest.raises(ValueError, match="cannot be negative"):
+        SimConfig(k=2, stripe_count=1, strategy="mdr", background_rate=-1.0)
+    with pytest.raises(ValueError, match="must be positive"):
+        DiskModel(transfer_bytes_per_ms=-5.0)
+    with pytest.raises(ValueError, match="at least one block"):
+        DiskModel(seq_window_blocks=0)
