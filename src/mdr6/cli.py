@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -32,10 +32,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@lru_cache(maxsize=4)
+def _verified_code(raw: bytes) -> MdrCode:
+    """The code a document's bytes describe, parsed and verified in full
+    once per process for each distinct document this cache keeps.
+
+    Keyed on the bytes, so a rewritten file is verified again; a document
+    that fails to parse or verify raises, and nothing is cached for it."""
+    return code_from_document(json.loads(raw))
+
+
 def _load_code_arg(args) -> MdrCode | None:
     if getattr(args, "code", None) is None:
         return None
-    return code_from_document(json.loads(Path(args.code).read_text()))
+    code = _verified_code(Path(args.code).read_bytes())
+    if getattr(args, "k", None) not in (None, code.k):
+        raise UsageError(f"--k {args.k} conflicts with --code {args.code}, whose k is {code.k}")
+    return code
 
 
 def _require_k(args) -> int:

@@ -452,6 +452,8 @@ def repair_shard(
     with ExitStack() as stack:
         headers, any_header, code, missing = _open_shard_set(stack, directory, code)
         k, r, bs = any_header.k, any_header.r, any_header.block_size
+        if missing_index is not None and not 1 <= missing_index <= k + 2:
+            raise ValueError(f"disk index {missing_index} outside [1, {k + 2}]")
         if len(missing) != 1:
             raise TooManyErasuresError(
                 f"repair needs exactly one missing shard, found {len(missing)}; "

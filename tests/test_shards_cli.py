@@ -488,13 +488,19 @@ def test_repair_rejects_two_missing(tmp_path):
         shards.repair_shard(sh)
 
 
-def test_repair_wrong_missing_index(tmp_path):
+def test_repair_wrong_missing_index(tmp_path, capsys):
     src = make_file(tmp_path, 1000, seed=12)
     sh = tmp_path / "sh"
     shards.encode_file(src, sh, k=1, block_size=BS)
     os.remove(sh / shards.shard_name(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shard 1 is present"):
         shards.repair_shard(sh, missing_index=1)
+    for index in (0, 4, 99, -1):
+        with pytest.raises(ValueError, match=rf"^disk index {index} outside \[1, 3\]$"):
+            shards.repair_shard(sh, missing_index=index)
+    assert main(["repair", str(sh), "--missing", "99"]) == 1
+    assert capsys.readouterr().err == "usage error: disk index 99 outside [1, 3]\n"
+    assert sorted(p.name for p in sh.iterdir()) == [shards.shard_name(1), shards.shard_name(3)]
 
 
 def test_sibling_header_mismatch(tmp_path):
@@ -734,6 +740,117 @@ def test_cli_encode_with_code_document(tmp_path, capsys):
     assert main(["decode", str(sh), "--out", str(out),
                  "--code", str(tmp_path / "code.json")]) == 0
     assert out.read_bytes() == src.read_bytes()
+
+
+def _counted_documents(monkeypatch) -> list:
+    """Every code_from_document call the CLI makes, from an empty cache on."""
+    calls = []
+    original = cli.code_from_document
+
+    def counted(doc):
+        calls.append(doc["k"])
+        return original(doc)
+
+    monkeypatch.setattr(cli, "code_from_document", counted)
+    cli._verified_code.cache_clear()
+    return calls
+
+
+def test_cli_verifies_one_document_once_per_process(tmp_path, monkeypatch, capsys):
+    calls = _counted_documents(monkeypatch)
+    code_path = tmp_path / "code.json"
+    code_path.write_text(json.dumps(code_to_document(construct(2))))
+    src = make_file(tmp_path, 900, seed=25)
+    sh, out = tmp_path / "sh", tmp_path / "out.bin"
+    assert main(["encode", str(src), "--code", str(code_path), "--block-size", "32",
+                 "--out-dir", str(sh)]) == 0
+    os.remove(sh / shards.shard_name(1))
+    assert main(["repair", str(sh), "--code", str(code_path)]) == 0
+    assert main(["decode", str(sh), "--out", str(out), "--code", str(code_path)]) == 0
+    assert main(["analyze", "--code", str(code_path), "--k", "2", "--json"]) == 0
+    assert out.read_bytes() == src.read_bytes()
+    assert calls == [2]
+
+
+def _not_mds_document(k: int) -> dict:
+    doc = code_to_document(construct(k))
+    doc["b_matrices"][1] = doc["b_matrices"][0]  # B1 + B2 = 0: disks 1 and 2 together are lost
+    return doc
+
+
+def test_cli_document_rewritten_as_not_mds_is_verified_again(tmp_path, monkeypatch, capsys):
+    calls = _counted_documents(monkeypatch)
+    code_path = tmp_path / "code.json"
+    code_path.write_text(json.dumps(code_to_document(construct(2))))
+    src = make_file(tmp_path, 900, seed=26)
+    sh = tmp_path / "sh"
+    assert main(["encode", str(src), "--code", str(code_path), "--block-size", "32",
+                 "--out-dir", str(sh)]) == 0
+    code_path.write_text(json.dumps(_not_mds_document(2)))
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(["decode", str(sh), "--out", str(tmp_path / "out.bin"), "--code", str(code_path)]) == 1
+    assert main(["encode", str(src), "--code", str(code_path), "--out-dir", str(tmp_path / "sh2")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["usage error: document describes a code without the MDS property"] * 2
+    assert sorted(tmp_path.rglob("*")) == before
+    assert calls == [2, 2, 2]
+
+
+def test_cli_rejected_document_is_rejected_on_every_call(tmp_path, monkeypatch, capsys):
+    calls = _counted_documents(monkeypatch)
+    code_path = tmp_path / "code.json"
+    code_path.write_text(json.dumps(_not_mds_document(3)))
+    for _ in range(3):
+        assert main(["analyze", "--code", str(code_path)]) == 1
+        assert capsys.readouterr().err == "usage error: document describes a code without the MDS property\n"
+    assert calls == [3, 3, 3]
+    assert cli._verified_code.cache_info().currsize == 0
+
+
+def test_cli_alternating_documents_each_use_their_own_code(tmp_path, monkeypatch, capsys):
+    calls = _counted_documents(monkeypatch)
+    docs = {"built_in": code_to_document(construct(3)), "swapped": swapped_document(3)}
+    src = make_file(tmp_path, 3 * 8 * 16 * 3 + 5, seed=27)
+    expected = {}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        ref = tmp_path / f"ref_{name}"
+        shards.encode_file(src, ref, k=3, block_size=16, code=code_from_document(doc))
+        expected[name] = {d: (ref / shards.shard_name(d)).read_bytes() for d in range(1, 6)}
+    assert expected["built_in"][5] != expected["swapped"][5]
+    for round_ in range(2):
+        for name in docs:
+            sh = tmp_path / f"{name}_{round_}"
+            code_arg = ["--code", str(tmp_path / f"{name}.json")]
+            assert main(["encode", str(src), *code_arg, "--block-size", "16", "--out-dir", str(sh)]) == 0
+            assert {d: (sh / shards.shard_name(d)).read_bytes() for d in range(1, 6)} == expected[name]
+        for name in docs:
+            sh, out = tmp_path / f"{name}_{round_}", tmp_path / f"{name}_{round_}.bin"
+            code_arg = ["--code", str(tmp_path / f"{name}.json")]
+            for victim in (5, 1):
+                os.remove(sh / shards.shard_name(victim))
+                assert main(["repair", str(sh), *code_arg]) == 0
+                assert (sh / shards.shard_name(victim)).read_bytes() == expected[name][victim]
+            os.remove(sh / shards.shard_name(1))
+            os.remove(sh / shards.shard_name(2))
+            assert main(["decode", str(sh), "--out", str(out), *code_arg]) == 0
+            assert out.read_bytes() == src.read_bytes()
+    assert calls == [3, 3]
+
+
+@pytest.mark.parametrize("command", ["encode", "analyze"])
+def test_cli_k_that_conflicts_with_the_code_document_is_a_usage_error(tmp_path, capsys, command):
+    code_path = tmp_path / "k3.json"
+    code_path.write_text(json.dumps(code_to_document(construct(3))))
+    src = make_file(tmp_path, 500, seed=28)
+    sh = tmp_path / "sh"
+    argv = {"encode": ["encode", str(src), "--out-dir", str(sh)], "analyze": ["analyze"]}[command]
+    assert main([*argv, "--k", "4", "--code", str(code_path)]) == 1
+    assert capsys.readouterr().err == f"usage error: --k 4 conflicts with --code {code_path}, whose k is 3\n"
+    assert not sh.exists()
+    assert main([*argv, "--k", "3", "--code", str(code_path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["xor_count" if command == "encode" else "k"] > 0
 
 
 def test_cli_round_trip_with_search_found_code(tmp_path, capsys):
