@@ -193,15 +193,9 @@ def extend(code: MdrCode) -> MdrCode:
 
 
 @lru_cache(maxsize=None)
-def _construct(k: int) -> MdrCode:
-    code = initial_code()
-    for _ in range(k - 1):
-        code = extend(code)
-    return code
-
-
 def construct(k: int) -> MdrCode:
-    """Build the canonical (k, 2^k) MDR code by repeated extension.
+    """Build the canonical (k, 2^k) MDR code by repeated extension, once
+    per k and process (an out-of-range k raises and is not cached).
 
     Each extension level re-verifies the output, so cost grows roughly
     3x per level: on a 2-core Xeon VM with Python 3.11, k=6 takes about
@@ -209,14 +203,17 @@ def construct(k: int) -> MdrCode:
     """
     if not 1 <= k <= DEFAULT_MAX_K:
         raise ValueError(f"k must be in [1, {DEFAULT_MAX_K}], got {k}")
-    return _construct(k)
+    code = initial_code()
+    for _ in range(k - 1):
+        code = extend(code)
+    return code
 
 
 def is_recursive_mdr(code: MdrCode) -> bool:
     """True iff the code equals the canonical recursion output for its k."""
     if code.k > DEFAULT_MAX_K or code.r != 1 << code.k:
         return False
-    return code == _construct(code.k)
+    return code == construct(code.k)
 
 
 # -- code-description documents ------------------------------------------

@@ -15,9 +15,10 @@ paths coexist on purpose:
   the data of up to two lost disks, and ``repair_plan`` picks the schedule
   that rebuilds one disk from the minimum read set (the minimum (k-1)
   average XORs per lost block for recursion-built codes).  Q is always
-  rebuilt by the part of the encode schedule that Q needs, and one Q
-  recursion, ``_q_sources``, serves both hand-derived builders: encode
-  and basic-disk repair.
+  rebuilt by the part of the encode schedule that Q needs.  One builder,
+  ``_hand_schedule``, derives both minimum-XOR schedules, encode and
+  basic-disk repair, from the closed form of the code's doubling
+  recursion.
 
 Schedules that are not hand-derived are compiled by GF(2) elimination,
 which gives each target block as a flat XOR of input blocks, and then by
@@ -152,71 +153,82 @@ def _slot_program(schedule: XorSchedule) -> tuple:
 # -- XOR schedules ----------------------------------------------------------
 
 
-def _q_sources(t: int, base: int, prefix_ref, failed: int = 0) -> dict[int, list[Buffer]]:
-    """Source lists computing the Q column of the level-t sub-code on rows
-    base+1 .. base+2^t.
+def _hand_schedule(code: MdrCode, failed: int) -> XorSchedule:
+    """The minimum-XOR schedule of a recursion-built code that encodes
+    (failed = 0) or rebuilds basic disk failed (1 .. k+1).
 
-    The doubling structure of the code family makes both halves of the Q
-    column equal to the Q column of the half-size code plus one extra
-    block: the upper half adds the last data disk's lower row, the lower
-    half adds prefix_ref(t, row), the running row-parity prefix.  Unfolding
-    gives one copy source plus t-1 XOR sources per Q row.
+    Row-parity rows (every row when encoding, the strategy's basic_rows
+    when repairing) XOR the other basic disks into disk at, which is
+    failed, or P when encoding, in two runs that meet there: one from
+    disk 1 gives the row-parity prefixes over data disks 1..t for t < at,
+    one from P down over basic disks k+1..t+1 gives those for t >= at.  A
+    run that meets no other ends in the output block itself.
 
-    With failed a basic disk, the lists are those a repair of it adds to
-    the Q rows it reads: where failed is t or t+1, only the half whose extra
-    block is that disk's is kept, without it, and the plain recursion runs.
+    Unfolding the code's doubling recursion makes Q row j the XOR of one
+    block per level t = 1..k, with h = 2^(t-1): data disk t at row j+h if
+    bit t-1 of j-1 is 0, else the prefix over data disks 1..t at row j-h.
+    A repair reads the Q rows that skip level min(failed, k), the
+    strategy's q_rows, XORs in Q's block and writes each sum to the
+    complement row paired with it in order.  That is k-1 XORs per encoded
+    block and k-1 on average per rebuilt block.
     """
-    if t == 0:
-        return {base + 1: []}
-    half = 1 << (t - 1)
-    if failed in (t, t + 1):
-        return _q_sources(t - 1, base if failed == t else base + half, prefix_ref)
-    upper = _q_sources(t - 1, base, prefix_ref, failed)
-    lower = _q_sources(t - 1, base + half, prefix_ref, failed)
-    out: dict[int, list[Buffer]] = {}
-    for row, srcs in upper.items():
-        out[row] = srcs + [("in", t, row + half)]
-    for row, srcs in lower.items():
-        out[row] = srcs + [prefix_ref(t, row - half)]
-    return out
+    k, r = code.k, code.r
+    at = failed or k + 1
+    if failed:
+        strat = code.strategies[failed - 1]
+        p_rows, q_rows, out_rows = strat.basic_rows, strat.q_rows, strat.basic_rows.complement()
+    else:
+        p_rows = q_rows = out_rows = range(1, r + 1)
+
+    def left(t: int, row: int) -> Buffer:  # XOR of disks 1..t, t < at
+        if t == 1:
+            return ("in", 1, row)
+        return ("out", at, row) if t == k else ("tmp", "l", t, row)
+
+    def right(s: int, row: int) -> Buffer:  # XOR of basic disks s..k+1, s > at
+        if s == k + 1:
+            return ("in", k + 1, row)
+        return ("out", at, row) if s == 2 else ("tmp", "r", s, row)
+
+    def prefix(t: int, row: int) -> Buffer:  # XOR of data disks 1..t
+        return left(t, row) if t < at else right(t + 1, row)
+
+    ops: list[XorOp] = []
+    for row in p_rows:
+        for t in range(2, at):
+            ops.append(XorOp(left(t, row), (left(t - 1, row), ("in", t, row))))
+        for s in range(k, at, -1):
+            ops.append(XorOp(right(s, row), (right(s + 1, row), ("in", s, row))))
+        if 1 < at <= k:
+            ops.append(XorOp(("out", at, row), (left(at - 1, row), right(at + 1, row))))
+        elif k == 1:  # each run is one input block: copy it
+            ops.append(XorOp(("out", at, row), (("in", 3 - at, row),)))
+    skip = min(failed, k)
+    for q_row, out_row in zip(q_rows, out_rows):
+        srcs: list[Buffer] = [("in", k + 2, q_row)] if failed else []
+        for t in range(1, k + 1):
+            h = 1 << (t - 1)
+            if t != skip:
+                srcs.append(prefix(t, q_row - h) if (q_row - 1) & h else ("in", t, q_row + h))
+        ops.append(XorOp(("out", failed or k + 2, out_row), tuple(srcs)))
+    return XorSchedule(k, r, tuple(ops))
 
 
 @lru_cache(maxsize=256)
 def build_encode_schedule(code: MdrCode) -> XorSchedule:
     """Encode schedule for any code.
 
-    Recursion-built codes get the minimum-XOR schedule: P by left-to-right
-    prefix sums whose intermediates are retained and reused by the Q
-    recursion, for a total of 2(k-1) XORs per stripe row.  Any other code
-    gets each P and Q block as the XOR of the data blocks it covers.
+    Recursion-built codes get the minimum-XOR ``_hand_schedule``, 2(k-1)
+    XORs per stripe row.  Any other code gets each P and Q block as the
+    XOR of the data blocks it covers.
     """
+    if is_recursive_mdr(code):
+        return _hand_schedule(code, 0)
     k, r = code.k, code.r
     rows = range(1, r + 1)
-    if not is_recursive_mdr(code):
-        data = [("in", d, j) for d in range(1, k + 1) for j in rows]
-        targets = [(d, j) for d in (k + 1, k + 2) for j in rows]
-        return XorSchedule(k, r, _compile_ops(code, data, targets))
-
-    def prefix_ref(t: int, row: int) -> Buffer:
-        if t == 1:
-            return ("in", 1, row)
-        if t == k:
-            return ("out", k + 1, row)
-        return ("tmp", "pfx", t, row)
-
-    ops: list[XorOp] = []
-    for row in rows:
-        if k == 1:
-            ops.append(XorOp(("out", 2, row), (("in", 1, row),)))
-        else:
-            for t in range(2, k + 1):
-                ops.append(
-                    XorOp(prefix_ref(t, row), (prefix_ref(t - 1, row), ("in", t, row)))
-                )
-    qmap = _q_sources(k, 0, prefix_ref)
-    for row in rows:
-        ops.append(XorOp(("out", k + 2, row), tuple(qmap[row])))
-    return XorSchedule(k, r, tuple(ops))
+    data = [("in", d, j) for d in range(1, k + 1) for j in rows]
+    targets = [(d, j) for d in (k + 1, k + 2) for j in rows]
+    return XorSchedule(k, r, _compile_ops(code, data, targets))
 
 
 def execute_schedule(
@@ -510,56 +522,13 @@ def execute_repair(
 
 
 def build_repair_schedule(code: MdrCode, failed: int) -> XorSchedule:
-    """Minimum-XOR rebuild schedule for one basic disk.
-
-    Row-parity rows accumulate the survivors in two runs meeting at the
-    failed disk; the run intermediates are exactly the row-parity
-    prefixes the solve recursion needs, so the complement rows each cost
-    one XOR per recursion level plus the Q block.  Total: (k-1) XORs per
-    rebuilt block on average.
-    """
-    k, r = code.k, code.r
+    """Minimum-XOR rebuild schedule for one basic disk of a recursion-built
+    code, ``_hand_schedule``: (k-1) XORs per rebuilt block on average."""
     if not is_recursive_mdr(code):
         raise ValueError("repair schedules exist only for recursion-built codes")
-    if not 1 <= failed <= k + 1:
+    if not 1 <= failed <= code.k + 1:
         raise ValueError("repair schedules cover basic disks only")
-    strat = code.strategies[failed - 1]
-    c_rows = list(strat.basic_rows)
-    q_sorted = list(strat.q_rows)
-    comp_sorted = list(strat.basic_rows.complement())
-
-    def u_ref(s: int, row: int) -> Buffer:
-        # running XOR of data disks 1..s at this row
-        return ("in", 1, row) if s == 1 else ("tmp", "u", s, row)
-
-    def w_ref(s: int, row: int) -> Buffer:
-        # running XOR of basic disks s..k+1 at this row; equals the
-        # row-parity prefix over disks 1..s-1 once the row is complete
-        return ("in", k + 1, row) if s == k + 1 else ("tmp", "w", s, row)
-
-    ops: list[XorOp] = []
-    for c in c_rows:
-        for s in range(2, failed):
-            ops.append(XorOp(u_ref(s, c), (u_ref(s - 1, c), ("in", s, c))))
-        for s in range(k, failed, -1):
-            ops.append(XorOp(w_ref(s, c), (w_ref(s + 1, c), ("in", s, c))))
-        srcs: list[Buffer] = []
-        if failed > 1:
-            srcs.append(u_ref(failed - 1, c))
-        if failed < k + 1:
-            srcs.append(w_ref(failed + 1, c))
-        ops.append(XorOp(("out", failed, c), tuple(srcs)))
-
-    def prefix_ref(t: int, row: int) -> Buffer:
-        return u_ref(t, row) if t < failed else w_ref(t + 1, row)
-
-    smap = _q_sources(k, 0, prefix_ref, failed)
-    for a, comp_row in enumerate(comp_sorted):
-        q_row = q_sorted[a]
-        ops.append(
-            XorOp(("out", failed, comp_row), (("in", k + 2, q_row), *smap[q_row]))
-        )
-    return XorSchedule(k, r, tuple(ops))
+    return _hand_schedule(code, failed)
 
 
 # -- symbolic schedule verification -----------------------------------------

@@ -464,10 +464,13 @@ def repair_shard(
                 f"shard {missing_index} is present; the missing shard is {missing[0]}"
             )
         failed = missing[0]
+        out_path = directory / shard_name(failed)
+        for disk, (fh, _) in headers.items():
+            if fh.name == str(out_path):  # the rebuilt shard would replace a survivor
+                raise IntegrityError(f"shard {out_path} holds disk {disk}, not the missing disk {failed}")
         schedule = repair_plan(code, failed)
         stripe_count = any_header.stripe_count
         header = ShardHeader(k, r, failed, bs, stripe_count, any_header.payload_length)
-        out_path = directory / shard_name(failed)
         n = _batch_stripes(stripe_count, k * r * bs)
         sources = {d: (headers[d][0], headers[d][1].lane_io(js, n), [(d, j) for j in js])
                    for d, js in schedule.rows_by_disk.items()}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdr6.code
 from mdr6.cli import main
 from mdr6.code import (
     MdrCode,
@@ -100,10 +101,12 @@ def test_construct_strategy_halves():
 
 def test_construct_range():
     assert construct(1) == initial_code()
+    cached = construct.cache_info().currsize
     with pytest.raises(ValueError):
         construct(0)
     with pytest.raises(ValueError):
         construct(13)
+    assert construct.cache_info().currsize == cached  # a rejected k is not cached
 
 
 def test_verify_mds_rejects_degenerate():
@@ -175,6 +178,20 @@ def test_is_recursive_mdr():
     assert is_recursive_mdr(construct(3))
     other = MdrCode(1, 2, initial_code().b_matrices[::-1], None)
     assert not is_recursive_mdr(other)
+
+
+def test_is_recursive_mdr_builds_through_construct(monkeypatch):
+    # the canonical build it compares with is the one construct caches, under
+    # the module name that every caller of construct goes through
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return construct(k)
+
+    monkeypatch.setattr(mdr6.code, "construct", counted)
+    assert is_recursive_mdr(construct(4))
+    assert calls == [4]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

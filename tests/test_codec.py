@@ -107,12 +107,14 @@ def test_parity_check_annihilates_codewords(code):
         assert acc == 0
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 9))
 def test_encode_schedule_counts_and_soundness(k):
     code = construct(k)
     sched = build_encode_schedule(code)
     assert sched.xor_count == 2 * (k - 1) * code.r
     assert verify_schedule(code, sched)
+    if k >= 2:  # every P block ends a prefix run; no op copies a block
+        assert all(len(op.sources) > 1 for op in sched.ops)
 
 
 def test_encode_schedule_k1_q_is_copies():
@@ -468,13 +470,27 @@ def test_execute_schedule_matches_a_dict_evaluator(schedule, stripes, block_size
 # -- repair schedules -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 9))
 def test_repair_schedule_counts_and_soundness(k):
     code = construct(k)
+    r = code.r
     for failed in range(1, k + 2):
         sched = build_repair_schedule(code, failed)
-        assert sched.xor_count == (k - 1) * code.r
+        assert sched.xor_count == (k - 1) * r
         assert verify_schedule(code, sched)
+        survivors = [d for d in range(1, k + 3) if d != failed]
+        assert {d: len(rows) for d, rows in sched.rows_by_disk.items()} == dict.fromkeys(survivors, r // 2)
+        if k >= 2:  # a run that meets no other ends in the rebuilt block itself
+            assert all(len(op.sources) > 1 for op in sched.ops), failed
+
+
+@pytest.mark.parametrize("k, xors", enumerate([0, 6, 26, 82, 226, 578, 1410, 3330], start=1))
+def test_q_repair_schedule_counts_and_soundness(k, xors):
+    code = construct(k)
+    sched = repair_plan(code, k + 2)
+    assert sched.xor_count == xors
+    assert verify_schedule(code, sched)
+    assert sched.reads == {(d, j) for d in range(1, k + 1) for j in range(1, code.r + 1)}
 
 
 @pytest.mark.parametrize("k", range(2, 6))

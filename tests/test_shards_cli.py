@@ -503,6 +503,23 @@ def test_repair_wrong_missing_index(tmp_path, capsys):
     assert sorted(p.name for p in sh.iterdir()) == [shards.shard_name(1), shards.shard_name(3)]
 
 
+def test_cli_repair_refuses_to_replace_a_survivor_under_the_missing_name(tmp_path, capsys):
+    # disk 2's only copy sits under Q's name; rebuilding Q there would destroy it
+    src = make_file(tmp_path, 3000, seed=15)
+    sh = tmp_path / "sh"
+    shards.encode_file(src, sh, k=3, block_size=BS)
+    os.remove(sh / shards.shard_name(5))
+    os.rename(sh / shards.shard_name(2), sh / shards.shard_name(5))
+    before = {p.name: p.read_bytes() for p in sh.iterdir()}
+    for args in ([], ["--missing", "5"]):
+        assert main(["repair", str(sh), *args]) == 2
+        assert capsys.readouterr().err == (
+            f"integrity error: shard {sh / shards.shard_name(5)} holds disk 2, not the missing disk 5\n"
+        )
+        assert {p.name: p.read_bytes() for p in sh.iterdir()} == before
+    assert sorted(tmp_path.iterdir()) == [src, sh]
+
+
 def test_sibling_header_mismatch(tmp_path):
     src = make_file(tmp_path, 1000, seed=13)
     sh = tmp_path / "sh"
