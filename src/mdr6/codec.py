@@ -14,7 +14,8 @@ paths coexist on purpose:
   stripe row for recursion-built codes), ``build_decode_schedule`` rebuilds
   the data of up to two lost disks, and ``repair_plan`` picks the schedule
   that rebuilds one disk from the minimum read set (the minimum (k-1)
-  average XORs per lost block for recursion-built codes).  Q is always
+  average XORs per lost block for recursion-built codes; row parity for
+  a basic disk of a code without repair strategies).  Q is always
   rebuilt by the part of the encode schedule that Q needs.  One builder,
   ``_hand_schedule``, derives both minimum-XOR schedules, encode and
   basic-disk repair, from the closed form of the code's doubling
@@ -474,7 +475,8 @@ def repair_plan(code: MdrCode, failed: int) -> XorSchedule:
     that Q needs, from the data blocks.  A basic disk of a recursion-built
     code gets the minimum-XOR ``build_repair_schedule``, and one of any
     other code a schedule compiled from the blocks its repair strategy
-    reads.
+    reads; with no strategies, from every row of the other basic disks
+    and of Q, Q listed last, which is the row-parity rebuild.
     """
     k, r = code.k, code.r
     if not 1 <= failed <= k + 2:
@@ -483,14 +485,13 @@ def repair_plan(code: MdrCode, failed: int) -> XorSchedule:
         return _q_repair_schedule(code)
     if is_recursive_mdr(code):
         return build_repair_schedule(code, failed)
-    if code.strategies is None:
-        raise ValueError("basic-disk repair needs strategies")
-    strat = code.strategies[failed - 1]
-    candidates: list[Buffer] = [
-        ("in", d, j) for d in range(1, k + 2) if d != failed for j in strat.basic_rows
-    ]
-    candidates += [("in", k + 2, j) for j in strat.q_rows]
-    targets = [(failed, j) for j in range(1, r + 1)]
+    rows = basic_rows = q_rows = range(1, r + 1)  # with no strategies, every row: the row-parity rebuild
+    if code.strategies is not None:
+        strat = code.strategies[failed - 1]
+        basic_rows, q_rows = strat.basic_rows, strat.q_rows
+    candidates: list[Buffer] = [("in", d, j) for d in range(1, k + 2) if d != failed for j in basic_rows]
+    candidates += [("in", k + 2, j) for j in q_rows]
+    targets = [(failed, j) for j in rows]
     return XorSchedule(k, r, _compile_ops(code, candidates, targets))
 
 

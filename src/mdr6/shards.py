@@ -1,6 +1,9 @@
-"""Shard files: one file per disk column, a fixed little-endian header
-followed by r * stripe_count blocks, so a file of stripes of r blocks;
-the payload is one of k * r blocks, data disk d's strip the d-th r.
+"""Shard files: one file per disk column, named ``shard_name(disk)``, a
+fixed little-endian header followed by r * stripe_count blocks, so a file
+of stripes of r blocks; the payload is one of k * r blocks, data disk d's
+strip the d-th r.  A shard set is the ``*.mdr`` files of one directory,
+each named for the disk its header gives: a file under any other name is
+an integrity error, so no shard is ever taken for another disk's.
 ``block_index`` places each block of such a file, and ``_LaneIO`` moves
 chosen blocks between one and lanes, a lane being the same block of
 every stripe in a batch of about BATCH_BYTES of stripe data.  Each run of
@@ -10,7 +13,8 @@ plus every block it outputs or checks.  Every shard or output file is
 written beside its place and renamed into it only once the whole run has
 succeeded.
 
-Encode, decode and repair run one batch loop, ``_run_batches``: each batch
+Encode, decode and repair run one batch loop, ``_run_batches``, and decode
+and repair set it up in one place, ``_run_from_shards``: each batch
 reads the lanes of its source files, runs ``execute_schedule`` on them,
 checks the blocks decode re-encodes and writes the lanes of its sink files.
 A run of several batches is split into contiguous ranges of batches, one
@@ -32,7 +36,7 @@ from contextlib import ExitStack, contextmanager
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Collection, Iterator, Sequence
+from typing import BinaryIO, Callable, Collection, Iterator, Mapping, Sequence
 
 from ._record import record
 from .code import DEFAULT_MAX_K, MdrCode, construct
@@ -117,9 +121,9 @@ class ShardHeader:
     def file_size(self) -> int:
         return HEADER_SIZE + block_index(self.stripe_count, 1, self.r) * self.block_size
 
-    def lane_io(self, rows: tuple[int, ...] | range, n: int) -> _LaneIO:
+    def lane_io(self, rows: tuple[int, ...] | range) -> _LaneIO:
         """The given rows of shards with this header: files of r blocks per stripe after it."""
-        return _LaneIO(HEADER_SIZE, self.r, self.block_size, rows, n, self.file_size())
+        return _LaneIO(HEADER_SIZE, self.r, self.block_size, rows, self.file_size())
 
 
 def shard_name(disk_index: int) -> str:
@@ -128,43 +132,44 @@ def shard_name(disk_index: int) -> str:
 
 def _open_shard_set(
     stack: ExitStack, directory: Path, code: MdrCode | None
-) -> tuple[dict[int, tuple[BinaryIO, ShardHeader]], ShardHeader, MdrCode, tuple[int, ...]]:
-    """The shards in a directory by disk, each as the open file its header
-    was read from (the stack closes it), one of their headers (they agree
-    on every field but the disk index), the code they need (the given
-    one, or the built-in construction) and the missing disks.  Each file
-    must be exactly as long as its header says.  Lanes are read through
-    the same files, so every byte used comes from a shard whose header
-    and size were checked, and each shard is opened once."""
-    headers: dict[int, tuple[BinaryIO, ShardHeader]] = {}
+) -> tuple[dict[int, BinaryIO], ShardHeader, MdrCode, tuple[int, ...]]:
+    """The shards in a directory as open files by disk (the stack closes
+    them), their one header (they agree on every field but the disk index),
+    the code they need (the given one, or the built-in construction) and the
+    missing disks.  A ``*.mdr`` file is the shard of the disk it is named
+    for: its header must give that disk, and its length must be exactly the
+    one its header says.  Lanes are read through the same files, so every
+    byte used comes from a shard whose header, name and size were checked,
+    and each shard is opened once."""
+    files: dict[int, BinaryIO] = {}
+    header = None
     for path in sorted(directory.glob(f"*{SHARD_SUFFIX}")):
         fh = stack.enter_context(path.open("rb", buffering=0))
-        header = ShardHeader.unpack(fh.read(HEADER_SIZE))
+        own = ShardHeader.unpack(fh.read(HEADER_SIZE))
+        name = shard_name(own.disk_index)
+        if path.name != name:
+            raise IntegrityError(f"shard {path} holds disk {own.disk_index}, so it must be named {name}")
         size = os.fstat(fh.fileno()).st_size
-        expected = header.file_size()
+        expected = own.file_size()
         if size != expected:
             state = "truncated" if size < expected else "longer than its header says"
             raise IntegrityError(f"shard {path} is {state}: {size} bytes, not {expected}")
-        if header.disk_index in headers:
-            raise IntegrityError(f"duplicate shard for disk {header.disk_index}")
-        headers[header.disk_index] = (fh, header)
-    if not headers:
+        if header is None:
+            header = own
+        elif own.siblings_key() != header.siblings_key():
+            raise IntegrityError("shard headers disagree on code parameters")
+        files[own.disk_index] = fh
+    if header is None:
         raise IntegrityError(f"no shard files found in {directory}")
-    keys = {h.siblings_key() for _, h in headers.values()}
-    if len(keys) > 1:
-        raise IntegrityError("shard headers disagree on code parameters")
-    any_header = next(iter(headers.values()))[1]
-    k, r = any_header.k, any_header.r
+    k, r = header.k, header.r
     if code is None:
         if not 1 <= k <= DEFAULT_MAX_K:  # construct would call it a bad argument
             raise IntegrityError(f"shard headers give k={k}, outside the built-in codes' [1, {DEFAULT_MAX_K}]")
         code = construct(k)
     if (code.k, code.r) != (k, r):
-        raise IntegrityError(
-            f"code is ({code.k},{code.r}) but shards need ({k},{r})"
-        )
-    missing = tuple(d for d in range(1, k + 3) if d not in headers)
-    return headers, any_header, code, missing
+        raise IntegrityError(f"code is ({code.k},{code.r}) but shards need ({k},{r})")
+    missing = tuple(d for d in range(1, k + 3) if d not in files)
+    return files, header, code, missing
 
 
 def _batch_stripes(stripe_count: int, stripe_data_bytes: int) -> int:
@@ -204,30 +209,29 @@ def _shape(per_stripe: int, slots: tuple[int, ...] | range, m: int, size: int) -
 
 
 class _LaneIO:
-    """Chosen slots of files of stripes, moved batch by batch between a file and lanes
-    of up to n stripes.  Such a file holds per_stripe blocks of block_size bytes per
-    stripe after base bytes and ends at byte end: past it a read gives zeros and a
-    write is cut off.  Lane i holds slot slots[i] of each stripe of a batch, and a
-    batch's lanes lie end to end in one buffer that every transfer reuses."""
+    """Chosen slots of files of stripes, moved batch by batch between a file and lanes.
+    Such a file holds per_stripe blocks of block_size bytes per stripe after base bytes
+    and ends at byte end: past it a read gives zeros and a write is cut off.  Lane i
+    holds slot slots[i] of each stripe of a batch.  A read puts a batch's lanes end to
+    end in one buffer, made by the process at its first read and sized for that batch:
+    a process reads its batches in order, and only a run's last batch is short.  A
+    write joins the lanes it is given once and writes views of that copy."""
 
-    def __init__(self, base: int, per_stripe: int, block_size: int,
-                 slots: tuple[int, ...] | range, n: int, end: int):
+    def __init__(self, base: int, per_stripe: int, block_size: int, slots: tuple[int, ...] | range, end: int):
         self.base, self.per_stripe, self.block_size, self.slots, self.end = base, per_stripe, block_size, slots, end
-        self.buf = memoryview(bytearray(len(slots) * n * block_size))
-        self._batches: dict[int, tuple[Callable, list]] = {}
+        self.buf: memoryview | None = None
+        self._reads: dict[int, tuple[tuple, list]] = {}
         self.bytes_read = 0
 
-    def _transfers(self, m: int) -> tuple[Callable, list[tuple[int, tuple, int]]]:
-        """The lane cutter and (file offset, iovecs, byte count) transfers of m stripes."""
-        if m not in self._batches:
+    def read(self, fh: BinaryIO, first: int, m: int) -> tuple:
+        """Read stripes first .. first+m-1 of fh into their lanes, returned valid until the next read."""
+        if m not in self._reads:
+            if self.buf is None:
+                self.buf = memoryview(bytearray(len(self.slots) * m * self.block_size))
             lanes, iovecs, moves = _shape(self.per_stripe, self.slots, m, self.block_size)
             views = iovecs(self.buf)
-            self._batches[m] = lanes, [(at, views[lo : lo + count], nbytes) for at, lo, count, nbytes in moves]
-        return self._batches[m]
-
-    def read(self, fh: BinaryIO, first: int, m: int) -> tuple:
-        """Read stripes first .. first+m-1 of fh into their lanes, returned valid until the next transfer."""
-        lanes, moves = self._transfers(m)
+            self._reads[m] = lanes(self.buf), [(at, views[lo : lo + count], nbytes) for at, lo, count, nbytes in moves]
+        lanes, moves = self._reads[m]
         fd, preadv, total = fh.fileno(), os.preadv, 0
         start = self.base + block_index(first, 1, self.per_stripe) * self.block_size
         end = self.end - start
@@ -240,17 +244,19 @@ class _LaneIO:
             if (got != nbytes or at + nbytes > end) and got != max(0, min(nbytes, end - at)):
                 raise IntegrityError(f"{fh.name} was truncated or grew: read to byte {start + at + got}")
         self.bytes_read += total
-        return lanes(self.buf)
+        return lanes
 
     def write(self, fh: BinaryIO, first: int, m: int, lanes: Sequence[bytes]) -> None:
         """Write stripes first .. first+m-1 of fh, up to its end, from their lanes in slot order."""
-        self.buf[: len(lanes) * m * self.block_size] = b"".join(lanes)
+        _, iovecs, moves = _shape(self.per_stripe, self.slots, m, self.block_size)
+        views = iovecs(memoryview(b"".join(lanes)))
         fd, start = fh.fileno(), self.base + block_index(first, 1, self.per_stripe) * self.block_size
-        for at, iovecs, nbytes in self._transfers(m)[1]:
+        for at, lo, count, nbytes in moves:
+            chunk = views[lo : lo + count]
             if start + at + nbytes > self.end:
-                iovecs = [b"".join(iovecs)[: max(0, self.end - start - at)]]
-                nbytes = len(iovecs[0])
-            if os.pwritev(fd, iovecs, start + at) != nbytes:
+                chunk = [b"".join(chunk)[: max(0, self.end - start - at)]]
+                nbytes = len(chunk[0])
+            if os.pwritev(fd, chunk, start + at) != nbytes:
                 raise OSError(f"short write to {fh.name} at byte {start + at}")
 
 
@@ -349,19 +355,22 @@ def encode_file(
     stripe_bytes = k * r * block_size
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = [out / shard_name(d) for d in range(1, k + 3)]
+    for path in sorted(out.glob(f"*{SHARD_SUFFIX}")):  # any other shard left beside the new set stops it decoding
+        if path not in paths:
+            raise ValueError(f"{out} holds {path.name}, which is no shard of a k={k} set; remove it or encode elsewhere")
+    out.mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
         src = stack.enter_context(Path(input_path).open("rb", buffering=0))
         payload_length = os.fstat(src.fileno()).st_size
         stripe_count = (payload_length + stripe_bytes - 1) // stripe_bytes
         n = _batch_stripes(stripe_count, stripe_bytes)
-        payload = _LaneIO(0, k * r, block_size, range(1, k * r + 1), n, payload_length)
+        payload = _LaneIO(0, k * r, block_size, range(1, k * r + 1), payload_length)
         handles = [stack.enter_context(_replace_on_success(p)) for p in paths]
         for d, fh in enumerate(handles, start=1):
             header = ShardHeader(k, r, d, block_size, stripe_count, payload_length)
             fh.write(header.pack())
-        shard = header.lane_io(range(1, r + 1), n)  # every shard has the same layout
+        shard = header.lane_io(range(1, r + 1))  # every shard has the same layout
         sinks = [(fh, shard, [(d, j) for j in range(1, r + 1)]) for d, fh in enumerate(handles, start=1)]
         source = (src, payload, _payload_blocks(k, r))
         xor_total = _run_batches(schedule, [source], sinks, (), stripe_count, n, block_size)
@@ -378,10 +387,18 @@ class DecodeReport:
     xor_count: int
 
 
-def _read_counts(headers: dict, sources: dict[int, tuple], block_size: int) -> tuple[dict, dict]:
-    """Blocks and bytes read from every surviving shard, as the reads returned them."""
-    nbytes = {d: sources[d][1].bytes_read if d in sources else 0 for d in headers}
-    return {d: n // block_size for d, n in nbytes.items()}, nbytes
+def _run_from_shards(files: dict[int, BinaryIO], header: ShardHeader, rows: Mapping[int, Sequence[int]],
+                     schedule: XorSchedule, sink: tuple, checked: Collection[tuple[int, int]] = ()) -> tuple:
+    """Run schedule on every batch of the stripes of the shard set in files, reading
+    rows[d] of each disk d in rows and writing the sink, a (file, ``_LaneIO``, blocks)
+    triple as ``_run_batches`` takes.  Returns the blocks and the bytes read from each
+    shard in files, as the reads returned them, and the XORs executed."""
+    bs, stripe_count = header.block_size, header.stripe_count
+    n = _batch_stripes(stripe_count, header.k * header.r * bs)
+    sources = {d: (files[d], header.lane_io(js), [(d, j) for j in js]) for d, js in rows.items()}
+    xor_total = _run_batches(schedule, sources.values(), [sink], checked, stripe_count, n, bs)
+    nbytes = {d: sources[d][1].bytes_read if d in sources else 0 for d in files}
+    return {d: b // bs for d, b in nbytes.items()}, nbytes, xor_total
 
 
 def decode_file(
@@ -397,36 +414,27 @@ def decode_file(
     been decoded.
     """
     with ExitStack() as stack:
-        headers, any_header, code, missing = _open_shard_set(stack, Path(shard_dir), code)
-        k, r, bs = any_header.k, any_header.r, any_header.block_size
+        files, header, code, missing = _open_shard_set(stack, Path(shard_dir), code)
+        k, r = header.k, header.r
         if len(missing) > 2:
-            raise TooManyErasuresError(
-                f"{len(missing)} shards missing; RAID-6 tolerates at most 2"
-            )
+            raise TooManyErasuresError(f"{len(missing)} shards missing; RAID-6 tolerates at most 2")
         # with no data shard missing, nothing is rebuilt, so re-encoding checks
         # every surviving parity instead
         checked = ()
         if all(d > k for d in missing):
-            checked = tuple(d for d in (k + 1, k + 2) if d in headers)
+            checked = tuple(d for d in (k + 1, k + 2) if d in files)
         schedule = build_encode_schedule(code) if checked else build_decode_schedule(code, missing)
         rows = range(1, r + 1)
         # every block of a surviving data disk is output; of P and Q, read only
         # what the schedule uses, or all of each checked one
-        wanted = {d: rows for d in headers if d <= k or d in checked}
+        wanted = {d: rows for d in files if d <= k or d in checked}
         for d, used in schedule.rows_by_disk.items():
             wanted.setdefault(d, used)
-        stripe_count = any_header.stripe_count
-        n = _batch_stripes(stripe_count, k * r * bs)
-        sources = {d: (headers[d][0], headers[d][1].lane_io(js, n), [(d, j) for j in js]) for d, js in wanted.items()}
-        sink = stack.enter_context(_replace_on_success(Path(out_path)))
-        payload = _LaneIO(0, k * r, bs, range(1, k * r + 1), n, any_header.payload_length)
-        checked_blocks = [(d, j) for d in checked for j in rows]
-        xor_total = _run_batches(schedule, sources.values(), [(sink, payload, _payload_blocks(k, r))], checked_blocks,
-                                 stripe_count, n, bs)
-    blocks_read, bytes_read = _read_counts(headers, sources, bs)
-    return DecodeReport(
-        missing, stripe_count, any_header.payload_length, blocks_read, bytes_read, xor_total
-    )
+        out = stack.enter_context(_replace_on_success(Path(out_path)))
+        payload = _LaneIO(0, k * r, header.block_size, range(1, k * r + 1), header.payload_length)
+        counts = _run_from_shards(files, header, wanted, schedule, (out, payload, _payload_blocks(k, r)),
+                                  [(d, j) for d in checked for j in rows])
+    return DecodeReport(missing, header.stripe_count, header.payload_length, *counts)
 
 
 @record
@@ -450,8 +458,8 @@ def repair_shard(
     The shard appears only once every stripe has been rebuilt."""
     directory = Path(shard_dir)
     with ExitStack() as stack:
-        headers, any_header, code, missing = _open_shard_set(stack, directory, code)
-        k, r, bs = any_header.k, any_header.r, any_header.block_size
+        files, header, code, missing = _open_shard_set(stack, directory, code)
+        k, r = header.k, header.r
         if missing_index is not None and not 1 <= missing_index <= k + 2:
             raise ValueError(f"disk index {missing_index} outside [1, {k + 2}]")
         if len(missing) != 1:
@@ -460,23 +468,12 @@ def repair_shard(
                 "use decode for multi-shard loss"
             )
         if missing_index is not None and missing_index != missing[0]:
-            raise ValueError(
-                f"shard {missing_index} is present; the missing shard is {missing[0]}"
-            )
+            raise ValueError(f"shard {missing_index} is present; the missing shard is {missing[0]}")
         failed = missing[0]
         out_path = directory / shard_name(failed)
-        for disk, (fh, _) in headers.items():
-            if fh.name == str(out_path):  # the rebuilt shard would replace a survivor
-                raise IntegrityError(f"shard {out_path} holds disk {disk}, not the missing disk {failed}")
         schedule = repair_plan(code, failed)
-        stripe_count = any_header.stripe_count
-        header = ShardHeader(k, r, failed, bs, stripe_count, any_header.payload_length)
-        n = _batch_stripes(stripe_count, k * r * bs)
-        sources = {d: (headers[d][0], headers[d][1].lane_io(js, n), [(d, j) for j in js])
-                   for d, js in schedule.rows_by_disk.items()}
         fh = stack.enter_context(_replace_on_success(out_path))
-        fh.write(header.pack())
-        shard = (fh, header.lane_io(range(1, r + 1), n), sorted(schedule.writes))
-        xor_total = _run_batches(schedule, sources.values(), [shard], (), stripe_count, n, bs)
-    blocks_read, bytes_read = _read_counts(headers, sources, bs)
-    return RepairReport(failed, str(out_path), stripe_count, blocks_read, bytes_read, xor_total)
+        fh.write(ShardHeader(k, r, failed, header.block_size, header.stripe_count, header.payload_length).pack())
+        sink = (fh, header.lane_io(range(1, r + 1)), sorted(schedule.writes))
+        counts = _run_from_shards(files, header, schedule.rows_by_disk, schedule, sink)
+    return RepairReport(failed, str(out_path), header.stripe_count, *counts)

@@ -514,7 +514,7 @@ def test_cli_repair_refuses_to_replace_a_survivor_under_the_missing_name(tmp_pat
     for args in ([], ["--missing", "5"]):
         assert main(["repair", str(sh), *args]) == 2
         assert capsys.readouterr().err == (
-            f"integrity error: shard {sh / shards.shard_name(5)} holds disk 2, not the missing disk 5\n"
+            f"integrity error: shard {sh / shards.shard_name(5)} holds disk 2, so it must be named shard_02.mdr\n"
         )
         assert {p.name: p.read_bytes() for p in sh.iterdir()} == before
     assert sorted(tmp_path.iterdir()) == [src, sh]
