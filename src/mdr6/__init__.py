@@ -30,15 +30,13 @@ from .codec import (
     repair_plan,
     verify_schedule,
 )
-from .f2 import BitMatrix, IndexSet, SingularMatrixError
+from .f2 import BitMatrix
 
 __all__ = [
     "BitMatrix",
-    "IndexSet",
     "IntegrityError",
     "MdrCode",
     "RepairStrategy",
-    "SingularMatrixError",
     "XorSchedule",
     "build_encode_schedule",
     "build_repair_schedule",

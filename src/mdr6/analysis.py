@@ -21,7 +21,7 @@ from .code import (
     verify_repair_optimal,
 )
 from .codec import XorSchedule, repair_plan
-from .f2 import BitMatrix, IndexSet
+from .f2 import BitMatrix
 
 ORACLE_MAX_R = 4
 
@@ -209,9 +209,8 @@ def _first_feasible_strategy(
     optimal-repair block condition for disk i, or None."""
     half = r // 2
     for q_rows in itertools.combinations(range(1, r + 1), half):
-        q_set = IndexSet.of(q_rows, r)
         for basic_rows in itertools.combinations(range(1, r + 1), half):
-            strat = RepairStrategy(q_set, IndexSet.of(basic_rows, r))
+            strat = RepairStrategy(q_rows, basic_rows)
             if satisfies_repair_block(mats, i, strat):
                 return strat
     return None

@@ -15,7 +15,7 @@ from functools import lru_cache, reduce
 from operator import itemgetter, or_, xor
 
 from ._record import record
-from .f2 import BitMatrix, IndexSet
+from .f2 import BitMatrix
 
 # B matrices are r x r bit-packed, so memory grows as 4^k; k = 12 keeps a
 # full family under ~30 MB.
@@ -27,21 +27,20 @@ class RepairStrategy:
     """Row sets read to rebuild one basic disk.
 
     q_rows: rows read from the Q disk; basic_rows: rows read from every
-    surviving basic disk.  Both have exactly r/2 members (the equality
-    case of the repair-I/O lower bound).
+    surviving basic disk.  Both are 1-based, strictly increasing and of
+    one size; the code that holds them checks them against its r: r/2
+    rows of [1, r] each (the equality case of the repair-I/O lower bound).
     """
 
-    q_rows: IndexSet
-    basic_rows: IndexSet
+    q_rows: tuple[int, ...]
+    basic_rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        r = self.q_rows.universe
-        if self.basic_rows.universe != r:
-            raise ValueError("strategy row sets use different universes")
-        if r % 2:
-            raise ValueError("strategy universe must be even")
-        if len(self.q_rows) != r // 2 or len(self.basic_rows) != r // 2:
-            raise ValueError("strategy row sets must each contain r/2 rows")
+        for rows in (self.q_rows, self.basic_rows):
+            if any(a >= b for a, b in zip((0, *rows), rows)):
+                raise ValueError(f"strategy rows {list(rows)} are not positive and strictly increasing")
+        if len(self.q_rows) != len(self.basic_rows):
+            raise ValueError("strategy row sets differ in size")
 
 
 @record
@@ -66,17 +65,19 @@ class MdrCode:
         if self.strategies is not None:
             if len(self.strategies) != self.k + 1:
                 raise ValueError(f"expected {self.k + 1} repair strategies")
-            for s in self.strategies:
-                if s.q_rows.universe != self.r:
-                    raise ValueError("strategy universe must equal r")
+            for i, s in enumerate(self.strategies):
+                if len(s.q_rows) != self.r // 2:
+                    raise ValueError(f"strategies[{i}] row sets must each hold r/2 = {self.r // 2} rows")
+                if max(s.q_rows[-1], s.basic_rows[-1]) > self.r:
+                    raise ValueError(f"strategies[{i}] rows must lie in [1, r = {self.r}]")
 
 
 def initial_code() -> MdrCode:
     """The one-data-disk, two-row seed code of the doubling recursion."""
     b1 = BitMatrix.from_rows([[0, 1], [0, 0]])
     b2 = BitMatrix.from_rows([[0, 0], [1, 0]])
-    s1 = RepairStrategy(IndexSet.of([1], 2), IndexSet.of([1], 2))
-    s2 = RepairStrategy(IndexSet.of([2], 2), IndexSet.of([2], 2))
+    s1 = RepairStrategy((1,), (1,))
+    s2 = RepairStrategy((2,), (2,))
     return MdrCode(1, 2, (b1, b2), (s1, s2))
 
 
@@ -109,9 +110,8 @@ def satisfies_repair_block(
     columns keeps the rank, and the block is square because both row sets
     have r/2 members.
     """
-    basic = strategy.basic_rows
-    cols = (1 << basic.universe) - 1
-    for m in basic:
+    cols = (1 << b_matrices[i].cols) - 1
+    for m in strategy.basic_rows:
         cols ^= 1 << (m - 1)
     rows = [q - 1 for q in strategy.q_rows]
     # picking the first row twice keeps the result a tuple when r = 2
@@ -175,12 +175,10 @@ def extend(code: MdrCode) -> MdrCode:
 
     new_strats = []
     for strat in code.strategies[:-1]:
-        doubled = IndexSet.of(
-            [x for x in strat.q_rows] + [x + r for x in strat.q_rows], 2 * r
-        )
+        doubled = strat.q_rows + tuple(x + r for x in strat.q_rows)
         new_strats.append(RepairStrategy(doubled, doubled))
-    upper = IndexSet.of(range(1, r + 1), 2 * r)
-    lower = IndexSet.of(range(r + 1, 2 * r + 1), 2 * r)
+    upper = tuple(range(1, r + 1))
+    lower = tuple(range(r + 1, 2 * r + 1))
     new_strats.append(RepairStrategy(upper, upper))
     new_strats.append(RepairStrategy(lower, lower))
 
@@ -255,7 +253,8 @@ def _field(doc: dict, key: str, kind: type, name: str):
     return _checked(doc[key], kind, f"{name} field {key!r}")
 
 
-def _strategy_from_document(doc, r: int, name: str) -> RepairStrategy:
+def _strategy_from_document(doc, name: str) -> RepairStrategy:
+    """The strategy a document lists, its rows sorted; MdrCode checks them against r."""
     _checked(doc, dict, name)
     sets = []
     for key in ("q_rows", "basic_rows"):
@@ -264,11 +263,11 @@ def _strategy_from_document(doc, r: int, name: str) -> RepairStrategy:
             raise ValueError(f"{name} field {key!r} must hold integers only")
         if len(set(rows)) != len(rows):
             raise ValueError(f"{name} field {key!r} repeats a row")
-        try:
-            sets.append(IndexSet.of(rows, r))
-        except ValueError as exc:
-            raise ValueError(f"{name} field {key!r}: {exc}") from None
-    return RepairStrategy(*sets)
+        sets.append(tuple(sorted(rows)))
+    try:
+        return RepairStrategy(*sets)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def code_from_document(doc: dict) -> MdrCode:
@@ -298,7 +297,7 @@ def code_from_document(doc: dict) -> MdrCode:
     strategies = None
     if doc.get("strategies") is not None:
         strategies = tuple(
-            _strategy_from_document(s, r, f"strategies[{i}]")
+            _strategy_from_document(s, f"strategies[{i}]")
             for i, s in enumerate(_field(doc, "strategies", list, name))
         )
     code = MdrCode(k, r, tuple(mats), strategies)

@@ -46,7 +46,7 @@ from typing import Mapping, Sequence
 
 from ._record import record
 from .code import MdrCode, generator_submatrices, is_recursive_mdr
-from .f2 import BitMatrix, IndexSet
+from .f2 import BitMatrix
 
 Buffer = tuple  # ("in", disk, row) | ("tmp", ...) | ("out", disk, row)
 
@@ -177,7 +177,8 @@ def _hand_schedule(code: MdrCode, failed: int) -> XorSchedule:
     at = failed or k + 1
     if failed:
         strat = code.strategies[failed - 1]
-        p_rows, q_rows, out_rows = strat.basic_rows, strat.q_rows, strat.basic_rows.complement()
+        p_rows, q_rows = strat.basic_rows, strat.q_rows
+        out_rows = sorted(set(range(1, r + 1)).difference(p_rows))
     else:
         p_rows = q_rows = out_rows = range(1, r + 1)
 
@@ -435,8 +436,8 @@ def _erasure_solver(code: MdrCode, erased: tuple[int, ...]) -> BitMatrix:
     or the Q rows (the Q disk), where its block of H is the identity."""
     k, r = code.k, code.r
     if len(erased) == 2:
-        cols = IndexSet.of(((d - 1) * r + j for d in erased for j in range(1, r + 1)), (k + 2) * r)
-        return parity_check_matrix(code).submatrix(IndexSet.full(2 * r), cols).invert()
+        cols = [(d - 1) * r + j for d in erased for j in range(1, r + 1)]
+        return parity_check_matrix(code).submatrix(range(1, 2 * r + 1), cols).invert()
     eye, zero = BitMatrix.identity(r), BitMatrix.zeros(r, r)
     return BitMatrix.from_blocks([[zero, eye] if erased == (k + 2,) else [eye, zero]])
 

@@ -7,7 +7,7 @@ All public indices are 1-based.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from ._record import record
 
@@ -15,53 +15,6 @@ from ._record import record
 # bits of a matrix parsed by one int() in BitMatrix.from_bitstrings; each
 # row is then one shift of that int, so this bounds the quadratic part
 _PARSE_BITS = 1 << 12
-
-
-class SingularMatrixError(ValueError):
-    """Raised when a matrix that must be invertible is singular."""
-
-
-@record
-class IndexSet:
-    """A sorted set of 1-based indices drawn from the universe [1..universe]."""
-
-    universe: int
-    members: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.universe <= 0:
-            raise ValueError("universe must be positive")
-        prev = 0
-        for m in self.members:
-            if not prev < m <= self.universe:
-                raise ValueError(
-                    f"index {m} out of range or out of order (universe {self.universe})"
-                )
-            prev = m
-
-    @classmethod
-    def of(cls, members: Iterable[int], universe: int) -> "IndexSet":
-        return cls(universe, tuple(sorted(set(members))))
-
-    @classmethod
-    def full(cls, universe: int) -> "IndexSet":
-        return cls(universe, tuple(range(1, universe + 1)))
-
-    def complement(self) -> "IndexSet":
-        inside = set(self.members)
-        return IndexSet(
-            self.universe,
-            tuple(i for i in range(1, self.universe + 1) if i not in inside),
-        )
-
-    def __contains__(self, index: object) -> bool:
-        return index in self.members
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 @record
@@ -247,7 +200,7 @@ class BitMatrix:
                     pivot = i
                     break
             if pivot is None:
-                raise SingularMatrixError(f"matrix of rank < {n} has no inverse")
+                raise ValueError(f"matrix of rank < {n} has no inverse")
             work[done], work[pivot] = work[pivot], work[done]
             aug[done], aug[pivot] = aug[pivot], aug[done]
             for i in range(n):
@@ -257,11 +210,11 @@ class BitMatrix:
             done += 1
         return BitMatrix(n, n, tuple(aug))
 
-    def submatrix(self, row_set: IndexSet, col_set: IndexSet) -> "BitMatrix":
-        """Sub-matrix induced by the given rows and columns, order preserved."""
-        if not row_set.members or not col_set.members:
+    def submatrix(self, row_set: Sequence[int], col_set: Sequence[int]) -> "BitMatrix":
+        """Sub-matrix induced by the given 1-based rows and columns, order preserved."""
+        if not row_set or not col_set:
             raise ValueError("index sets must be non-empty")
-        if row_set.members[-1] > self.rows or col_set.members[-1] > self.cols:
+        if not (1 <= min(row_set) <= max(row_set) <= self.rows and 1 <= min(col_set) <= max(col_set) <= self.cols):
             raise ValueError("index set exceeds matrix bounds")
         masks = []
         for i in row_set:

@@ -411,8 +411,15 @@ def decode_file(
     With no data shard missing the surviving P and Q are still checked
     against the data batch by batch, so silent corruption is reported
     instead of propagated.  The output appears only once every stripe has
-    been decoded.
+    been decoded, and never as a shard file of the set itself.
     """
+    out_path = Path(out_path)
+    try:  # only a *.mdr name is read back as a shard, and a missing directory holds none
+        clash = out_path.name.endswith(SHARD_SUFFIX) and os.path.samefile(out_path.parent, shard_dir)
+    except OSError:
+        clash = False
+    if clash:
+        raise ValueError(f"output {out_path} would be taken for a shard of {shard_dir}; write it elsewhere")
     with ExitStack() as stack:
         files, header, code, missing = _open_shard_set(stack, Path(shard_dir), code)
         k, r = header.k, header.r
@@ -430,7 +437,7 @@ def decode_file(
         wanted = {d: rows for d in files if d <= k or d in checked}
         for d, used in schedule.rows_by_disk.items():
             wanted.setdefault(d, used)
-        out = stack.enter_context(_replace_on_success(Path(out_path)))
+        out = stack.enter_context(_replace_on_success(out_path))
         payload = _LaneIO(0, k * r, header.block_size, range(1, k * r + 1), header.payload_length)
         counts = _run_from_shards(files, header, wanted, schedule, (out, payload, _payload_blocks(k, r)),
                                   [(d, j) for d in checked for j in rows])
@@ -462,6 +469,9 @@ def repair_shard(
         k, r = header.k, header.r
         if missing_index is not None and not 1 <= missing_index <= k + 2:
             raise ValueError(f"disk index {missing_index} outside [1, {k + 2}]")
+        if not missing:
+            present = "" if missing_index is None else f"shard {missing_index} is present; "
+            raise ValueError(f"{present}no shard is missing, so there is nothing to repair")
         if len(missing) != 1:
             raise TooManyErasuresError(
                 f"repair needs exactly one missing shard, found {len(missing)}; "

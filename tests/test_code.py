@@ -24,7 +24,7 @@ from mdr6.code import (
     verify_mds,
     verify_repair_optimal,
 )
-from mdr6.f2 import BitMatrix, IndexSet
+from mdr6.f2 import BitMatrix
 
 
 def test_initial_code_matrices():
@@ -141,7 +141,7 @@ def test_extend_rejects_bad_input():
         2,
         code.b_matrices,
         (
-            RepairStrategy(IndexSet.of([1], 2), IndexSet.of([2], 2)),
+            RepairStrategy((1,), (2,)),
             code.strategies[1],
         ),
     )
@@ -151,12 +151,17 @@ def test_extend_rejects_bad_input():
 
 
 def test_strategy_size_validation():
-    with pytest.raises(ValueError):
-        RepairStrategy(IndexSet.of([1, 2], 4), IndexSet.of([1], 4))
-    with pytest.raises(ValueError):
-        RepairStrategy(IndexSet.of([1], 2), IndexSet.of([1], 4))
-    with pytest.raises(ValueError, match="must be even"):
-        RepairStrategy(IndexSet.of([1], 3), IndexSet.of([1], 3))
+    # a strategy checks what it can without r; the code checks the rest
+    for q_rows, basic_rows, message in [
+        ((1, 2), (1,), "differ in size"),
+        ((3, 1), (1, 3), r"rows \[3, 1\] are not positive and strictly increasing"),
+        ((1, 3), (3, 3), r"rows \[3, 3\] are not positive and strictly increasing"),
+        ((0, 2), (1, 2), r"rows \[0, 2\] are not positive"),
+        ((1, 2), (-1, 2), r"rows \[-1, 2\] are not positive"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            RepairStrategy(q_rows, basic_rows)
+    assert RepairStrategy((1, 3), (2, 4)).basic_rows == (2, 4)
 
 
 def test_code_shape_validation():
@@ -168,7 +173,9 @@ def test_code_shape_validation():
         ((2, 4, mats[:2]), "expected 3 B matrices"),
         ((2, 4, (*mats[:2], BitMatrix.identity(2))), "every B matrix must be r x r"),
         ((2, 4, mats, strategies[:2]), "expected 3 repair strategies"),
-        ((2, 4, mats, construct(1).strategies + strategies[:1]), "strategy universe must equal r"),
+        ((2, 4, mats, construct(1).strategies + strategies[:1]), r"strategies\[0\] row sets must each hold r/2 = 2 rows"),
+        ((2, 4, mats, strategies[:2] + (RepairStrategy((1, 5), (1, 2)),)), r"strategies\[2\] rows must lie in \[1, r = 4\]"),
+        ((2, 4, mats, (RepairStrategy((1, 2), (2, 5)),) + strategies[1:]), r"strategies\[0\] rows must lie in \[1, r = 4\]"),
     ]:
         with pytest.raises(ValueError, match=message):
             MdrCode(*args)
@@ -194,11 +201,26 @@ def test_is_recursive_mdr_builds_through_construct(monkeypatch):
     assert calls == [4]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_document_roundtrip(k):
-    code = construct(k)
-    doc = json.loads(json.dumps(code_to_document(code)))
-    assert code_from_document(doc) == code
+@pytest.mark.parametrize("k", range(1, 9))
+def test_document_roundtrip(capsys, k):
+    # what gen writes loads to the construction and writes back identical
+    assert main(["gen", str(k)]) == 0
+    text = capsys.readouterr().out
+    code = code_from_document(json.loads(text))
+    assert code == construct(k)
+    assert json.dumps(code_to_document(code), indent=2) + "\n" == text
+
+
+def test_document_rows_load_in_any_order():
+    doc = code_to_document(construct(3))
+    for s in doc["strategies"]:
+        s["q_rows"].reverse()
+        s["basic_rows"].insert(0, s["basic_rows"].pop())
+    assert doc["strategies"][0]["q_rows"] == [7, 5, 3, 1]
+    code = code_from_document(doc)
+    # equal records: every row set is the same sorted tuple
+    assert code == construct(3)
+    assert code.strategies[0].q_rows == (1, 3, 5, 7)
 
 
 def test_document_requires_mds():
@@ -339,3 +361,33 @@ def test_malformed_documents_raise_value_error_and_exit_1(tmp_path_factory, doc)
         assert main(["encode", str(path.with_name("none.bin")), "--code", str(path)]) == 1
     else:
         assert isinstance(code, MdrCode)
+
+
+_K3 = code_to_document(construct(3))
+
+
+@st.composite
+def strategy_row_lists(draw):
+    """The k=3 document (r = 8) with each strategy row list kept, shuffled
+    or replaced by any ints: in any order, repeated, 0, negative, above r,
+    too few or too many."""
+    doc = json.loads(json.dumps(_K3))
+    for s in doc["strategies"]:
+        for key in ("q_rows", "basic_rows"):
+            how = draw(st.sampled_from(["keep", "shuffle", "any"]))
+            if how == "shuffle":
+                s[key] = draw(st.permutations(s[key]))
+            elif how == "any":
+                s[key] = draw(st.lists(st.integers(-2, 10) | st.integers(), max_size=6))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(strategy_row_lists())
+def test_strategy_rows_load_sorted_or_raise_value_error(doc):
+    try:
+        code = code_from_document(doc)
+    except ValueError:
+        return
+    got = [(list(s.q_rows), list(s.basic_rows)) for s in code.strategies]
+    assert got == [(sorted(s["q_rows"]), sorted(s["basic_rows"])) for s in doc["strategies"]]

@@ -3,9 +3,9 @@
 import pytest
 
 from mdr6._record import record
-from mdr6.code import code_from_document, code_to_document, construct
+from mdr6.code import RepairStrategy, code_from_document, code_to_document, construct
 from mdr6.codec import XorOp, XorSchedule, build_encode_schedule
-from mdr6.f2 import BitMatrix, IndexSet
+from mdr6.f2 import BitMatrix
 from mdr6.shards import ShardHeader
 from mdr6.sim import DiskModel, SimConfig
 
@@ -51,7 +51,7 @@ def test_equal_values_give_equal_objects_with_equal_hashes():
     assert parsed is not code and parsed == code and hash(parsed) == hash(code)
     # a code parsed afresh finds the schedules cached for an equal one
     assert build_encode_schedule(parsed) is build_encode_schedule(code)
-    assert IndexSet.of([3, 1], 4) != IndexSet.of([1, 4], 4)
+    assert RepairStrategy((1, 3), (1, 3)) != RepairStrategy((1, 3), (1, 4))
     assert BitMatrix(2, 2, (1, 2)) != BitMatrix(2, 2, (1, 3))
     assert {BitMatrix.identity(3): "I"}[BitMatrix(3, 3, (1, 2, 4))] == "I"
 
@@ -59,14 +59,14 @@ def test_equal_values_give_equal_objects_with_equal_hashes():
 def test_another_class_with_the_same_values_is_unequal():
     @record
     class Twin:
-        universe: int
-        members: tuple
+        q_rows: tuple
+        basic_rows: tuple
 
-    indices = IndexSet(4, (1, 3))
-    assert Twin(4, (1, 3)) == Twin(4, (1, 3))
-    assert indices != Twin(4, (1, 3)) and Twin(4, (1, 3)) != indices
-    assert indices != (4, (1, 3))
-    assert indices.__eq__(Twin(4, (1, 3))) is NotImplemented
+    strategy = RepairStrategy((1, 3), (2, 4))
+    assert Twin((1, 3), (2, 4)) == Twin((1, 3), (2, 4))
+    assert strategy != Twin((1, 3), (2, 4)) and Twin((1, 3), (2, 4)) != strategy
+    assert strategy != ((1, 3), (2, 4))
+    assert strategy.__eq__(Twin((1, 3), (2, 4))) is NotImplemented
 
 
 def test_instances_refuse_assignment_and_deletion():
@@ -81,7 +81,7 @@ def test_instances_refuse_assignment_and_deletion():
 
 
 def test_repr_names_every_field():
-    assert repr(IndexSet(4, (1, 3))) == "IndexSet(universe=4, members=(1, 3))"
+    assert repr(RepairStrategy((1, 3), (2, 4))) == "RepairStrategy(q_rows=(1, 3), basic_rows=(2, 4))"
     assert repr(XorOp(("out", 3, 1), (("in", 1, 1),))) == (
         "XorOp(target=('out', 3, 1), sources=(('in', 1, 1),))"
     )

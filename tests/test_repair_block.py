@@ -18,14 +18,14 @@ from mdr6.code import (
     satisfies_repair_block,
     verify_repair_optimal,
 )
-from mdr6.f2 import BitMatrix, IndexSet
+from mdr6.f2 import BitMatrix
 
 KNOWN = [construct(k) for k in range(1, 4)] + list(search_repair_optimal(2, 2).found)
 
 
 def reference(mats, i, strategy):
     """The definition: B_i's block non-singular, every other block zero."""
-    cols = strategy.basic_rows.complement()
+    cols = [j for j in range(1, mats[i].cols + 1) if j not in strategy.basic_rows]
     blocks = [b.submatrix(strategy.q_rows, cols) for b in mats]
     return blocks[i].is_nonsingular() and all(
         block.is_zero for j, block in enumerate(blocks) if j != i
@@ -54,12 +54,12 @@ def block_cases(draw):
     half = r // 2
     row_set = st.lists(st.integers(1, r), min_size=half, max_size=half, unique=True)
     strategies = tuple(
-        RepairStrategy(IndexSet.of(draw(row_set), r), IndexSet.of(draw(row_set), r))
+        RepairStrategy(tuple(sorted(draw(row_set))), tuple(sorted(draw(row_set))))
         for _ in range(k + 1)
     )
     i = draw(st.integers(0, k))
     q = [m - 1 for m in strategies[i].q_rows]
-    comp = [m - 1 for m in strategies[i].basic_rows.complement()]
+    comp = [c for c in range(r) if c + 1 not in strategies[i].basic_rows]
     cols = sum(1 << c for c in comp)
     rows = [draw(st.lists(st.integers(0, (1 << r) - 1), min_size=r, max_size=r)) for _ in range(k + 1)]
     for j in range(k + 1):
@@ -119,8 +119,8 @@ def test_verify_repair_optimal_equals_definition_on_known_codes(code, data):
 def test_submatrix_equals_slicing_rows(data):
     n, m = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
     entries = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m), min_size=n, max_size=n))
-    rows = IndexSet.of(data.draw(st.lists(st.integers(1, n), min_size=1)), n)
-    cols = IndexSet.of(data.draw(st.lists(st.integers(1, m), min_size=1)), m)
+    rows = data.draw(st.lists(st.integers(1, n), min_size=1))
+    cols = data.draw(st.lists(st.integers(1, m), min_size=1))
     picked = BitMatrix.from_rows(entries).submatrix(rows, cols)
     assert picked.to_rows() == [[entries[i - 1][j - 1] for j in cols] for i in rows]
 

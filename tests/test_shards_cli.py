@@ -520,6 +520,35 @@ def test_cli_repair_refuses_to_replace_a_survivor_under_the_missing_name(tmp_pat
     assert sorted(tmp_path.iterdir()) == [src, sh]
 
 
+def test_cli_decode_refuses_an_output_among_the_shards(tmp_path, capsys):
+    # a *.mdr output in the shard directory, under any spelling of it, would
+    # replace a shard or be read back as one by every later command on the set
+    src = make_file(tmp_path, 3000, seed=16)
+    sh = tmp_path / "sh"
+    shards.encode_file(src, sh, k=3, block_size=BS)
+    os.symlink(sh, tmp_path / "alias")
+    before = {p.name: p.read_bytes() for p in sh.iterdir()}
+    for out in (sh / shards.shard_name(1), sh / "restored.mdr", tmp_path / "alias" / shards.shard_name(6)):
+        assert main(["decode", str(sh), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: output {out} would be taken for a shard of {sh}; write it elsewhere\n"
+        )
+        assert {p.name: p.read_bytes() for p in sh.iterdir()} == before
+    assert main(["decode", str(sh), "--out", str(tmp_path / "restored.mdr")]) == 0
+    assert (tmp_path / "restored.mdr").read_bytes() == src.read_bytes()
+
+
+def test_cli_repair_of_a_complete_set_is_a_usage_error(tmp_path, capsys):
+    src = make_file(tmp_path, 3000, seed=17)
+    sh = tmp_path / "sh"
+    shards.encode_file(src, sh, k=3, block_size=BS)
+    before = {p.name: p.read_bytes() for p in sh.iterdir()}
+    for args, named in (([], ""), (["--missing", "2"], "shard 2 is present; ")):
+        assert main(["repair", str(sh), *args]) == 1
+        assert capsys.readouterr().err == f"usage error: {named}no shard is missing, so there is nothing to repair\n"
+        assert {p.name: p.read_bytes() for p in sh.iterdir()} == before
+
+
 def test_sibling_header_mismatch(tmp_path):
     src = make_file(tmp_path, 1000, seed=13)
     sh = tmp_path / "sh"
@@ -1005,6 +1034,8 @@ def test_public_api_resolves():
         "Stripe",
         "ErasurePattern",
         "xor_blocks",
+        "IndexSet",
+        "SingularMatrixError",
     ):
         assert gone not in mdr6.__all__
         assert not hasattr(mdr6, gone)
