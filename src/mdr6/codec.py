@@ -15,8 +15,11 @@ paths coexist on purpose:
   the data of up to two lost disks, and ``repair_plan`` picks the schedule
   that rebuilds one disk from the minimum read set (the minimum (k-1)
   average XORs per lost block for recursion-built codes; row parity for
-  a basic disk of a code without repair strategies).  Q is always
-  rebuilt by the part of the encode schedule that Q needs.  One builder,
+  a basic disk of a code without repair strategies).  One lost data disk
+  is decoded through its repair plan too, where that costs no more XORs
+  than row parity.  ``parity_schedule`` is the part of the encode
+  schedule that chosen parity disks need: it rebuilds Q, and re-encodes
+  the surviving parities that decode checks.  One builder,
   ``_hand_schedule``, derives both minimum-XOR schedules, encode and
   basic-disk repair, from the closed form of the code's doubling
   recursion.
@@ -346,12 +349,19 @@ def _compile_ops(
 @lru_cache(maxsize=256)
 def build_decode_schedule(code: MdrCode, missing: tuple[int, ...]) -> XorSchedule:
     """Schedule that rebuilds the data blocks of the missing disks from
-    every block of the surviving ones.
+    blocks of the surviving ones.
 
-    Data disks and P come before Q among the candidates, so a lost data
-    disk is rebuilt from row parity at the minimum k-1 XORs per block.
+    Data disks and P come before Q among the candidates, so row parity
+    rebuilds a lost data disk at k-1 XORs per block, from every block of
+    the other data disks and P.  One lost data disk instead takes its
+    ``repair_plan`` where that costs no more XORs, as it does for every
+    recursion-built code: (k+1)r/2 blocks read per stripe, not kr.
     """
     k, r = code.k, code.r
+    if len(missing) == 1 and missing[0] <= k:
+        plan = repair_plan(code, missing[0])
+        if plan.xor_count <= (k - 1) * r:  # what row parity costs
+            return plan
     rows = range(1, r + 1)
     candidates = [("in", d, j) for d in range(1, k + 3) if d not in missing for j in rows]
     targets = [(d, j) for d in missing if d <= k for j in rows]
@@ -483,7 +493,7 @@ def repair_plan(code: MdrCode, failed: int) -> XorSchedule:
     if not 1 <= failed <= k + 2:
         raise ValueError(f"disk index {failed} outside [1, {k + 2}]")
     if failed == k + 2:
-        return _q_repair_schedule(code)
+        return parity_schedule(code, (k + 2,))
     if is_recursive_mdr(code):
         return build_repair_schedule(code, failed)
     rows = basic_rows = q_rows = range(1, r + 1)  # with no strategies, every row: the row-parity rebuild
@@ -496,21 +506,24 @@ def repair_plan(code: MdrCode, failed: int) -> XorSchedule:
     return XorSchedule(k, r, _compile_ops(code, candidates, targets))
 
 
-def _q_repair_schedule(code: MdrCode) -> XorSchedule:
-    """The ops of the encode schedule that Q's outputs depend on, with P's
-    outputs turned into intermediates, so Q reuses the P prefix sums."""
-    k = code.k
+@lru_cache(maxsize=256)
+def parity_schedule(code: MdrCode, parities: tuple[int, ...]) -> XorSchedule:
+    """The ops of the encode schedule that the given parity disks' outputs
+    depend on, with the other parity's outputs turned into intermediates:
+    Q alone still reuses the P prefix sums, and P alone of a
+    recursion-built code is its row-parity chain, (k-1)r XORs."""
 
     def as_tmp(buf: Buffer) -> Buffer:
-        return ("tmp", "p", buf[2]) if buf[:2] == ("out", k + 1) else buf
+        return ("tmp", *buf[1:]) if buf[0] == "out" and buf[1] not in parities else buf
 
     needed: set[Buffer] = set()
     kept: list[XorOp] = []
     for op in reversed(build_encode_schedule(code).ops):
-        if op.target[:2] == ("out", k + 2) or op.target in needed:
+        op = XorOp(as_tmp(op.target), tuple(map(as_tmp, op.sources)))
+        if op.target[0] == "out" or op.target in needed:
             needed.update(op.sources)
-            kept.append(XorOp(as_tmp(op.target), tuple(map(as_tmp, op.sources))))
-    return XorSchedule(k, code.r, tuple(reversed(kept)))
+            kept.append(op)
+    return XorSchedule(code.k, code.r, tuple(reversed(kept)))
 
 
 def execute_repair(

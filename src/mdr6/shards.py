@@ -48,6 +48,7 @@ from .codec import (
     decode,  # noqa: F401  unused here, but perfbench/tracer.py wraps mdr6.shards.decode
     execute_repair,  # noqa: F401  unused here, but perfbench/tracer.py wraps mdr6.shards.execute_repair
     execute_schedule,
+    parity_schedule,
     repair_plan,
 )
 
@@ -270,10 +271,15 @@ def _payload_blocks(k: int, r: int) -> tuple[tuple[int, int], ...]:
 def _replace_on_success(path: Path) -> Iterator[BinaryIO]:
     """Write to an unbuffered temporary file beside path, renamed over path
     only if the block completes and removed on any error.  Its name does not
-    end in SHARD_SUFFIX, so a half-written shard is never taken for one."""
+    end in SHARD_SUFFIX, so a half-written shard is never taken for one.  An
+    error opening it names path, the only name the caller knows."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with tmp.open("wb", buffering=0) as fh:
+        fh = tmp.open("wb", buffering=0)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -426,11 +432,11 @@ def decode_file(
         if len(missing) > 2:
             raise TooManyErasuresError(f"{len(missing)} shards missing; RAID-6 tolerates at most 2")
         # with no data shard missing, nothing is rebuilt, so re-encoding checks
-        # every surviving parity instead
+        # every surviving parity instead, and only those
         checked = ()
         if all(d > k for d in missing):
             checked = tuple(d for d in (k + 1, k + 2) if d in files)
-        schedule = build_encode_schedule(code) if checked else build_decode_schedule(code, missing)
+        schedule = parity_schedule(code, checked) if checked else build_decode_schedule(code, missing)
         rows = range(1, r + 1)
         # every block of a surviving data disk is output; of P and Q, read only
         # what the schedule uses, or all of each checked one

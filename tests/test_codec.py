@@ -22,6 +22,7 @@ from mdr6.codec import (
     execute_repair,
     execute_schedule,
     parity_check_matrix,
+    parity_schedule,
     repair_plan,
     verify_schedule,
 )
@@ -491,6 +492,18 @@ def test_q_repair_schedule_counts_and_soundness(k, xors):
     assert sched.xor_count == xors
     assert verify_schedule(code, sched)
     assert sched.reads == {(d, j) for d in range(1, k + 1) for j in range(1, code.r + 1)}
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_parity_schedule_keeps_only_what_its_parities_need(k):
+    code = construct(k)
+    r = code.r
+    p, q = parity_schedule(code, (k + 1,)), parity_schedule(code, (k + 2,))
+    assert p.xor_count == (k - 1) * r
+    assert p.writes == {(k + 1, j) for j in range(1, r + 1)}
+    assert q == repair_plan(code, k + 2)
+    assert all(verify_schedule(code, s) for s in (p, q))
+    assert parity_schedule(code, (k + 1, k + 2)) == build_encode_schedule(code)
 
 
 @pytest.mark.parametrize("k", range(2, 6))

@@ -14,7 +14,7 @@ from mdr6 import cli, shards
 from mdr6.cli import main
 from mdr6.analysis import search_repair_optimal
 from mdr6.code import code_from_document, code_to_document, construct, is_recursive_mdr
-from mdr6.codec import repair_plan, verify_schedule
+from mdr6.codec import build_decode_schedule, repair_plan, verify_schedule
 from mdr6.shards import ShardHeader, TooManyErasuresError
 from mdr6.sim import DiskModel, SimConfig, simulate
 
@@ -303,9 +303,33 @@ def test_decode_reads_only_what_its_schedule_uses(tmp_path, k):
     out = tmp_path / "out.bin"
     report = shards.decode_file(sh, out)
     assert out.read_bytes() == src.read_bytes()
-    # one lost data disk is rebuilt from row parity, so Q is never read
-    expected = {d: r * stripes for d in range(1, k + 2) if d != 2} | {k + 2: 0}
+    # one lost data disk is rebuilt through its repair plan: every data survivor
+    # is output whole, and P and Q give only the plan's r/2 rows each
+    plan = repair_plan(construct(k), 2).rows_by_disk
+    assert len(plan[k + 1]) == len(plan[k + 2]) == r // 2
+    expected = {d: r * stripes for d in range(1, k + 1) if d != 2}
+    expected |= {d: len(plan[d]) * stripes for d in (k + 1, k + 2)}
     assert report.blocks_read_per_shard == expected
+    assert report.xor_count == (k - 1) * r * stripes
+
+
+@pytest.mark.parametrize("k, q_xors", [(3, 26), (6, 578)])
+def test_decode_checks_a_lone_parity_with_only_its_own_ops(tmp_path, k, q_xors):
+    r = construct(k).r
+    src = make_file(tmp_path, k * r * BS * 2 + 3, seed=65 + k)
+    sh = tmp_path / "sh"
+    stripes = shards.encode_file(src, sh, k=k, block_size=BS).stripe_count
+    # with Q lost, P is re-encoded by its row-parity chain; with P lost, Q as Q repair does
+    for lost, xors in ((k + 2, (k - 1) * r), (k + 1, q_xors)):
+        shard = sh / shards.shard_name(lost)
+        blob = shard.read_bytes()
+        shard.unlink()
+        out = tmp_path / f"out_{lost}.bin"
+        report = shards.decode_file(sh, out)
+        assert out.read_bytes() == src.read_bytes()
+        assert report.xor_count == xors * stripes
+        assert report.blocks_read_per_shard == {d: r * stripes for d in range(1, k + 3) if d != lost}
+        shard.write_bytes(blob)
 
 
 @pytest.mark.parametrize("k", [3, 6])
@@ -446,6 +470,23 @@ def swapped_document(k):
     return doc
 
 
+@pytest.mark.parametrize("k, plan_disks", [(3, {1}), (6, set())])
+def test_a_lone_data_disk_keeps_row_parity_where_its_plan_costs_more(k, plan_disks):
+    code = code_from_document(swapped_document(k))
+    r = code.r
+    for d in range(1, k + 1):
+        schedule = build_decode_schedule(code, (d,))
+        plan = repair_plan(code, d)
+        assert schedule.xor_count == (k - 1) * r
+        if d in plan_disks:
+            assert schedule == plan
+        else:  # row parity: every row of P, none of Q
+            assert plan.xor_count > (k - 1) * r
+            assert schedule.rows_by_disk[k + 1] == tuple(range(1, r + 1)) and k + 2 not in schedule.rows_by_disk
+    if k == 6:
+        assert {repair_plan(code, d).xor_count for d in range(1, k + 1)} == {384, 400, 424}
+
+
 @pytest.mark.parametrize(
     "k, swap, q_xors",
     [(1, False, 0), (2, False, 6), (3, False, 26), (4, False, 82), (5, False, 226), (6, False, 578),
@@ -536,6 +577,20 @@ def test_cli_decode_refuses_an_output_among_the_shards(tmp_path, capsys):
         assert {p.name: p.read_bytes() for p in sh.iterdir()} == before
     assert main(["decode", str(sh), "--out", str(tmp_path / "restored.mdr")]) == 0
     assert (tmp_path / "restored.mdr").read_bytes() == src.read_bytes()
+
+
+def test_cli_decode_into_a_missing_directory_names_the_output(tmp_path, capsys):
+    src = make_file(tmp_path, 3000, seed=18)
+    sh = tmp_path / "sh"
+    shards.encode_file(src, sh, k=3, block_size=BS)
+    (sh / shards.shard_name(2)).unlink()
+    before = sorted(tmp_path.rglob("*"))
+    shard_bytes = {p.name: p.read_bytes() for p in sh.iterdir()}
+    out = tmp_path / "nodir" / "x.bin"
+    assert main(["decode", str(sh), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"usage error: [Errno 2] No such file or directory: '{out}'\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert {p.name: p.read_bytes() for p in sh.iterdir()} == shard_bytes
 
 
 def test_cli_repair_of_a_complete_set_is_a_usage_error(tmp_path, capsys):
