@@ -16,8 +16,7 @@ paths coexist on purpose:
   that rebuilds one disk from the minimum read set (the minimum (k-1)
   average XORs per lost block for recursion-built codes; row parity for
   a basic disk of a code without repair strategies).  One lost data disk
-  is decoded through its repair plan too, where that costs no more XORs
-  than row parity.  ``parity_schedule`` is the part of the encode
+  is decoded through its repair plan too.  ``parity_schedule`` is the part of the encode
   schedule that chosen parity disks need: it rebuilds Q, and re-encodes
   the surviving parities that decode checks.  One builder,
   ``_hand_schedule``, derives both minimum-XOR schedules, encode and
@@ -351,17 +350,15 @@ def build_decode_schedule(code: MdrCode, missing: tuple[int, ...]) -> XorSchedul
     """Schedule that rebuilds the data blocks of the missing disks from
     blocks of the surviving ones.
 
-    Data disks and P come before Q among the candidates, so row parity
-    rebuilds a lost data disk at k-1 XORs per block, from every block of
-    the other data disks and P.  One lost data disk instead takes its
-    ``repair_plan`` where that costs no more XORs, as it does for every
-    recursion-built code: (k+1)r/2 blocks read per stripe, not kr.
+    One lost data disk takes its ``repair_plan``: (k+1)r/2 blocks into
+    the XOR engine per stripe, not the kr of row parity, at the same
+    (k-1)r XORs for every recursion-built code.  Otherwise data disks and
+    P come before Q among the candidates, so with Q also lost row parity
+    rebuilds a lost data disk at k-1 XORs per block.
     """
+    if len(missing) == 1 and missing[0] <= code.k:
+        return repair_plan(code, missing[0])
     k, r = code.k, code.r
-    if len(missing) == 1 and missing[0] <= k:
-        plan = repair_plan(code, missing[0])
-        if plan.xor_count <= (k - 1) * r:  # what row parity costs
-            return plan
     rows = range(1, r + 1)
     candidates = [("in", d, j) for d in range(1, k + 3) if d not in missing for j in rows]
     targets = [(d, j) for d in missing if d <= k for j in rows]

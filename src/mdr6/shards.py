@@ -271,13 +271,13 @@ def _payload_blocks(k: int, r: int) -> tuple[tuple[int, int], ...]:
 def _replace_on_success(path: Path) -> Iterator[BinaryIO]:
     """Write to an unbuffered temporary file beside path, renamed over path
     only if the block completes and removed on any error.  Its name does not
-    end in SHARD_SUFFIX, so a half-written shard is never taken for one.  An
-    error opening it names path, the only name the caller knows."""
+    end in SHARD_SUFFIX, so a half-written shard is never taken for one.  A
+    missing directory is reported under path, the only name the caller knows."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         fh = tmp.open("wb", buffering=0)
-    except OSError as exc:
-        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    except FileNotFoundError as exc:
+        raise FileNotFoundError(exc.errno, exc.strerror, str(path)) from None
     try:
         with fh:
             yield fh

@@ -4,12 +4,8 @@ of row parity, at the same (k-1)r XORs, with r/2 rows each read from P and
 Q instead of every row of P."""
 
 import random
-import tempfile
-from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mdr6 import shards
 from mdr6.code import construct
@@ -41,52 +37,3 @@ def test_a_lone_data_disk_decodes_through_its_repair_plan(tmp_path, k):
             assert report.blocks_read_per_shard[p] == r // 2 * stripes
         shard.write_bytes(blob)
 
-
-@st.composite
-def lone_data_losses(draw, ks):
-    k = draw(st.sampled_from(ks))
-    block_size = draw(st.integers(1, 24))
-    stripe = k * CODES[k].r * block_size
-    size = draw(st.integers(1, 4 * stripe))
-    batch_bytes = draw(st.integers(1, 3)) * stripe + draw(st.integers(0, stripe - 1))
-    lost = draw(st.integers(1, k))
-    return k, block_size, size, batch_bytes, lost, draw(st.integers(0, 2**32 - 1))
-
-
-def check_lone_data_loss(case):
-    """Decode with one data shard lost is byte-exact, reads and XORs what the
-    lost disk's repair plan does per stripe, and a split run reports the same."""
-    k, block_size, size, batch_bytes, lost, seed = case
-    code = CODES[k]
-    r = code.r
-    payload = random.Random(seed).randbytes(size)
-    plan = repair_plan(code, lost)
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-        patch.setattr(shards, "BATCH_BYTES", batch_bytes)
-        src, sh, out = Path(tmp) / "in.bin", Path(tmp) / "sh", Path(tmp) / "out.bin"
-        src.write_bytes(payload)
-        stripes = shards.encode_file(src, sh, k, block_size).stripe_count
-        (sh / shards.shard_name(lost)).unlink()
-        reports = []
-        for procs in (1, 2):
-            patch.setattr(shards, "_PROCESSES", procs)
-            reports.append(shards.decode_file(sh, out))
-            assert out.read_bytes() == payload, procs
-    report = reports[0]
-    assert reports[1] == report
-    assert report.xor_count == plan.xor_count * stripes
-    expected = {d: r * stripes for d in range(1, k + 1) if d != lost}
-    expected |= {p: len(plan.rows_by_disk[p]) * stripes for p in (k + 1, k + 2)}
-    assert report.blocks_read_per_shard == expected
-
-
-@settings(max_examples=40, deadline=None)
-@given(lone_data_losses(range(1, 6)))
-def test_lone_data_loss_decodes_like_its_repair_plan(case):
-    check_lone_data_loss(case)
-
-
-@settings(max_examples=3, deadline=None)
-@given(lone_data_losses([6]))
-def test_lone_data_loss_decodes_like_its_repair_plan_at_k6(case):
-    check_lone_data_loss(case)

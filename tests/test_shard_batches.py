@@ -19,6 +19,7 @@ from mdr6.codec import (
     build_encode_schedule,
     encode_naive,
     execute_schedule,
+    parity_schedule,
     repair_plan,
 )
 
@@ -83,7 +84,10 @@ def test_batches_match_one_stripe_at_a_time(case):
             assert out.read_bytes() == payload, lost
             # with no data shard lost every surviving parity is read whole and checked
             data_lost = any(d <= k for d in lost)
-            reads = build_decode_schedule(code, lost).reads if data_lost else set()
+            checked = tuple(d for d in (k + 1, k + 2) if d not in lost)
+            schedule = build_decode_schedule(code, lost) if data_lost else parity_schedule(code, checked)
+            assert decoded.xor_count == schedule.xor_count * stripes
+            reads = schedule.reads if data_lost else set()
             per_stripe = {
                 d: r if d <= k or not data_lost else sum(1 for disk, _ in reads if disk == d)
                 for d in range(1, k + 3)

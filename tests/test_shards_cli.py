@@ -470,21 +470,29 @@ def swapped_document(k):
     return doc
 
 
-@pytest.mark.parametrize("k, plan_disks", [(3, {1}), (6, set())])
-def test_a_lone_data_disk_keeps_row_parity_where_its_plan_costs_more(k, plan_disks):
+@pytest.mark.parametrize("k, plan_xors", [(3, {16, 18}), (6, {384, 400, 424})])
+def test_a_lone_data_disk_of_a_loaded_code_takes_its_repair_plan(tmp_path, k, plan_xors):
     code = code_from_document(swapped_document(k))
     r = code.r
+    assert {repair_plan(code, d).xor_count for d in range(1, k + 1)} == plan_xors
+    src = make_file(tmp_path, k * r * BS * 2 + 3, seed=70 + k)
+    sh, out = tmp_path / "sh", tmp_path / "out.bin"
+    stripes = shards.encode_file(src, sh, k, BS, code=code).stripe_count
     for d in range(1, k + 1):
-        schedule = build_decode_schedule(code, (d,))
         plan = repair_plan(code, d)
-        assert schedule.xor_count == (k - 1) * r
-        if d in plan_disks:
-            assert schedule == plan
-        else:  # row parity: every row of P, none of Q
-            assert plan.xor_count > (k - 1) * r
-            assert schedule.rows_by_disk[k + 1] == tuple(range(1, r + 1)) and k + 2 not in schedule.rows_by_disk
-    if k == 6:
-        assert {repair_plan(code, d).xor_count for d in range(1, k + 1)} == {384, 400, 424}
+        assert build_decode_schedule(code, (d,)) == plan
+        shard = sh / shards.shard_name(d)
+        blob = shard.read_bytes()
+        shard.unlink()
+        report = shards.decode_file(sh, out, code=code)
+        assert out.read_bytes() == src.read_bytes()
+        assert report.xor_count == plan.xor_count * stripes
+        # r/2 rows each of P and Q, as repair reads, instead of every row of P
+        expected = {e: r * stripes for e in range(1, k + 1) if e != d}
+        expected |= {p: r // 2 * stripes for p in (k + 1, k + 2)}
+        assert report.blocks_read_per_shard == expected
+        assert {p: len(plan.rows_by_disk[p]) for p in (k + 1, k + 2)} == {k + 1: r // 2, k + 2: r // 2}
+        shard.write_bytes(blob)
 
 
 @pytest.mark.parametrize(
@@ -591,6 +599,18 @@ def test_cli_decode_into_a_missing_directory_names_the_output(tmp_path, capsys):
     assert capsys.readouterr().err == f"usage error: [Errno 2] No such file or directory: '{out}'\n"
     assert sorted(tmp_path.rglob("*")) == before
     assert {p.name: p.read_bytes() for p in sh.iterdir()} == shard_bytes
+
+
+def test_cli_decode_names_a_temp_file_that_cannot_be_opened(tmp_path, capsys):
+    src = make_file(tmp_path, 3000, seed=19)
+    sh = tmp_path / "sh"
+    shards.encode_file(src, sh, k=3, block_size=BS)
+    tmp = tmp_path / ".x.bin.tmp"
+    tmp.mkdir()
+    # the directory is there, so the fault is the temp file's and its name is given
+    assert main(["decode", str(sh), "--out", str(tmp_path / "x.bin")]) == 1
+    assert capsys.readouterr().err == f"usage error: [Errno 21] Is a directory: '{tmp}'\n"
+    assert tmp.is_dir() and not (tmp_path / "x.bin").exists()
 
 
 def test_cli_repair_of_a_complete_set_is_a_usage_error(tmp_path, capsys):
