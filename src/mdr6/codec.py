@@ -509,17 +509,17 @@ def parity_schedule(code: MdrCode, parities: tuple[int, ...]) -> XorSchedule:
     depend on, with the other parity's outputs turned into intermediates:
     Q alone still reuses the P prefix sums, and P alone of a
     recursion-built code is its row-parity chain, (k-1)r XORs."""
-
-    def as_tmp(buf: Buffer) -> Buffer:
-        return ("tmp", *buf[1:]) if buf[0] == "out" and buf[1] not in parities else buf
-
     needed: set[Buffer] = set()
     kept: list[XorOp] = []
     for op in reversed(build_encode_schedule(code).ops):
-        op = XorOp(as_tmp(op.target), tuple(map(as_tmp, op.sources)))
-        if op.target[0] == "out" or op.target in needed:
+        if op.target in needed or op.target[0] == "out" and op.target[1] in parities:
             needed.update(op.sources)
             kept.append(op)
+    # only the ops that touch the other parity's outputs are remade
+    tmp = {buf: ("tmp", *buf[1:]) for buf in needed if buf[0] == "out" and buf[1] not in parities}
+    kept = [op if tmp.keys().isdisjoint((op.target, *op.sources)) else
+            XorOp(tmp.get(op.target, op.target), tuple(tmp.get(b, b) for b in op.sources))
+            for op in kept]
     return XorSchedule(code.k, code.r, tuple(reversed(kept)))
 
 

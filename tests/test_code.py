@@ -1,7 +1,9 @@
 """Construction, verification, and serialization of the code family."""
 
+import hashlib
 import itertools
 import json
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import mdr6.code
 from mdr6.cli import main
+from mdr6.codec import build_encode_schedule, repair_plan
 from mdr6.code import (
     MdrCode,
     RepairStrategy,
@@ -81,14 +84,41 @@ def test_generator_sums_cancel_last_matrix():
             assert a[i] + a[j] == b[i] + b[j]
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@lru_cache(maxsize=2)
+def extended(k):
+    """The seed code taken through k-1 verified extend calls."""
+    return initial_code() if k == 1 else extend(extended(k - 1))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
 def test_construct_chain_verified(k):
+    # construct trusts the doubling recursion; this is its proof, k by k
     code = construct(k)
     assert code.r == 1 << k
+    assert code == extended(k)
     assert verify_mds(code)
     assert verify_repair_optimal(code)
     assert satisfies_p1(code)
     assert satisfies_p2(code)
+
+
+def test_only_documents_are_verified(monkeypatch):
+    calls = []
+    for name in ("verify_mds", "verify_repair_optimal"):
+        verifier = getattr(mdr6.code, name)
+        monkeypatch.setattr(mdr6.code, name, lambda code, f=verifier, n=name: calls.append(n) or f(code))
+    construct.cache_clear()
+    construct(6)
+    assert calls == []
+    code = code_from_document(code_to_document(construct(6)))
+    assert sorted(calls) == ["verify_mds", "verify_repair_optimal"]
+    build_encode_schedule.cache_clear()
+    repair_plan.cache_clear()
+    assert is_recursive_mdr(code)
+    build_encode_schedule(code)
+    for disk in range(1, code.k + 3):
+        repair_plan(code, disk)
+    assert len(calls) == 2
 
 
 def test_construct_strategy_halves():
@@ -201,11 +231,27 @@ def test_is_recursive_mdr_builds_through_construct(monkeypatch):
     assert calls == [4]
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+# SHA-256 of `mdr6 gen k` output: the built-in family, bit for bit
+GEN_SHA256 = {
+    1: "cc648231281612ee326911b2851c48ae482fb974b9a4b218084169384535aea1",
+    2: "f47fec20d1bebb112452da9d72c812134007693993bc4c8f1fe42515d36291e1",
+    3: "2d2229754b85462e83d51e7564ed957a1a1921342bf21c6e2a8ead6402bec3c3",
+    4: "1a8e69d12675ce6da0b9306e7659d167705f8d743e842e77272f555d2aa250ba",
+    5: "32e1c4d2ebdbce72879e9a0eace59269342a4ced60e56164b778b2b9abb2a7f4",
+    6: "5508f37a3102b3be8a26d4983b4874fd118417e31379bb8309e7e2eab6390405",
+    7: "38f59526df99c507214b01bab55a6e7ba2a7bda7440919d8585e114f32438587",
+    8: "2b74f1b9ff8da3d9806ce1830235b63c905c49d8b9bc9110dc5a78bfcad2eced",
+    9: "e91ab0c7cd21aee535d99f24e63e4a52a4f78c31f176825ff78591c6ed7f88a9",
+    10: "119b2e9efc6ef1977f68549f8ccde0daa54f0de53664c9a270df447fe8b2da72",
+}
+
+
+@pytest.mark.parametrize("k", sorted(GEN_SHA256))
 def test_document_roundtrip(capsys, k):
-    # what gen writes loads to the construction and writes back identical
+    # what gen writes is pinned, loads to the construction and writes back identical
     assert main(["gen", str(k)]) == 0
     text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == GEN_SHA256[k]
     code = code_from_document(json.loads(text))
     assert code == construct(k)
     assert json.dumps(code_to_document(code), indent=2) + "\n" == text
