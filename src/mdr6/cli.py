@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import shards
 from .code import MdrCode, code_from_document, code_to_document, construct
-from .codec import IntegrityError, build_decode_schedule, build_encode_schedule, repair_plan
+from .codec import IntegrityError, plan
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -161,13 +161,13 @@ def cmd_analyze(args) -> int:
     out["lower_bounds_met"] = analysis.check_lower_bounds(code)
     lines.append(f"repair plans meet the I/O bounds exactly: {out['lower_bounds_met']}")
 
-    enc = analysis.count_schedule_xors(build_encode_schedule(code), code)
-    rep = analysis.count_schedule_xors(repair_plan(code, 1), code)
-    lost = [*combinations(range(1, code.k + 3), 1), *combinations(range(1, code.k + 3), 2)]
-    dec = max(
-        analysis.count_schedule_xors(build_decode_schedule(code, missing), code).total
-        for missing in lost
-    )
+    def xors(missing: tuple[int, ...], want: tuple[int, ...]) -> analysis.XorCountReport:
+        return analysis.count_schedule_xors(plan(code, missing, want)[0], code)
+
+    k = code.k
+    enc, rep = xors((k + 1, k + 2), (k + 1, k + 2)), xors((1,), (1,))
+    lost = [*combinations(range(1, k + 3), 1), *combinations(range(1, k + 3), 2)]
+    dec = max(xors(missing, tuple(range(1, k + 1))).total for missing in lost)
     out["encode_xors"] = enc.total
     out["repair_xors"] = rep.total
     out["decode_xors"] = dec

@@ -9,16 +9,14 @@ paths coexist on purpose:
   the map schedules run on, and are the test reference for everything
   else;
 * every other linear map is an ``XorSchedule`` run by ``execute_schedule``,
-  one op per lane of blocks (the same block of a whole batch of stripes):
-  ``build_encode_schedule`` fills P and Q (the minimum 2(k-1) XORs per
-  stripe row for recursion-built codes), ``build_decode_schedule`` rebuilds
-  the data of up to two lost disks, and ``repair_plan`` picks the schedule
-  that rebuilds one disk from the minimum read set (the minimum (k-1)
-  average XORs per lost block for recursion-built codes; row parity for
-  a basic disk of a code without repair strategies).  One lost data disk
-  is decoded through its repair plan too.  ``parity_schedule`` is the part of the encode
-  schedule that chosen parity disks need: it rebuilds Q, and re-encodes
-  the surviving parities that decode checks.  One builder,
+  one op per lane of blocks (the same block of a whole batch of stripes).
+  ``plan`` gives every command its schedule, the rows it reads of each
+  disk and the blocks it checks: ``build_encode_schedule`` (the minimum
+  2(k-1) XORs per stripe row for recursion-built codes), ``repair_plan``
+  (one disk from the minimum read set, at the minimum k-1 average XORs
+  per lost block for recursion-built codes), ``parity_schedule`` (the
+  part of the encode schedule that chosen parities need) or a compiled
+  rebuild of two lost disks.  One builder,
   ``_hand_schedule``, derives both minimum-XOR schedules, encode and
   basic-disk repair, from the closed form of the code's doubling
   recursion.
@@ -345,26 +343,6 @@ def _compile_ops(
     return tuple(ops)
 
 
-@lru_cache(maxsize=256)
-def build_decode_schedule(code: MdrCode, missing: tuple[int, ...]) -> XorSchedule:
-    """Schedule that rebuilds the data blocks of the missing disks from
-    blocks of the surviving ones.
-
-    One lost data disk takes its ``repair_plan``: (k+1)r/2 blocks into
-    the XOR engine per stripe, not the kr of row parity, at the same
-    (k-1)r XORs for every recursion-built code.  Otherwise data disks and
-    P come before Q among the candidates, so with Q also lost row parity
-    rebuilds a lost data disk at k-1 XORs per block.
-    """
-    if len(missing) == 1 and missing[0] <= code.k:
-        return repair_plan(code, missing[0])
-    k, r = code.k, code.r
-    rows = range(1, r + 1)
-    candidates = [("in", d, j) for d in range(1, k + 3) if d not in missing for j in rows]
-    targets = [(d, j) for d in missing if d <= k for j in rows]
-    return XorSchedule(k, r, _compile_ops(code, candidates, targets))
-
-
 # -- reference encoding and decoding ---------------------------------------
 
 
@@ -541,6 +519,37 @@ def build_repair_schedule(code: MdrCode, failed: int) -> XorSchedule:
     if not 1 <= failed <= code.k + 1:
         raise ValueError("repair schedules cover basic disks only")
     return _hand_schedule(code, failed)
+
+
+@lru_cache(maxsize=256)
+def plan(code: MdrCode, missing: tuple[int, ...], want: tuple[int, ...]) -> tuple:
+    """The schedule, the rows read from each present disk and the blocks
+    read that must equal what the schedule re-encodes, to output the disks
+    in want with those in missing lost; a present disk in want is read whole.
+
+    A lone lost disk that is wanted takes its ``repair_plan``.  With no wanted
+    data disk lost, ``parity_schedule`` makes the lost wanted parities and
+    re-encodes the surviving ones, which are checked; encode is
+    plan(code, (k+1, k+2), (k+1, k+2)).  Otherwise the lost wanted disks are
+    compiled from every surviving block, data disks and P before Q, so with
+    Q also lost row parity rebuilds a data disk at k-1 XORs per block.
+    """
+    k, r = code.k, code.r
+    rows = tuple(range(1, r + 1))
+    lost = tuple(d for d in want if d in missing)
+    checked = ()
+    if len(missing) == 1 and lost:
+        schedule = repair_plan(code, lost[0])
+    elif all(d > k for d in lost):
+        checked = tuple(d for d in (k + 1, k + 2) if d not in missing)
+        schedule = parity_schedule(code, tuple(sorted({*lost, *checked})))
+    else:
+        candidates = [("in", d, j) for d in range(1, k + 3) if d not in missing for j in rows]
+        targets = [(d, j) for d in lost for j in rows]
+        schedule = XorSchedule(k, r, _compile_ops(code, candidates, targets))
+    reads = dict(schedule.rows_by_disk)
+    reads.update((d, rows) for d in (*want, *checked) if d not in missing)
+    return schedule, MappingProxyType(dict(sorted(reads.items()))), tuple((d, j) for d in checked for j in rows)
 
 
 # -- symbolic schedule verification -----------------------------------------

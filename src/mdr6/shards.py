@@ -13,10 +13,11 @@ plus every block it outputs or checks.  Every shard or output file is
 written beside its place and renamed into it only once the whole run has
 succeeded.
 
-Encode, decode and repair run one batch loop, ``_run_batches``, and decode
-and repair set it up in one place, ``_run_from_shards``: each batch
-reads the lanes of its source files, runs ``execute_schedule`` on them,
-checks the blocks decode re-encodes and writes the lanes of its sink files.
+Encode, decode and repair each ask ``codec.plan`` for their schedule, the
+rows they read and the blocks they check, and then differ only in their
+source and sink files.  They run one batch loop, ``_run_batches``: each
+batch reads the lanes of its sources, runs ``execute_schedule`` on them,
+checks the blocks the plan names and writes the lanes of its sinks.
 A run of several batches is split into contiguous ranges of batches, one
 per process, up to one per CPU this process may run on (``_PROCESSES``):
 the caller runs the first range and a forked child each other one, all
@@ -36,21 +37,14 @@ from contextlib import ExitStack, contextmanager
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Collection, Iterator, Mapping, Sequence
+from typing import BinaryIO, Callable, Collection, Iterator, Sequence
 
 from ._record import record
 from .code import DEFAULT_MAX_K, MdrCode, construct
-from .codec import (
-    IntegrityError,
-    XorSchedule,
-    build_decode_schedule,
-    build_encode_schedule,
-    decode,  # noqa: F401  unused here, but perfbench/tracer.py wraps mdr6.shards.decode
-    execute_repair,  # noqa: F401  unused here, but perfbench/tracer.py wraps mdr6.shards.execute_repair
-    execute_schedule,
-    parity_schedule,
-    repair_plan,
-)
+from .codec import IntegrityError, execute_schedule, plan
+
+# unused here, but perfbench/tracer.py wraps these names where shards binds them
+from .codec import build_encode_schedule, decode, execute_repair, repair_plan  # noqa: F401
 
 MAGIC = b"MDR1"
 FORMAT_VERSION = 1
@@ -161,6 +155,8 @@ def _open_shard_set(
             raise IntegrityError("shard headers disagree on code parameters")
         files[own.disk_index] = fh
     if header is None:
+        if not directory.is_dir():
+            raise ValueError(f"no shard directory {directory}")
         raise IntegrityError(f"no shard files found in {directory}")
     k, r = header.k, header.r
     if code is None:
@@ -267,6 +263,13 @@ def _payload_blocks(k: int, r: int) -> tuple[tuple[int, int], ...]:
     return tuple((d, j) for d in range(1, k + 1) for j in range(1, r + 1))
 
 
+def _shard_sink(fh: BinaryIO, header: ShardHeader) -> tuple:
+    """fh, with header written, as the sink of every block of the header's disk."""
+    fh.write(header.pack())
+    rows = range(1, header.r + 1)
+    return fh, header.lane_io(rows), [(header.disk_index, j) for j in rows]
+
+
 @contextmanager
 def _replace_on_success(path: Path) -> Iterator[BinaryIO]:
     """Write to an unbuffered temporary file beside path, renamed over path
@@ -287,18 +290,19 @@ def _replace_on_success(path: Path) -> Iterator[BinaryIO]:
         raise
 
 
-def _run_batches(schedule: XorSchedule, sources: Collection[tuple], sinks: Collection[tuple],
-                 checked: Collection[tuple[int, int]], stripe_count: int, n: int, block_size: int) -> int:
-    """Run schedule on every batch of up to n stripes and return the XORs executed.
+def _run_batches(planned: tuple, sources: Collection[tuple], sinks: Collection[tuple],
+                 stripe_count: int, n: int, block_size: int) -> int:
+    """Run a ``codec.plan`` on every batch of up to n stripes and return the XORs executed.
 
     Sources and sinks are (file, ``_LaneIO``, the (disk, row) block of each of its
     lanes) triples.  A batch reads every source, runs ``execute_schedule`` on exactly
-    the blocks the schedule reads, raises IntegrityError where a checked block read
-    differs from the one output, and writes every sink from the blocks read or output.
+    the blocks the plan's schedule reads, raises IntegrityError where a block the plan
+    checks differs from the one output, and writes every sink from the blocks read or output.
     Each source's ``_LaneIO`` then counts the bytes that every process read through it.
 
     The batches are cut into contiguous ranges, one per process: this process runs
     the first range and a forked child each other one (see ``_forked.run_forked``)."""
+    schedule, _, checked = planned
     firsts = range(0, stripe_count, n)
     procs = max(1, min(_PROCESSES, len(firsts)))
     if not hasattr(os, "fork") or threading.active_count() > 1:
@@ -357,7 +361,7 @@ def encode_file(
     if code.k != k:
         raise ValueError("supplied code does not match k")
     r = code.r
-    schedule = build_encode_schedule(code)
+    planned = plan(code, (k + 1, k + 2), (k + 1, k + 2))
     stripe_bytes = k * r * block_size
 
     out = Path(out_dir)
@@ -365,21 +369,17 @@ def encode_file(
     for path in sorted(out.glob(f"*{SHARD_SUFFIX}")):  # any other shard left beside the new set stops it decoding
         if path not in paths:
             raise ValueError(f"{out} holds {path.name}, which is no shard of a k={k} set; remove it or encode elsewhere")
-    out.mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
         src = stack.enter_context(Path(input_path).open("rb", buffering=0))
+        out.mkdir(parents=True, exist_ok=True)  # once the input is open: a failed open makes none
         payload_length = os.fstat(src.fileno()).st_size
         stripe_count = (payload_length + stripe_bytes - 1) // stripe_bytes
-        n = _batch_stripes(stripe_count, stripe_bytes)
-        payload = _LaneIO(0, k * r, block_size, range(1, k * r + 1), payload_length)
-        handles = [stack.enter_context(_replace_on_success(p)) for p in paths]
-        for d, fh in enumerate(handles, start=1):
-            header = ShardHeader(k, r, d, block_size, stripe_count, payload_length)
-            fh.write(header.pack())
-        shard = header.lane_io(range(1, r + 1))  # every shard has the same layout
-        sinks = [(fh, shard, [(d, j) for j in range(1, r + 1)]) for d, fh in enumerate(handles, start=1)]
-        source = (src, payload, _payload_blocks(k, r))
-        xor_total = _run_batches(schedule, [source], sinks, (), stripe_count, n, block_size)
+        sinks = [_shard_sink(stack.enter_context(_replace_on_success(p)),
+                             ShardHeader(k, r, d, block_size, stripe_count, payload_length))
+                 for d, p in enumerate(paths, start=1)]
+        source = (src, _LaneIO(0, k * r, block_size, range(1, k * r + 1), payload_length), _payload_blocks(k, r))
+        xor_total = _run_batches(planned, [source], sinks, stripe_count,
+                                 _batch_stripes(stripe_count, stripe_bytes), block_size)
     return EncodeReport(stripe_count, xor_total, tuple(str(p) for p in paths))
 
 
@@ -393,16 +393,16 @@ class DecodeReport:
     xor_count: int
 
 
-def _run_from_shards(files: dict[int, BinaryIO], header: ShardHeader, rows: Mapping[int, Sequence[int]],
-                     schedule: XorSchedule, sink: tuple, checked: Collection[tuple[int, int]] = ()) -> tuple:
-    """Run schedule on every batch of the stripes of the shard set in files, reading
-    rows[d] of each disk d in rows and writing the sink, a (file, ``_LaneIO``, blocks)
-    triple as ``_run_batches`` takes.  Returns the blocks and the bytes read from each
-    shard in files, as the reads returned them, and the XORs executed."""
+def _run_from_shards(files: dict[int, BinaryIO], header: ShardHeader, planned: tuple, sink: tuple) -> tuple:
+    """Run a ``codec.plan`` on every batch of the stripes of the shard set in files,
+    reading the rows it names of each disk and writing the sink, a (file, ``_LaneIO``,
+    blocks) triple as ``_run_batches`` takes.  Returns the blocks and the bytes read
+    from each shard in files, as the reads returned them, and the XORs executed."""
     bs, stripe_count = header.block_size, header.stripe_count
     n = _batch_stripes(stripe_count, header.k * header.r * bs)
+    _, rows, _ = planned
     sources = {d: (files[d], header.lane_io(js), [(d, j) for j in js]) for d, js in rows.items()}
-    xor_total = _run_batches(schedule, sources.values(), [sink], checked, stripe_count, n, bs)
+    xor_total = _run_batches(planned, sources.values(), [sink], stripe_count, n, bs)
     nbytes = {d: sources[d][1].bytes_read if d in sources else 0 for d in files}
     return {d: b // bs for d, b in nbytes.items()}, nbytes, xor_total
 
@@ -431,22 +431,10 @@ def decode_file(
         k, r = header.k, header.r
         if len(missing) > 2:
             raise TooManyErasuresError(f"{len(missing)} shards missing; RAID-6 tolerates at most 2")
-        # with no data shard missing, nothing is rebuilt, so re-encoding checks
-        # every surviving parity instead, and only those
-        checked = ()
-        if all(d > k for d in missing):
-            checked = tuple(d for d in (k + 1, k + 2) if d in files)
-        schedule = parity_schedule(code, checked) if checked else build_decode_schedule(code, missing)
-        rows = range(1, r + 1)
-        # every block of a surviving data disk is output; of P and Q, read only
-        # what the schedule uses, or all of each checked one
-        wanted = {d: rows for d in files if d <= k or d in checked}
-        for d, used in schedule.rows_by_disk.items():
-            wanted.setdefault(d, used)
+        planned = plan(code, missing, tuple(range(1, k + 1)))
         out = stack.enter_context(_replace_on_success(out_path))
         payload = _LaneIO(0, k * r, header.block_size, range(1, k * r + 1), header.payload_length)
-        counts = _run_from_shards(files, header, wanted, schedule, (out, payload, _payload_blocks(k, r)),
-                                  [(d, j) for d in checked for j in rows])
+        counts = _run_from_shards(files, header, planned, (out, payload, _payload_blocks(k, r)))
     return DecodeReport(missing, header.stripe_count, header.payload_length, *counts)
 
 
@@ -487,9 +475,8 @@ def repair_shard(
             raise ValueError(f"shard {missing_index} is present; the missing shard is {missing[0]}")
         failed = missing[0]
         out_path = directory / shard_name(failed)
-        schedule = repair_plan(code, failed)
+        planned = plan(code, missing, missing)
         fh = stack.enter_context(_replace_on_success(out_path))
-        fh.write(ShardHeader(k, r, failed, header.block_size, header.stripe_count, header.payload_length).pack())
-        sink = (fh, header.lane_io(range(1, r + 1)), sorted(schedule.writes))
-        counts = _run_from_shards(files, header, schedule.rows_by_disk, schedule, sink)
+        own = ShardHeader(k, r, failed, header.block_size, header.stripe_count, header.payload_length)
+        counts = _run_from_shards(files, header, planned, _shard_sink(fh, own))
     return RepairReport(failed, str(out_path), header.stripe_count, *counts)

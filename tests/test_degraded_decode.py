@@ -9,7 +9,7 @@ import pytest
 
 from mdr6 import shards
 from mdr6.code import construct
-from mdr6.codec import build_decode_schedule, repair_plan
+from mdr6.codec import plan, repair_plan
 
 CODES = {k: construct(k) for k in range(1, 7)}
 
@@ -23,9 +23,9 @@ def test_a_lone_data_disk_decodes_through_its_repair_plan(tmp_path, k):
     sh, out = tmp_path / "sh", tmp_path / "out.bin"
     stripes = shards.encode_file(src, sh, k, 8).stripe_count
     for d in range(1, k + 1):
-        plan = repair_plan(code, d)
-        assert build_decode_schedule(code, (d,)) == plan
-        assert plan.xor_count == (k - 1) * r
+        repair = repair_plan(code, d)
+        assert plan(code, (d,), tuple(range(1, k + 1)))[0] == repair
+        assert repair.xor_count == (k - 1) * r
         shard = sh / shards.shard_name(d)
         blob = shard.read_bytes()
         shard.unlink()
@@ -33,7 +33,7 @@ def test_a_lone_data_disk_decodes_through_its_repair_plan(tmp_path, k):
         assert out.read_bytes() == src.read_bytes()
         assert report.xor_count == (k - 1) * r * stripes
         for p in (k + 1, k + 2):
-            assert len(plan.rows_by_disk[p]) == r // 2
+            assert len(repair.rows_by_disk[p]) == r // 2
             assert report.blocks_read_per_shard[p] == r // 2 * stripes
         shard.write_bytes(blob)
 

@@ -15,12 +15,12 @@ from mdr6.code import construct, is_recursive_mdr
 from mdr6.codec import (
     XorOp,
     XorSchedule,
-    build_decode_schedule,
     build_encode_schedule,
     decode,
     encode_naive,
     execute_repair,
     execute_schedule,
+    plan,
     repair_plan,
     verify_schedule,
 )
@@ -47,6 +47,11 @@ def without(full, *lost):
 def erasure_patterns(code):
     disks = range(1, code.k + 3)
     return [*itertools.combinations(disks, 1), *itertools.combinations(disks, 2)]
+
+
+def decode_plan(code, missing):
+    """What decode runs with the disks in missing lost: it outputs every data disk."""
+    return plan(code, missing, tuple(range(1, code.k + 1)))
 
 
 def flat_inputs(schedule):
@@ -119,7 +124,7 @@ def schedule_cases(draw):
     if kind == "repair":
         return code, full, repair_plan(code, disk), execute_repair
     data_lost = [m for m in erasure_patterns(code) if min(m) <= code.k]
-    return code, full, build_decode_schedule(code, draw(st.sampled_from(data_lost))), execute_schedule
+    return code, full, decode_plan(code, draw(st.sampled_from(data_lost)))[0], execute_schedule
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,7 +159,7 @@ def test_verify_schedule_accepts_built_schedules_and_rejects_tampering(code):
     schedules = [
         build_encode_schedule(code),
         *(repair_plan(code, disk) for disk in range(1, k + 3)),
-        *(build_decode_schedule(code, missing) for missing in erasure_patterns(code)),
+        *(decode_plan(code, missing)[0] for missing in erasure_patterns(code)),
     ]
     other = CANONICAL[k % len(CANONICAL)]
     for schedule in schedules:
@@ -177,9 +182,12 @@ def test_verify_schedule_accepts_built_schedules_and_rejects_tampering(code):
 def test_every_decode_schedule_rebuilds_exactly_the_lost_data(code):
     k, r = code.k, code.r
     for missing in erasure_patterns(code):
-        schedule = build_decode_schedule(code, missing)
+        schedule, _, checked = decode_plan(code, missing)
         assert verify_schedule(code, schedule), missing
-        assert schedule.writes == {(d, j) for d in missing if d <= k for j in range(1, r + 1)}
+        # with no data disk lost every surviving parity is re-encoded to be checked
+        parities = [d for d in (k + 1, k + 2) if d not in missing and all(e > k for e in missing)]
+        assert checked == tuple((d, j) for d in parities for j in range(1, r + 1)), missing
+        assert schedule.writes == {(d, j) for d in missing if d <= k for j in range(1, r + 1)} | set(checked)
         assert not any(d in missing for d, _ in schedule.reads), missing
         # building from earlier outputs never costs an XOR or a read more than flat ops
         assert schedule.xor_count <= flat_count(schedule), missing
@@ -193,7 +201,7 @@ def test_every_decode_schedule_rebuilds_exactly_the_lost_data(code):
     [(3, (2, 3), 68, 36), (6, (2, 5), 2400, 1248), (6, (1, 2), 2368, 960), (6, (1, 7), 1600, 1534)],
 )
 def test_decode_xor_counts_are_pinned(k, missing, flat, xors):
-    schedule = build_decode_schedule(construct(k), missing)
+    schedule = decode_plan(construct(k), missing)[0]
     assert flat_count(schedule) == flat
     assert schedule.xor_count == xors
 
@@ -211,9 +219,10 @@ def decode_cases(draw):
 @given(decode_cases())
 def test_decode_schedule_matches_stripe_and_oracle(case):
     code, missing, full = case
-    schedule = build_decode_schedule(code, missing)
+    schedule = decode_plan(code, missing)[0]
     outputs, executed = execute_schedule(schedule, {b: full[b] for b in schedule.reads}, block_size_of(full))
     assert executed == schedule.xor_count
     oracle = decode(code, without(full, *missing))
-    assert outputs == {b: full[b] for b in full if b[0] in missing and b[0] <= code.k}
+    assert outputs == {b: full[b] for b in schedule.writes}
+    assert schedule.writes >= {b for b in full if b[0] in missing and b[0] <= code.k}
     assert all(data == oracle[block] for block, data in outputs.items())

@@ -92,6 +92,15 @@ def test_a_directory_without_shards_is_refused(tmp_path, capsys):
                    ["decode", str(sh), "--out", str(tmp_path / "out.bin")], ["repair", str(sh)])
 
 
+@pytest.mark.parametrize("command", ["decode", "repair"])
+def test_a_directory_that_does_not_exist_is_a_usage_error(tmp_path, capsys, command):
+    sh = tmp_path / "nodir"
+    argv = [command, str(sh)] + (["--out", str(tmp_path / "out.bin")] if command == "decode" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: no shard directory {sh}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
 def test_a_code_of_another_k_and_r_is_refused(tmp_path, capsys, shard_set):
     sh = lay_out(tmp_path, shard_set)
     doc = tmp_path / "k2.json"
@@ -107,15 +116,14 @@ def test_a_shard_that_shrinks_after_it_was_opened_is_refused(tmp_path, capsys, m
     sh = lay_out(tmp_path, shard_set)
     (sh / shard_name(2)).unlink()
     victim = sh / shard_name(1)
-    # the schedule is built after every shard was opened and its size checked
-    name = "build_decode_schedule" if command == "decode" else "repair_plan"
-    original = getattr(shards, name)
+    # the plan is made after every shard was opened and its size checked
+    original = shards.plan
 
     def shrink_then_plan(*args):
         victim.write_bytes(victim.read_bytes()[: HEADER_SIZE + BS])
         return original(*args)
 
-    monkeypatch.setattr(shards, name, shrink_then_plan)
+    monkeypatch.setattr(shards, "plan", shrink_then_plan)
     argv = [command, str(sh)] + (["--out", str(tmp_path / "out.bin")] if command == "decode" else [])
     assert main(argv) == 2
     assert f"integrity error: {victim} was truncated or grew" in capsys.readouterr().err

@@ -14,7 +14,7 @@ from mdr6 import cli, shards
 from mdr6.cli import main
 from mdr6.analysis import search_repair_optimal
 from mdr6.code import code_from_document, code_to_document, construct, is_recursive_mdr
-from mdr6.codec import build_decode_schedule, repair_plan, verify_schedule
+from mdr6.codec import plan, repair_plan, verify_schedule
 from mdr6.shards import ShardHeader, TooManyErasuresError
 from mdr6.sim import DiskModel, SimConfig, simulate
 
@@ -73,6 +73,14 @@ def test_block_size_out_of_range_is_a_usage_error(tmp_path, capsys, block_size):
     argv = ["encode", str(src), "--k", "2", "--block-size", str(block_size), "--out-dir", str(out)]
     assert main(argv) == 1
     assert "usage error: block size" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_input_that_does_not_open_makes_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "y"
+    argv = ["encode", str(tmp_path / "nofile.bin"), "--k", "3", "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert "nofile.bin" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -479,19 +487,19 @@ def test_a_lone_data_disk_of_a_loaded_code_takes_its_repair_plan(tmp_path, k, pl
     sh, out = tmp_path / "sh", tmp_path / "out.bin"
     stripes = shards.encode_file(src, sh, k, BS, code=code).stripe_count
     for d in range(1, k + 1):
-        plan = repair_plan(code, d)
-        assert build_decode_schedule(code, (d,)) == plan
+        repair = repair_plan(code, d)
+        assert plan(code, (d,), tuple(range(1, k + 1)))[0] == repair
         shard = sh / shards.shard_name(d)
         blob = shard.read_bytes()
         shard.unlink()
         report = shards.decode_file(sh, out, code=code)
         assert out.read_bytes() == src.read_bytes()
-        assert report.xor_count == plan.xor_count * stripes
+        assert report.xor_count == repair.xor_count * stripes
         # r/2 rows each of P and Q, as repair reads, instead of every row of P
         expected = {e: r * stripes for e in range(1, k + 1) if e != d}
         expected |= {p: r // 2 * stripes for p in (k + 1, k + 2)}
         assert report.blocks_read_per_shard == expected
-        assert {p: len(plan.rows_by_disk[p]) for p in (k + 1, k + 2)} == {k + 1: r // 2, k + 2: r // 2}
+        assert {p: len(repair.rows_by_disk[p]) for p in (k + 1, k + 2)} == {k + 1: r // 2, k + 2: r // 2}
         shard.write_bytes(blob)
 
 
