@@ -7,17 +7,21 @@ an integrity error, so no shard is ever taken for another disk's.
 ``block_index`` places each block of such a file, and ``_LaneIO`` moves
 chosen blocks between one and lanes, a lane being the same block of
 every stripe in a batch of about BATCH_BYTES of stripe data.  Each run of
-chosen blocks adjacent in the file is one ``os.preadv`` or ``os.pwritev``,
-so repair reads exactly the blocks its schedule reads, and decode those
-plus every block it outputs or checks.  Every shard or output file is
-written beside its place and renamed into it only once the whole run has
-succeeded.
+chosen blocks adjacent in the file is one ``os.preadv`` or ``os.pwritev``
+of up to IOV_MAX iovecs, so repair reads exactly the blocks its schedule
+reads, and decode those plus every block it outputs or checks.  A write
+joins nothing: its iovecs are views, cut once per batch size, of the
+buffers the lanes live in for the whole run.  Every shard or output file
+is written beside its place and renamed into it only once the whole run
+has succeeded.
 
 Encode, decode and repair each ask ``codec.plan`` for their schedule, the
 rows they read and the blocks they check, and then differ only in their
 source and sink files.  They run one batch loop, ``_run_batches``: each
 batch reads the lanes of its sources, runs ``execute_schedule`` on them,
-checks the blocks the plan names and writes the lanes of its sinks.
+checks the blocks the plan names and writes the lanes of its sinks.  A
+block read is written from its source's read buffer, and a block the
+schedule outputs from the one buffer of output lanes it is copied into.
 A run of several batches is split into contiguous ranges of batches, one
 per process, up to one per CPU this process may run on (``_PROCESSES``):
 the caller runs the first range and a forked child each other one, all
@@ -35,6 +39,7 @@ import struct
 import threading
 from contextlib import ExitStack, contextmanager
 from functools import lru_cache
+from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Collection, Iterator, Sequence
@@ -175,34 +180,59 @@ def _batch_stripes(stripe_count: int, stripe_data_bytes: int) -> int:
     return max(1, min(stripe_count, BATCH_BYTES // stripe_data_bytes))
 
 
-def _cutter(slices: Sequence[slice]) -> Callable[[memoryview], tuple]:
-    """Cut a buffer into the tuple of its given slices."""
-    cut = itemgetter(*slices)
-    return cut if len(slices) > 1 else lambda buf: (cut(buf),)
+def _cutter(keys: Sequence) -> Callable[[Sequence], tuple]:
+    """Cut a buffer, or pick from a tuple, the tuple of its items at the given keys."""
+    cut = itemgetter(*keys)
+    return cut if len(keys) > 1 else lambda buf: (cut(buf),)
 
 
 @lru_cache(maxsize=32)
-def _shape(per_stripe: int, slots: tuple[int, ...] | range, m: int, size: int) -> tuple:
-    """How m stripes move between a file of stripes and lanes of m blocks of size bytes
-    end to end in a buffer, lane i holding slot slots[i]: the lanes and iovecs, as cutters
-    of the buffer, and the transfers as (file offset from the batch's first stripe, first
-    iovec, iovec count, byte count).  An iovec spans blocks adjacent both in the file
-    and in the buffer, so at m = 1 a run of consecutive slots is one iovec."""
-    iovecs, moves, end = [], [], None  # [start, end] in the buffer; [file offset, first iovec, iovecs, bytes]
+def _shape(per_stripe: int, slots: tuple[int, ...] | range, m: int, size: int, breaks: tuple[int, ...]) -> tuple:
+    """How m stripes move between a file of stripes and lanes of m blocks of size bytes,
+    lane i holding slot slots[i].  The lanes lie end to end in segments, one from each
+    lane in breaks (the first is 0) to the next, each in a buffer of its own.  Returns the
+    lanes, as a cutter of a buffer holding all of them; the iovecs, as a cutter of the
+    buffers each segment starts; and the transfers as (file offset from the batch's first
+    stripe, first iovec, iovec count, byte count).  An iovec spans blocks adjacent both in
+    the file and in one segment, so at m = 1 a run of consecutive slots is one iovec."""
+    homes = [(g, i - first) for g, first in enumerate(breaks) for i in range(first, (*breaks, len(slots))[g + 1])]
+    # lists of ints, which the garbage collector does not track: each segment's iovec
+    # starts and stops, each iovec's segment, and each transfer's fields
+    starts, stops = [[] for _ in breaks], [[] for _ in breaks]
+    segments, offsets, firsts, counts, sizes, end = [], [], [], [], [], None
     for s in range(m):
-        for i, slot in enumerate(slots):
-            at, start = block_index(s, slot, per_stripe) * size, (i * m + s) * size
-            if at == end and iovecs[-1][1] == start:
-                iovecs[-1][1] += size
+        for slot, (g, j) in zip(slots, homes):
+            at, start = block_index(s, slot, per_stripe) * size, (j * m + s) * size
+            if at == end and segments[-1] == g and stops[g][-1] == start:
+                stops[g][-1] += size
             else:
-                if at != end or moves[-1][2] == _IOV_MAX:
-                    moves.append([at, len(iovecs), 0, 0])
-                iovecs.append([start, start + size])
-                moves[-1][2] += 1
-            moves[-1][3] += size
+                if at != end or counts[-1] == _IOV_MAX:
+                    offsets.append(at), firsts.append(len(segments)), counts.append(0), sizes.append(0)
+                segments.append(g), starts[g].append(start), stops[g].append(start + size)
+                counts[-1] += 1
+            sizes[-1] += size
             end = at + size
-    lanes = [slice(i * m * size, (i + 1) * m * size) for i in range(len(slots))]
-    return _cutter(lanes), _cutter([slice(*span) for span in iovecs]), tuple(map(tuple, moves))
+    lanes = _cutter([slice(i * m * size, (i + 1) * m * size) for i in range(len(slots))])
+    moves = tuple(zip(offsets, firsts, counts, sizes))
+    cuts = [_cutter(list(map(slice, *spans))) for spans in zip(starts, stops)]
+    if len(cuts) == 1:
+        return lanes, lambda bases: cuts[0](bases[0]), moves
+    taken, order = list(accumulate(map(len, starts), initial=0)), []
+    for g in segments:  # each iovec's place among the views of the segments end to end
+        order.append(taken[g])
+        taken[g] += 1
+    in_order = _cutter(order)
+    return lanes, lambda bases: in_order(tuple(chain.from_iterable(cut(base) for cut, base in zip(cuts, bases)))), moves
+
+
+def _split(iovecs: Sequence[memoryview], nbytes: int) -> tuple[list, list]:
+    """The views of the first nbytes bytes of iovecs, and of the rest."""
+    head, tail = [], []
+    for view in iovecs:
+        cut = min(len(view), max(0, nbytes))
+        head.append(view[:cut]), tail.append(view[cut:])
+        nbytes -= len(view)
+    return head, tail
 
 
 class _LaneIO:
@@ -212,7 +242,8 @@ class _LaneIO:
     holds slot slots[i] of each stripe of a batch.  A read puts a batch's lanes end to
     end in one buffer, made by the process at its first read and sized for that batch:
     a process reads its batches in order, and only a run's last batch is short.  A
-    write joins the lanes it is given once and writes views of that copy."""
+    write takes its transfers already cut, by ``transfers``, from the buffers its lanes
+    live in for the whole run, and cuts views only where the file ends within them."""
 
     def __init__(self, base: int, per_stripe: int, block_size: int, slots: tuple[int, ...] | range, end: int):
         self.base, self.per_stripe, self.block_size, self.slots, self.end = base, per_stripe, block_size, slots, end
@@ -220,54 +251,63 @@ class _LaneIO:
         self._reads: dict[int, tuple[tuple, list]] = {}
         self.bytes_read = 0
 
+    def transfers(self, m: int, breaks: tuple[int, ...], bases: Sequence[memoryview]) -> list:
+        """The (file offset from the batch's first stripe, iovecs, byte count) transfers of a
+        batch of m stripes whose lanes lie in segments from the lanes in breaks on, segment g
+        in buffer bases[g] (see ``_shape``)."""
+        _, iovecs, moves = _shape(self.per_stripe, self.slots, m, self.block_size, breaks)
+        views = iovecs(bases)
+        return [(at, views[lo : lo + count], nbytes) for at, lo, count, nbytes in moves]
+
     def read(self, fh: BinaryIO, first: int, m: int) -> tuple:
         """Read stripes first .. first+m-1 of fh into their lanes, returned valid until the next read."""
         if m not in self._reads:
             if self.buf is None:
                 self.buf = memoryview(bytearray(len(self.slots) * m * self.block_size))
-            lanes, iovecs, moves = _shape(self.per_stripe, self.slots, m, self.block_size)
-            views = iovecs(self.buf)
-            self._reads[m] = lanes(self.buf), [(at, views[lo : lo + count], nbytes) for at, lo, count, nbytes in moves]
+            lanes = _shape(self.per_stripe, self.slots, m, self.block_size, (0,))[0]
+            self._reads[m] = lanes(self.buf), self.transfers(m, (0,), [self.buf])
         lanes, moves = self._reads[m]
         fd, preadv, total = fh.fileno(), os.preadv, 0
         start = self.base + block_index(first, 1, self.per_stripe) * self.block_size
         end = self.end - start
-        if end < block_index(m, 1, self.per_stripe) * self.block_size:  # lanes past the end read as zeros
-            self.buf[:] = bytes(len(self.buf))
         for at, iovecs, nbytes in moves:
             got = preadv(fd, iovecs, start + at)
             total += got
-            # only the end of the file may cut a read short
-            if (got != nbytes or at + nbytes > end) and got != max(0, min(nbytes, end - at)):
-                raise IntegrityError(f"{fh.name} was truncated or grew: read to byte {start + at + got}")
+            if got != nbytes or at + nbytes > end:  # only the end of the file may cut a read short
+                if got != max(0, min(nbytes, end - at)):
+                    raise IntegrityError(f"{fh.name} was truncated or grew: read to byte {start + at + got}")
+                for view in _split(iovecs, got)[1]:  # lanes past the end read as zeros
+                    view[:] = bytes(len(view))
         self.bytes_read += total
         return lanes
 
-    def write(self, fh: BinaryIO, first: int, m: int, lanes: Sequence[bytes]) -> None:
-        """Write stripes first .. first+m-1 of fh, up to its end, from their lanes in slot order."""
-        _, iovecs, moves = _shape(self.per_stripe, self.slots, m, self.block_size)
-        views = iovecs(memoryview(b"".join(lanes)))
+    def write(self, fh: BinaryIO, first: int, transfers: Sequence[tuple]) -> None:
+        """Write the given transfers of stripes first on of fh, up to its end."""
         fd, start = fh.fileno(), self.base + block_index(first, 1, self.per_stripe) * self.block_size
-        for at, lo, count, nbytes in moves:
-            chunk = views[lo : lo + count]
+        for at, iovecs, nbytes in transfers:
             if start + at + nbytes > self.end:
-                chunk = [b"".join(chunk)[: max(0, self.end - start - at)]]
-                nbytes = len(chunk[0])
-            if os.pwritev(fd, chunk, start + at) != nbytes:
+                nbytes = max(0, self.end - start - at)
+                iovecs = _split(iovecs, nbytes)[0]
+            if nbytes and os.pwritev(fd, iovecs, start + at) != nbytes:
                 raise OSError(f"short write to {fh.name} at byte {start + at}")
 
 
-@lru_cache(maxsize=16)
-def _payload_blocks(k: int, r: int) -> tuple[tuple[int, int], ...]:
-    """The (disk, row) block in each payload slot: data disk d's strip is the d-th r slots."""
-    return tuple((d, j) for d in range(1, k + 1) for j in range(1, r + 1))
+@lru_cache(maxsize=64)
+def _blocks(disks: tuple[tuple[int, Sequence[int]], ...]) -> tuple[tuple[int, int], ...]:
+    """The (disk, row) block of each lane of (disk, rows) runs."""
+    return tuple((d, j) for d, rows in disks for j in rows)
+
+
+def _payload_disks(k: int, r: int) -> tuple[tuple[int, range], ...]:
+    """The payload's lanes as (disk, rows) runs: data disk d's strip is the d-th r slots."""
+    return tuple((d, range(1, r + 1)) for d in range(1, k + 1))
 
 
 def _shard_sink(fh: BinaryIO, header: ShardHeader) -> tuple:
     """fh, with header written, as the sink of every block of the header's disk."""
     fh.write(header.pack())
     rows = range(1, header.r + 1)
-    return fh, header.lane_io(rows), [(header.disk_index, j) for j in rows]
+    return fh, header.lane_io(rows), ((header.disk_index, rows),)
 
 
 @contextmanager
@@ -294,11 +334,17 @@ def _run_batches(planned: tuple, sources: Collection[tuple], sinks: Collection[t
                  stripe_count: int, n: int, block_size: int) -> int:
     """Run a ``codec.plan`` on every batch of up to n stripes and return the XORs executed.
 
-    Sources and sinks are (file, ``_LaneIO``, the (disk, row) block of each of its
-    lanes) triples.  A batch reads every source, runs ``execute_schedule`` on exactly
+    Sources and sinks are (file, ``_LaneIO``, its lanes as (disk, rows) runs) triples,
+    a sink's runs whole disks.  A batch reads every source, runs ``execute_schedule`` on exactly
     the blocks the plan's schedule reads, raises IntegrityError where a block the plan
     checks differs from the one output, and writes every sink from the blocks read or output.
     Each source's ``_LaneIO`` then counts the bytes that every process read through it.
+
+    Every lane a sink writes lies in a buffer a process keeps for its whole run: a disk
+    read whole in its source's read buffer, any other in one buffer of output lanes, made
+    at the process's first batch, that each batch copies the schedule's outputs into.  So
+    each sink's transfers are cut once per batch size, and kept only while a later batch
+    of the process can write through them.
 
     The batches are cut into contiguous ranges, one per process: this process runs
     the first range and a forked child each other one (see ``_forked.run_forked``)."""
@@ -307,12 +353,34 @@ def _run_batches(planned: tuple, sources: Collection[tuple], sinks: Collection[t
     procs = max(1, min(_PROCESSES, len(firsts)))
     if not hasattr(os, "fork") or threading.active_count() > 1:
         procs = 1  # a forked child holds only the forking thread, and whatever locks the others held
+    held = [_blocks(disks) for _, _, disks in sources]
+    read_at = {}  # disk: its source, first lane there and rows
+    for g, (_, _, disks) in enumerate(sources):
+        lane = 0
+        for d, rows in disks:
+            read_at[d] = g, lane, tuple(rows)
+            lane += len(rows)
+    # each sink's segments, one from each of its disks on: a disk read whole lies in its
+    # source's buffer, any other in the output lanes, the buffer after the sources'
+    made, placed = [], []
+    for _, _, disks in sinks:
+        breaks, starts, lane = [], [], 0
+        for d, rows in disks:
+            g, at, got = read_at.get(d, (None, 0, ()))
+            if got != tuple(rows):
+                g, at = len(held), len(made)
+                made.extend((d, j) for j in rows)
+            breaks.append(lane)
+            starts.append((g, at))
+            lane += len(rows)
+        placed.append((tuple(breaks), starts))
 
     def run_range(i: int) -> tuple[int, list[int]]:
-        xors = 0
-        for first in firsts[len(firsts) * i // procs : len(firsts) * (i + 1) // procs]:
+        xors, out, cut = 0, None, {}  # cut: by batch size, each sink's transfers
+        mine = firsts[len(firsts) * i // procs : len(firsts) * (i + 1) // procs]
+        for first in mine:
             m, lanes = min(n, stripe_count - first), {}
-            for fh, io, blocks in sources:
+            for (fh, io, _), blocks in zip(sources, held):
                 lanes.update(zip(blocks, io.read(fh, first, m)))
             # sources cover the reads, so as many lanes as reads are exactly them
             inputs = lanes if len(lanes) == len(schedule.reads) else {b: lanes[b] for b in schedule.reads}
@@ -320,9 +388,20 @@ def _run_batches(planned: tuple, sources: Collection[tuple], sinks: Collection[t
             # bytes against a memoryview compares byte by byte in Python; tobytes() makes it a memcmp
             if any(outputs[b] != lanes[b].tobytes() for b in checked):
                 raise IntegrityError("surviving blocks violate the parity relations")
-            lanes.update(outputs)
-            for fh, io, blocks in sinks:
-                io.write(fh, first, m, [lanes[b] for b in blocks])
+            span = m * block_size
+            if out is None:
+                out = memoryview(bytearray(len(made) * span))
+            for j, b in enumerate(made):
+                out[j * span : (j + 1) * span] = outputs[b]
+            transfers = cut.get(m)
+            if transfers is None:  # cut each sink's just before its write
+                bufs = [io.buf for _, io, _ in sources] + [out]
+                transfers = (io.transfers(m, breaks, [bufs[g][j * span :] for g, j in starts])
+                             for (_, io, _), (breaks, starts) in zip(sinks, placed))
+                if first != mine[-1]:  # and keep them for the batches after, which write through the same views
+                    transfers = cut[m] = list(transfers)
+            for (fh, io, _), moves in zip(sinks, transfers):
+                io.write(fh, first, moves)
             xors += executed
         return xors, [io.bytes_read for _, io, _ in sources]  # a child's own: it forked before any read
 
@@ -377,7 +456,7 @@ def encode_file(
         sinks = [_shard_sink(stack.enter_context(_replace_on_success(p)),
                              ShardHeader(k, r, d, block_size, stripe_count, payload_length))
                  for d, p in enumerate(paths, start=1)]
-        source = (src, _LaneIO(0, k * r, block_size, range(1, k * r + 1), payload_length), _payload_blocks(k, r))
+        source = (src, _LaneIO(0, k * r, block_size, range(1, k * r + 1), payload_length), _payload_disks(k, r))
         xor_total = _run_batches(planned, [source], sinks, stripe_count,
                                  _batch_stripes(stripe_count, stripe_bytes), block_size)
     return EncodeReport(stripe_count, xor_total, tuple(str(p) for p in paths))
@@ -396,12 +475,12 @@ class DecodeReport:
 def _run_from_shards(files: dict[int, BinaryIO], header: ShardHeader, planned: tuple, sink: tuple) -> tuple:
     """Run a ``codec.plan`` on every batch of the stripes of the shard set in files,
     reading the rows it names of each disk and writing the sink, a (file, ``_LaneIO``,
-    blocks) triple as ``_run_batches`` takes.  Returns the blocks and the bytes read
+    runs) triple as ``_run_batches`` takes.  Returns the blocks and the bytes read
     from each shard in files, as the reads returned them, and the XORs executed."""
     bs, stripe_count = header.block_size, header.stripe_count
     n = _batch_stripes(stripe_count, header.k * header.r * bs)
     _, rows, _ = planned
-    sources = {d: (files[d], header.lane_io(js), [(d, j) for j in js]) for d, js in rows.items()}
+    sources = {d: (files[d], header.lane_io(js), ((d, js),)) for d, js in rows.items()}
     xor_total = _run_batches(planned, sources.values(), [sink], stripe_count, n, bs)
     nbytes = {d: sources[d][1].bytes_read if d in sources else 0 for d in files}
     return {d: b // bs for d, b in nbytes.items()}, nbytes, xor_total
@@ -434,7 +513,7 @@ def decode_file(
         planned = plan(code, missing, tuple(range(1, k + 1)))
         out = stack.enter_context(_replace_on_success(out_path))
         payload = _LaneIO(0, k * r, header.block_size, range(1, k * r + 1), header.payload_length)
-        counts = _run_from_shards(files, header, planned, (out, payload, _payload_blocks(k, r)))
+        counts = _run_from_shards(files, header, planned, (out, payload, _payload_disks(k, r)))
     return DecodeReport(missing, header.stripe_count, header.payload_length, *counts)
 
 

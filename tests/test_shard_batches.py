@@ -4,6 +4,7 @@ n, with a ragged last stripe, must give the same bytes and the same
 per-stripe counts as one stripe at a time."""
 
 import itertools
+import os
 import random
 import tempfile
 from pathlib import Path
@@ -126,3 +127,73 @@ def test_execute_schedule_over_lanes_of_stripes():
     lanes[(1, 1)] = lanes[(1, 1)][:32]  # two stripes, not three
     with pytest.raises(ValueError):
         execute_schedule(schedule, lanes, 16)
+
+
+def test_writes_cover_each_output_once_in_calls_of_up_to_iov_max(tmp_path, monkeypatch):
+    """Every pwritev of an encode, of decodes with 0, 1 and 2 shards lost and of each
+    single-disk repair, recorded on a set of several batches whose last stripe ends
+    mid-block: the calls cover each output file's body exactly once, in file order.
+    Every sink writes whole rows, so each batch is one run of the file, written in
+    calls of IOV_MAX iovecs but its last: no block is written alone or twice.  A full
+    batch passes the very views the first one did, so none is cut per batch."""
+    k, block_size, n = 3, 8, 2
+    code = CODES[k]
+    r = code.r
+    stripes = 2 * n + 1  # two full batches and a short one
+    size = (stripes - 1) * k * r * block_size + 3 * block_size + 5
+    iov_max = 7  # small enough that a batch's run takes several calls
+    payload = random.Random(9).randbytes(size)
+    src, sh, out = tmp_path / "in.bin", tmp_path / "sh", tmp_path / "out.bin"
+    src.write_bytes(payload)
+    calls: dict[int, list] = {}
+    original = os.pwritev
+
+    def recorded(fd, buffers, offset):
+        written = original(fd, buffers, offset)
+        calls.setdefault(fd, []).append((offset, written, list(buffers)))
+        return written
+
+    def check(bodies, per_stripe):
+        """bodies: (first byte, end) of each output file's body, one per file written,
+        a file of per_stripe bytes per stripe."""
+        assert sorted((c[0][0], c[-1][0] + c[-1][1]) for c in calls.values()) == sorted(bodies)
+        for written in calls.values():
+            base = written[0][0]
+            assert [o for o, _, _ in written] == sorted(o for o, _, _ in written)
+            for (at, nbytes, bufs), (after, _, _) in zip(written, written[1:] + [(None, 0, [])]):
+                assert after is None or at + nbytes == after  # no gap and no overlap
+                assert len(bufs) <= iov_max and sum(map(len, bufs)) == nbytes
+                if after is not None and (after - base) % (n * per_stripe):
+                    assert len(bufs) == iov_max  # only a batch's last call is short
+            batches = [[bufs for at, _, bufs in written if (at - base) // (n * per_stripe) == b] for b in (0, 1)]
+            assert len(batches[0]) == len(batches[1])
+            assert all(x is y for a, b in zip(*batches) for x, y in zip(a, b))
+
+    shards._shape.cache_clear()
+    monkeypatch.setattr(shards, "_IOV_MAX", iov_max)
+    monkeypatch.setattr(shards, "BATCH_BYTES", n * k * r * block_size)
+    monkeypatch.setattr(shards, "_PROCESSES", 1)  # a forked child's calls would not be recorded
+    monkeypatch.setattr(os, "pwritev", recorded)
+    body = (shards.HEADER_SIZE, shards.HEADER_SIZE + stripes * r * block_size)
+    try:
+        shards.encode_file(src, sh, k, block_size)
+        check([body] * (k + 2), r * block_size)
+        files = {d: (sh / shards.shard_name(d)).read_bytes() for d in range(1, k + 3)}
+        assert files == expected_shards(code, payload, block_size, stripes)
+        for lost in ((), (2,), (k + 1,), (1, 3), (2, k + 2)):
+            for d in lost:
+                (sh / shards.shard_name(d)).unlink()
+            calls.clear()
+            shards.decode_file(sh, out)
+            assert out.read_bytes() == payload, lost
+            check([(0, size)], k * r * block_size)
+            for d in lost:
+                (sh / shards.shard_name(d)).write_bytes(files[d])
+        for victim in range(1, k + 3):
+            (sh / shards.shard_name(victim)).unlink()
+            calls.clear()
+            shards.repair_shard(sh)
+            assert (sh / shards.shard_name(victim)).read_bytes() == files[victim]
+            check([body], r * block_size)
+    finally:
+        shards._shape.cache_clear()
