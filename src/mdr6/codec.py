@@ -41,6 +41,7 @@ schedule symbolically against a code.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import repeat
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -112,7 +113,8 @@ def _slot_program(schedule: XorSchedule) -> tuple:
     values: (inputs, slots, steps, outputs).  Slots 0 .. len(inputs)-1
     start with the lanes of the (disk, row) blocks in inputs; each step
     (target, first, rest) sets slot target to the XOR of slot first and the
-    slots in rest; outputs pairs each (disk, row) written with its slot.
+    slots in rest; outputs is the (disk, row) blocks written, sorted, and
+    their slots.
     A slot is reused as soon as the value in it has been read for the last
     time, so the live values, not the ops, bound the number of slots."""
     ops = schedule.ops
@@ -147,8 +149,8 @@ def _slot_program(schedule: XorSchedule) -> tuple:
         else:
             free.append(target)
         steps.append((target, first, tuple(rest)))
-    outputs = tuple((block, slot_of[("out", *block)]) for block in sorted(schedule.writes))
-    return inputs, slots, tuple(steps), outputs
+    written = tuple(sorted(schedule.writes))
+    return inputs, slots, tuple(steps), (written, tuple(slot_of[("out", *block)] for block in written))
 
 
 # -- XOR schedules ----------------------------------------------------------
@@ -252,27 +254,21 @@ def execute_schedule(
         raise ValueError(
             f"lanes do not match the schedule's reads: extra {extra}, missing {absent}"
         )
-    inputs, slots, steps, outputs = schedule._program
-    lane_size = None
-    for (disk, row), data in lanes.items():
-        size = len(data)
-        if lane_size is None:
-            lane_size = size
-        if size != lane_size or not size or size % block_size:
-            raise ValueError(
-                f"lane ({disk}, {row}) has {size} bytes; lanes are the same positive"
-                f" multiple of {block_size} bytes"
-            )
-    env = [0] * slots
-    for slot, block in enumerate(inputs):
-        env[slot] = int.from_bytes(lanes[block], "little")
+    inputs, slots, steps, (written, at) = schedule._program
+    sizes = set(map(len, lanes.values()))
+    lane_size = min(sizes, default=0)
+    if len(sizes) > 1 or sizes and (not lane_size or lane_size % block_size):
+        raise ValueError(
+            f"lanes have {sorted(sizes)} bytes; lanes are the same positive multiple of {block_size} bytes"
+        )
+    env = [*map(int.from_bytes, map(lanes.__getitem__, inputs), repeat("little")), *repeat(0, slots - len(inputs))]
     for target, first, rest in steps:
         acc = env[first]
         for src in rest:
             acc ^= env[src]
         env[target] = acc
-    lanes_out = {block: env[slot].to_bytes(lane_size, "little") for block, slot in outputs}
-    return lanes_out, schedule.xor_count * (lane_size or 0) // block_size
+    lanes_out = dict(zip(written, map(int.to_bytes, map(env.__getitem__, at), repeat(lane_size), repeat("little"))))
+    return lanes_out, schedule.xor_count * lane_size // block_size
 
 
 def _compile_ops(

@@ -9,27 +9,28 @@ chosen blocks between one and lanes, a lane being the same block of
 every stripe in a batch of about BATCH_BYTES of stripe data.  Each run of
 chosen blocks adjacent in the file is one ``os.preadv`` or ``os.pwritev``
 of up to IOV_MAX iovecs, so repair reads exactly the blocks its schedule
-reads, and decode those plus every block it outputs or checks.  A write
-joins nothing: its iovecs are views, cut once per batch size, of the
-buffers the lanes live in for the whole run.  Every shard or output file
-is written beside its place and renamed into it only once the whole run
-has succeeded.
+reads, and decode those plus every block it outputs or checks.  A read
+or a write joins nothing: its iovecs are views, cut once per batch size,
+of the lanes themselves.  Every shard or output file is written beside
+its place and renamed into it only once the whole run has succeeded.
 
 Encode, decode and repair each ask ``codec.plan`` for their schedule, the
 rows they read and the blocks they check, and then differ only in their
 source and sink files.  They run one batch loop, ``_run_batches``: each
 batch reads the lanes of its sources, runs ``execute_schedule`` on them,
-checks the blocks the plan names and writes the lanes of its sinks.  A
-block read is written from its source's read buffer, and a block the
-schedule outputs from the one buffer of output lanes it is copied into.
-A run of several batches is split into contiguous ranges of batches, one
-per process, up to one per CPU this process may run on (``_PROCESSES``):
-the caller runs the first range and a forked child each other one, all
-through the files already opened and checked, each moving its own stripes
-at their own offsets with its own lane buffers.  A child hands back its
-XOR and read-byte counts, or its exception, through shared memory, and the
-reports sum every process's counts.  A run of one batch, a threaded
-caller or a platform without ``os.fork`` runs in one process.
+checks the blocks the plan names and writes the lanes of its sinks.  The
+lanes live in the calling thread's lane arena, one shared mapping kept
+across calls: every block a batch reads or outputs, disk by disk, so that
+each source and each sink is one run of lanes, and a block the schedule
+outputs is copied into its lane.  A run of several batches is split into
+contiguous ranges of batches, one per process, up to one per CPU this
+process may run on (``_PROCESSES``): the caller runs the first range and a
+forked child each other one, all through the files already opened and
+checked, each moving its own stripes at their own offsets in its own slot
+of the arena.  A child hands back its XOR and read-byte counts, or its
+exception, through shared memory, and the reports sum every process's
+counts.  A run of one batch, a threaded caller or a platform without
+``os.fork`` runs in one process.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import struct
 import threading
 from contextlib import ExitStack, contextmanager
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Collection, Iterator, Sequence
@@ -61,6 +62,11 @@ BATCH_BYTES = 1 << 20
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
 # processes a run of several batches is split across, at most one per batch
 _PROCESSES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+# each thread's lane arena; a forked child drops the forking thread's, which it would
+# share with its parent, and a batch child keeps its slot through the call's own views
+_kept = threading.local()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=lambda: vars(_kept).clear())
 
 
 class TooManyErasuresError(Exception):
@@ -187,42 +193,27 @@ def _cutter(keys: Sequence) -> Callable[[Sequence], tuple]:
 
 
 @lru_cache(maxsize=32)
-def _shape(per_stripe: int, slots: tuple[int, ...] | range, m: int, size: int, breaks: tuple[int, ...]) -> tuple:
-    """How m stripes move between a file of stripes and lanes of m blocks of size bytes,
-    lane i holding slot slots[i].  The lanes lie end to end in segments, one from each
-    lane in breaks (the first is 0) to the next, each in a buffer of its own.  Returns the
-    lanes, as a cutter of a buffer holding all of them; the iovecs, as a cutter of the
-    buffers each segment starts; and the transfers as (file offset from the batch's first
+def _shape(per_stripe: int, slots: tuple[int, ...] | range, m: int, size: int) -> tuple:
+    """How m stripes move between a file of stripes and lanes of m blocks of size bytes
+    laid end to end in one buffer, lane i holding slot slots[i].  Returns the iovecs, as
+    a cutter of that buffer, and the transfers as (file offset from the batch's first
     stripe, first iovec, iovec count, byte count).  An iovec spans blocks adjacent both in
-    the file and in one segment, so at m = 1 a run of consecutive slots is one iovec."""
-    homes = [(g, i - first) for g, first in enumerate(breaks) for i in range(first, (*breaks, len(slots))[g + 1])]
-    # lists of ints, which the garbage collector does not track: each segment's iovec
-    # starts and stops, each iovec's segment, and each transfer's fields
-    starts, stops = [[] for _ in breaks], [[] for _ in breaks]
-    segments, offsets, firsts, counts, sizes, end = [], [], [], [], [], None
+    the file and in the buffer, so at m = 1 a run of consecutive slots is one iovec."""
+    # lists of ints, which the garbage collector does not track
+    starts, stops, offsets, firsts, counts, sizes, end = [], [], [], [], [], [], None
     for s in range(m):
-        for slot, (g, j) in zip(slots, homes):
-            at, start = block_index(s, slot, per_stripe) * size, (j * m + s) * size
-            if at == end and segments[-1] == g and stops[g][-1] == start:
-                stops[g][-1] += size
+        for i, slot in enumerate(slots):
+            at, start = block_index(s, slot, per_stripe) * size, (i * m + s) * size
+            if at == end and stops[-1] == start:
+                stops[-1] += size
             else:
                 if at != end or counts[-1] == _IOV_MAX:
-                    offsets.append(at), firsts.append(len(segments)), counts.append(0), sizes.append(0)
-                segments.append(g), starts[g].append(start), stops[g].append(start + size)
+                    offsets.append(at), firsts.append(len(starts)), counts.append(0), sizes.append(0)
+                starts.append(start), stops.append(start + size)
                 counts[-1] += 1
             sizes[-1] += size
             end = at + size
-    lanes = _cutter([slice(i * m * size, (i + 1) * m * size) for i in range(len(slots))])
-    moves = tuple(zip(offsets, firsts, counts, sizes))
-    cuts = [_cutter(list(map(slice, *spans))) for spans in zip(starts, stops)]
-    if len(cuts) == 1:
-        return lanes, lambda bases: cuts[0](bases[0]), moves
-    taken, order = list(accumulate(map(len, starts), initial=0)), []
-    for g in segments:  # each iovec's place among the views of the segments end to end
-        order.append(taken[g])
-        taken[g] += 1
-    in_order = _cutter(order)
-    return lanes, lambda bases: in_order(tuple(chain.from_iterable(cut(base) for cut, base in zip(cuts, bases)))), moves
+    return _cutter(list(map(slice, starts, stops))), tuple(zip(offsets, firsts, counts, sizes))
 
 
 def _split(iovecs: Sequence[memoryview], nbytes: int) -> tuple[list, list]:
@@ -239,38 +230,26 @@ class _LaneIO:
     """Chosen slots of files of stripes, moved batch by batch between a file and lanes.
     Such a file holds per_stripe blocks of block_size bytes per stripe after base bytes
     and ends at byte end: past it a read gives zeros and a write is cut off.  Lane i
-    holds slot slots[i] of each stripe of a batch.  A read puts a batch's lanes end to
-    end in one buffer, made by the process at its first read and sized for that batch:
-    a process reads its batches in order, and only a run's last batch is short.  A
-    write takes its transfers already cut, by ``transfers``, from the buffers its lanes
-    live in for the whole run, and cuts views only where the file ends within them."""
+    holds slot slots[i] of each stripe of a batch, the lanes end to end in a buffer the
+    caller gives ``transfers``, which cuts the views each read or write moves through."""
 
     def __init__(self, base: int, per_stripe: int, block_size: int, slots: tuple[int, ...] | range, end: int):
         self.base, self.per_stripe, self.block_size, self.slots, self.end = base, per_stripe, block_size, slots, end
-        self.buf: memoryview | None = None
-        self._reads: dict[int, tuple[tuple, list]] = {}
         self.bytes_read = 0
 
-    def transfers(self, m: int, breaks: tuple[int, ...], bases: Sequence[memoryview]) -> list:
-        """The (file offset from the batch's first stripe, iovecs, byte count) transfers of a
-        batch of m stripes whose lanes lie in segments from the lanes in breaks on, segment g
-        in buffer bases[g] (see ``_shape``)."""
-        _, iovecs, moves = _shape(self.per_stripe, self.slots, m, self.block_size, breaks)
-        views = iovecs(bases)
+    def transfers(self, m: int, buf: memoryview) -> list:
+        """The (file offset from the batch's first stripe, iovecs, byte count) transfers
+        of a batch of m stripes whose lanes lie end to end from the start of buf."""
+        iovecs, moves = _shape(self.per_stripe, self.slots, m, self.block_size)
+        views = iovecs(buf)
         return [(at, views[lo : lo + count], nbytes) for at, lo, count, nbytes in moves]
 
-    def read(self, fh: BinaryIO, first: int, m: int) -> tuple:
-        """Read stripes first .. first+m-1 of fh into their lanes, returned valid until the next read."""
-        if m not in self._reads:
-            if self.buf is None:
-                self.buf = memoryview(bytearray(len(self.slots) * m * self.block_size))
-            lanes = _shape(self.per_stripe, self.slots, m, self.block_size, (0,))[0]
-            self._reads[m] = lanes(self.buf), self.transfers(m, (0,), [self.buf])
-        lanes, moves = self._reads[m]
+    def read(self, fh: BinaryIO, first: int, transfers: Sequence[tuple]) -> None:
+        """Read the given transfers of stripes first on of fh, zeros past its end."""
         fd, preadv, total = fh.fileno(), os.preadv, 0
         start = self.base + block_index(first, 1, self.per_stripe) * self.block_size
         end = self.end - start
-        for at, iovecs, nbytes in moves:
+        for at, iovecs, nbytes in transfers:
             got = preadv(fd, iovecs, start + at)
             total += got
             if got != nbytes or at + nbytes > end:  # only the end of the file may cut a read short
@@ -279,7 +258,6 @@ class _LaneIO:
                 for view in _split(iovecs, got)[1]:  # lanes past the end read as zeros
                     view[:] = bytes(len(view))
         self.bytes_read += total
-        return lanes
 
     def write(self, fh: BinaryIO, first: int, transfers: Sequence[tuple]) -> None:
         """Write the given transfers of stripes first on of fh, up to its end."""
@@ -293,9 +271,21 @@ class _LaneIO:
 
 
 @lru_cache(maxsize=64)
-def _blocks(disks: tuple[tuple[int, Sequence[int]], ...]) -> tuple[tuple[int, int], ...]:
-    """The (disk, row) block of each lane of (disk, rows) runs."""
-    return tuple((d, j) for d, rows in disks for j in rows)
+def _layout(ends: tuple[tuple[tuple[int, Sequence[int]], ...], ...], sources: int) -> tuple:
+    """The lanes of a batch of files holding the (disk, rows) runs in ends, the first
+    sources of them read: every block the files hold, in disk-major order; the blocks no
+    source holds; and each file's first lane.  A plan reads a wanted disk whole and no
+    block of a lost one, so no disk is both read and output, and each file is one run."""
+    blocks = [[(d, j) for d, rows in disks for j in rows] for disks in ends]
+    read = set(chain.from_iterable(blocks[:sources]))
+    layout = sorted(read.union(*blocks))
+    return tuple(layout), tuple(b for b in layout if b not in read), tuple(layout.index(b[0]) for b in blocks)
+
+
+@lru_cache(maxsize=32)
+def _lanes(count: int, span: int) -> Callable[[Sequence], tuple]:
+    """Cut a buffer into count lanes of span bytes end to end."""
+    return _cutter([slice(j * span, (j + 1) * span) for j in range(count)])
 
 
 def _payload_disks(k: int, r: int) -> tuple[tuple[int, range], ...]:
@@ -330,6 +320,21 @@ def _replace_on_success(path: Path) -> Iterator[BinaryIO]:
         raise
 
 
+def _arena(need: int, procs: int) -> list[memoryview]:
+    """procs slots of need bytes each in this thread's lane arena, an anonymous shared
+    mapping: forked children write their own slots in it with no copy-on-write.  The arena
+    is kept for the thread's later calls, and grown when one needs more, unless need
+    exceeds 4 * BATCH_BYTES; a forked child drops it (see ``_kept``)."""
+    arena = getattr(_kept, "arena", None)
+    if arena is None or len(arena) < need * procs:
+        from mmap import mmap  # loads only with the first arena
+
+        arena = mmap(-1, need * procs)
+    _kept.arena = arena if need <= 4 * BATCH_BYTES else None
+    whole = memoryview(arena)
+    return [whole[i * need : (i + 1) * need] for i in range(procs)]
+
+
 def _run_batches(planned: tuple, sources: Collection[tuple], sinks: Collection[tuple],
                  stripe_count: int, n: int, block_size: int) -> int:
     """Run a ``codec.plan`` on every batch of up to n stripes and return the XORs executed.
@@ -340,74 +345,57 @@ def _run_batches(planned: tuple, sources: Collection[tuple], sinks: Collection[t
     checks differs from the one output, and writes every sink from the blocks read or output.
     Each source's ``_LaneIO`` then counts the bytes that every process read through it.
 
-    Every lane a sink writes lies in a buffer a process keeps for its whole run: a disk
-    read whole in its source's read buffer, any other in one buffer of output lanes, made
-    at the process's first batch, that each batch copies the schedule's outputs into.  So
-    each sink's transfers are cut once per batch size, and kept only while a later batch
-    of the process can write through them.
+    Each process holds its lanes in its own slot of this thread's lane arena (see
+    ``_arena``), one lane of m blocks for every block read or written, laid out so that
+    every source and sink is one run of lanes (see ``_layout``): a source reads into its
+    run, the schedule's outputs that a sink writes are copied into theirs, and a sink
+    writes from its run.  The lanes, their (disk, row) map and every transfer are cut
+    once per batch size.
 
     The batches are cut into contiguous ranges, one per process: this process runs
-    the first range and a forked child each other one (see ``_forked.run_forked``)."""
+    the first range, in slot 0, and a forked child i each other one, in slot i (see
+    ``_forked.run_forked``)."""
     schedule, _, checked = planned
     firsts = range(0, stripe_count, n)
     procs = max(1, min(_PROCESSES, len(firsts)))
     if not hasattr(os, "fork") or threading.active_count() > 1:
         procs = 1  # a forked child holds only the forking thread, and whatever locks the others held
-    held = [_blocks(disks) for _, _, disks in sources]
-    read_at = {}  # disk: its source, first lane there and rows
-    for g, (_, _, disks) in enumerate(sources):
-        lane = 0
-        for d, rows in disks:
-            read_at[d] = g, lane, tuple(rows)
-            lane += len(rows)
-    # each sink's segments, one from each of its disks on: a disk read whole lies in its
-    # source's buffer, any other in the output lanes, the buffer after the sources'
-    made, placed = [], []
-    for _, _, disks in sinks:
-        breaks, starts, lane = [], [], 0
-        for d, rows in disks:
-            g, at, got = read_at.get(d, (None, 0, ()))
-            if got != tuple(rows):
-                g, at = len(held), len(made)
-                made.extend((d, j) for j in rows)
-            breaks.append(lane)
-            starts.append((g, at))
-            lane += len(rows)
-        placed.append((tuple(breaks), starts))
+    ios = [io for _, io, _ in (*sources, *sinks)]
+    layout, made, starts = _layout(tuple(disks for _, _, disks in (*sources, *sinks)), len(sources))
+    slots = _arena(len(layout) * n * block_size, procs)
 
     def run_range(i: int) -> tuple[int, list[int]]:
-        xors, out, cut = 0, None, {}  # cut: by batch size, each sink's transfers
+        xors, cut, slot = 0, {}, slots[i]  # cut: by batch size, its lanes and transfers
         mine = firsts[len(firsts) * i // procs : len(firsts) * (i + 1) // procs]
         for first in mine:
-            m, lanes = min(n, stripe_count - first), {}
-            for (fh, io, _), blocks in zip(sources, held):
-                lanes.update(zip(blocks, io.read(fh, first, m)))
-            # sources cover the reads, so as many lanes as reads are exactly them
-            inputs = lanes if len(lanes) == len(schedule.reads) else {b: lanes[b] for b in schedule.reads}
+            m = min(n, stripe_count - first)
+            if m not in cut:
+                span = m * block_size
+                lanes = dict(zip(layout, _lanes(len(layout), span)(slot)))
+                moves = (io.transfers(m, slot[at * span :]) for io, at in zip(ios, starts))
+                # kept only while a later batch moves through the same views; the last batch
+                # cuts each file's transfers just before its move, so one holds few at a time
+                moves = list(moves) if first != mine[-1] else moves
+                pick = lanes.__getitem__
+                cut[m] = lanes, dict(zip(schedule.reads, map(pick, schedule.reads))), list(map(pick, made)), moves
+            lanes, inputs, outs, moves = cut[m]
+            moves = iter(moves)  # the sources' transfers, then the sinks'
+            for (fh, io, _), transfers in zip(sources, moves):
+                io.read(fh, first, transfers)
             outputs, executed = execute_schedule(schedule, inputs, block_size)
             # bytes against a memoryview compares byte by byte in Python; tobytes() makes it a memcmp
             if any(outputs[b] != lanes[b].tobytes() for b in checked):
                 raise IntegrityError("surviving blocks violate the parity relations")
-            span = m * block_size
-            if out is None:
-                out = memoryview(bytearray(len(made) * span))
-            for j, b in enumerate(made):
-                out[j * span : (j + 1) * span] = outputs[b]
-            transfers = cut.get(m)
-            if transfers is None:  # cut each sink's just before its write
-                bufs = [io.buf for _, io, _ in sources] + [out]
-                transfers = (io.transfers(m, breaks, [bufs[g][j * span :] for g, j in starts])
-                             for (_, io, _), (breaks, starts) in zip(sinks, placed))
-                if first != mine[-1]:  # and keep them for the batches after, which write through the same views
-                    transfers = cut[m] = list(transfers)
-            for (fh, io, _), moves in zip(sinks, transfers):
-                io.write(fh, first, moves)
+            for view, b in zip(outs, made):
+                view[:] = outputs[b]
+            for (fh, io, _), transfers in zip(sinks, moves):
+                io.write(fh, first, transfers)
             xors += executed
         return xors, [io.bytes_read for _, io, _ in sources]  # a child's own: it forked before any read
 
     if procs == 1:
         return run_range(0)[0]
-    from ._forked import run_forked  # pickle, mmap and signal load only for a split run
+    from ._forked import run_forked  # pickle and signal load only for a split run
 
     results = run_forked(run_range, procs)
     for _, bytes_read in results[1:]:

@@ -824,8 +824,9 @@ def test_importing_the_cli_builds_no_parser():
 
 
 def test_importing_the_cli_loads_no_offline_tool_or_introspection_module():
-    # what every encode, decode and repair process pays before its first byte
-    unwanted = ["dataclasses", "inspect", "mdr6.analysis", "mdr6.sim"]
+    # what every encode, decode and repair process pays before its first byte;
+    # mmap loads with the first lane arena
+    unwanted = ["dataclasses", "inspect", "mmap", "mdr6.analysis", "mdr6.sim"]
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys, mdr6.cli; print([m for m in {unwanted!r} if m in sys.modules])"],
         env=_src_env(), capture_output=True, text=True, timeout=120,
