@@ -66,83 +66,60 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _output(args, doc: dict, lines: list[str], reads: shards.RepairReport | shards.DecodeReport | None = None) -> int:
+    """Print doc as JSON with --json, else the text lines; a report's reads from each
+    shard, when given, join both."""
+    if reads is not None:
+        blocks, nbytes = sorted(reads.blocks_read_per_shard.items()), sorted(reads.bytes_read_per_shard.items())
+        doc["blocks_read_per_shard"] = {str(d): n for d, n in blocks}
+        doc["bytes_read_per_shard"] = {str(d): n for d, n in nbytes}
+        lines += [f"  read from shard {d}: {n} blocks ({b} bytes)" for (d, n), (_, b) in zip(blocks, nbytes)]
+    print(json.dumps(doc) if args.json else "\n".join(lines))
+    return EXIT_OK
+
+
 def cmd_encode(args) -> int:
     code = _load_code_arg(args)
     k = code.k if code is not None else _require_k(args)
     report = shards.encode_file(
         args.input, args.out_dir, k, block_size=args.block_size, code=code
     )
-    payload = {
-        "stripes": report.stripe_count,
-        "xor_count": report.xor_count,
-        "shards": list(report.shard_paths),
-    }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(
-            f"encoded {args.input}: {report.stripe_count} stripes, "
-            f"{len(report.shard_paths)} shards, {report.xor_count} block XORs"
-        )
-    return EXIT_OK
-
-
-def _reads_document(report: shards.RepairReport | shards.DecodeReport) -> dict:
-    return {
-        "blocks_read_per_shard": {str(d): n for d, n in sorted(report.blocks_read_per_shard.items())},
-        "bytes_read_per_shard": {str(d): n for d, n in sorted(report.bytes_read_per_shard.items())},
-    }
-
-
-def _print_reads(report: shards.RepairReport | shards.DecodeReport) -> None:
-    for d in sorted(report.blocks_read_per_shard):
-        print(
-            f"  read from shard {d}: {report.blocks_read_per_shard[d]} blocks"
-            f" ({report.bytes_read_per_shard[d]} bytes)"
-        )
+    doc = {"stripes": report.stripe_count, "xor_count": report.xor_count, "shards": list(report.shard_paths)}
+    return _output(args, doc, [
+        f"encoded {args.input}: {report.stripe_count} stripes, "
+        f"{len(report.shard_paths)} shards, {report.xor_count} block XORs"
+    ])
 
 
 def cmd_repair(args) -> int:
     code = _load_code_arg(args)
     report = shards.repair_shard(args.shard_dir, args.missing, code=code)
-    payload = {
+    doc = {
         "disk_index": report.disk_index,
         "shard": report.shard_path,
         "stripes": report.stripe_count,
         "xor_count": report.xor_count,
-        **_reads_document(report),
     }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(
-            f"repaired shard {report.disk_index} -> {report.shard_path}: "
-            f"{report.stripe_count} stripes, {report.xor_count} block XORs"
-        )
-        _print_reads(report)
-    return EXIT_OK
+    return _output(args, doc, [
+        f"repaired shard {report.disk_index} -> {report.shard_path}: "
+        f"{report.stripe_count} stripes, {report.xor_count} block XORs"
+    ], report)
 
 
 def cmd_decode(args) -> int:
     code = _load_code_arg(args)
     report = shards.decode_file(args.shard_dir, args.out, code=code)
-    payload = {
+    doc = {
         "missing": list(report.missing),
         "stripes": report.stripe_count,
         "bytes": report.payload_length,
         "xor_count": report.xor_count,
-        **_reads_document(report),
     }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        gone = ", ".join(map(str, report.missing)) if report.missing else "none"
-        print(
-            f"decoded {report.payload_length} bytes from {args.shard_dir} "
-            f"(missing shards: {gone}), {report.xor_count} block XORs"
-        )
-        _print_reads(report)
-    return EXIT_OK
+    gone = ", ".join(map(str, report.missing)) if report.missing else "none"
+    return _output(args, doc, [
+        f"decoded {report.payload_length} bytes from {args.shard_dir} "
+        f"(missing shards: {gone}), {report.xor_count} block XORs"
+    ], report)
 
 
 def cmd_analyze(args) -> int:
@@ -201,11 +178,7 @@ def cmd_analyze(args) -> int:
                 else f"search (k={code.k}, r={args.search}): none found before the budget ran out"
             )
 
-    if args.json:
-        print(json.dumps(out))
-    else:
-        print("\n".join(lines))
-    return EXIT_OK
+    return _output(args, out, lines)
 
 
 def cmd_simulate(args) -> int:

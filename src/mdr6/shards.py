@@ -4,15 +4,18 @@ of stripes of r blocks; the payload is one of k * r blocks, data disk d's
 strip the d-th r.  A shard set is the ``*.mdr`` files of one directory,
 each named for the disk its header gives: a file under any other name is
 an integrity error, so no shard is ever taken for another disk's.
-``block_index`` places each block of such a file, and ``_LaneIO`` moves
-chosen blocks between one and lanes, a lane being the same block of
-every stripe in a batch of about BATCH_BYTES of stripe data.  Each run of
-chosen blocks adjacent in the file is one ``os.preadv`` or ``os.pwritev``
-of up to IOV_MAX iovecs, so repair reads exactly the blocks its schedule
-reads, and decode those plus every block it outputs or checks.  A read
-or a write joins nothing: its iovecs are views, cut once per batch size,
-of the lanes themselves.  Every shard or output file is written beside
-its place and renamed into it only once the whole run has succeeded.
+
+Every file of stripes is described once, as (file, body offset, file end,
+(disk, rows) runs), and ``_shape`` lays out each set of them: the lanes, a
+lane being the same block of every stripe in a batch of about BATCH_BYTES
+of stripe data, and each file's transfers, ``block_index`` placing every
+block.  Each run of blocks adjacent in the file is one ``os.preadv`` or
+``os.pwritev`` (``_read``, ``_write``) of up to IOV_MAX iovecs and
+``_RW_MAX`` bytes, so repair reads exactly the blocks its schedule reads,
+and decode those plus every block it outputs or checks.  A read or a write
+joins nothing: its iovecs are views, cut once per batch size, of the lanes
+themselves.  Every shard or output file is written beside its place and
+renamed into it only once the whole run has succeeded.
 
 Encode, decode and repair each ask ``codec.plan`` for their schedule, the
 rows they read and the blocks they check, and then differ only in their
@@ -20,17 +23,15 @@ source and sink files.  They run one batch loop, ``_run_batches``: each
 batch reads the lanes of its sources, runs ``execute_schedule`` on them,
 checks the blocks the plan names and writes the lanes of its sinks.  The
 lanes live in the calling thread's lane arena, one shared mapping kept
-across calls: every block a batch reads or outputs, disk by disk, so that
-each source and each sink is one run of lanes, and a block the schedule
-outputs is copied into its lane.  A run of several batches is split into
-contiguous ranges of batches, one per process, up to one per CPU this
-process may run on (``_PROCESSES``): the caller runs the first range and a
-forked child each other one, all through the files already opened and
-checked, each moving its own stripes at their own offsets in its own slot
-of the arena.  A child hands back its XOR and read-byte counts, or its
-exception, through shared memory, and the reports sum every process's
-counts.  A run of one batch, a threaded caller or a platform without
-``os.fork`` runs in one process.
+across calls, disk-major, so that each file is one run of lanes.  A run of
+several batches is split into contiguous ranges of batches, one per
+process, up to one per CPU this process may run on (``_PROCESSES``): the
+caller runs the first range and a forked child each other one, all through
+the files already opened and checked, each in its own slot of the arena.
+Each process hands back its XOR and read-byte counts (a child its
+exception, too) through shared memory, and the reports sum them.  A run of
+one batch, a threaded caller or a platform without ``os.fork`` runs in one
+process.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Collection, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 from ._record import record
 from .code import DEFAULT_MAX_K, MdrCode, construct
@@ -60,6 +61,7 @@ SHARD_SUFFIX = ".mdr"
 # stripe data (k * r blocks per stripe) per batch; a batch holds at least one stripe
 BATCH_BYTES = 1 << 20
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
+_RW_MAX = 0x7FFFF000  # the most bytes Linux's read(2) and write(2) move in one call
 # processes a run of several batches is split across, at most one per batch
 _PROCESSES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 # each thread's lane arena; a forked child drops the forking thread's, which it would
@@ -127,10 +129,6 @@ class ShardHeader:
     def file_size(self) -> int:
         return HEADER_SIZE + block_index(self.stripe_count, 1, self.r) * self.block_size
 
-    def lane_io(self, rows: tuple[int, ...] | range) -> _LaneIO:
-        """The given rows of shards with this header: files of r blocks per stripe after it."""
-        return _LaneIO(HEADER_SIZE, self.r, self.block_size, rows, self.file_size())
-
 
 def shard_name(disk_index: int) -> str:
     return f"shard_{disk_index:02d}{SHARD_SUFFIX}"
@@ -192,28 +190,52 @@ def _cutter(keys: Sequence) -> Callable[[Sequence], tuple]:
     return cut if len(keys) > 1 else lambda buf: (cut(buf),)
 
 
-@lru_cache(maxsize=32)
-def _shape(per_stripe: int, slots: tuple[int, ...] | range, m: int, size: int) -> tuple:
-    """How m stripes move between a file of stripes and lanes of m blocks of size bytes
-    laid end to end in one buffer, lane i holding slot slots[i].  Returns the iovecs, as
-    a cutter of that buffer, and the transfers as (file offset from the batch's first
-    stripe, first iovec, iovec count, byte count).  An iovec spans blocks adjacent both in
-    the file and in the buffer, so at m = 1 a run of consecutive slots is one iovec."""
+@lru_cache(maxsize=64)
+def _shape(files: tuple, sources: int, r: int, m: int, size: int) -> tuple:
+    """How batches of m stripes of size-byte blocks move between a set of files of stripes
+    and one buffer of lanes, each lane the m blocks of one (disk, row) end to end.  files
+    gives each file's (disk, rows) runs, the first sources of them read and the rest
+    written: such a file holds len(runs) * r blocks per stripe, run n's row j in slot
+    n * r + j, placed by ``block_index``.  Returns:
+    - the lanes' blocks, every block the files hold in disk-major order;
+    - the blocks no source holds;
+    - the lane cutter of the buffer;
+    - each file's first lane, as a byte offset in the buffer, its iovecs from there, as a
+      cutter, and its transfers, as (file offset from the batch's first stripe, slice of
+      the iovecs, byte count).
+    An iovec spans blocks adjacent both in the file and in the buffer, and a transfer is
+    one run of the file in up to IOV_MAX iovecs and _RW_MAX bytes.  A plan reads a wanted
+    disk whole and no block of a lost one, so no disk is both read and written from its
+    schedule's outputs, and each file is one run of lanes."""
+    blocks = [[(d, j) for d, rows in runs for j in rows] for runs in files]
+    read = set(chain.from_iterable(blocks[:sources]))
+    layout = sorted(read.union(*blocks))
+    made, firsts = tuple(b for b in layout if b not in read), [layout.index(held[0]) for held in blocks]
+    if any(layout[at : at + len(held)] != held for at, held in zip(firsts, blocks)):
+        raise ValueError(f"the blocks of some of {files} are no run of lanes")
+    bounds = list(range(0, (len(layout) + 1) * m * size, m * size))  # one int per lane boundary
+    lanes = _cutter(list(map(slice, bounds, bounds[1:])))
+    if len(files) > 1:  # each file's moves are its shape's, with run numbers for disks, shared by that shape
+        shapes = (tuple((n, rows) for n, (_, rows) in enumerate(runs)) for runs in files)
+        moves = (_shape((one,), 0, r, m, size)[3][0][1:] for one in shapes)
+        return tuple(layout), made, lanes, tuple((at * m * size, *move) for at, move in zip(firsts, moves))
+    (runs,) = files
+    slots = [n * r + j for n, (_, rows) in enumerate(runs) for j in rows]
     # lists of ints, which the garbage collector does not track
-    starts, stops, offsets, firsts, counts, sizes, end = [], [], [], [], [], [], None
+    starts, stops, offsets, firsts, sizes, end = [], [], [], [], [], None
     for s in range(m):
         for i, slot in enumerate(slots):
-            at, start = block_index(s, slot, per_stripe) * size, (i * m + s) * size
-            if at == end and stops[-1] == start:
+            at, start = block_index(s, slot, len(runs) * r) * size, (i * m + s) * size
+            if at == end and stops[-1] == start and sizes[-1] + size <= _RW_MAX:
                 stops[-1] += size
             else:
-                if at != end or counts[-1] == _IOV_MAX:
-                    offsets.append(at), firsts.append(len(starts)), counts.append(0), sizes.append(0)
+                if at != end or len(starts) - firsts[-1] == _IOV_MAX or sizes[-1] + size > _RW_MAX:
+                    offsets.append(at), firsts.append(len(starts)), sizes.append(0)
                 starts.append(start), stops.append(start + size)
-                counts[-1] += 1
             sizes[-1] += size
             end = at + size
-    return _cutter(list(map(slice, starts, stops))), tuple(zip(offsets, firsts, counts, sizes))
+    parts = map(slice, firsts, firsts[1:] + [len(starts)])
+    return tuple(layout), made, lanes, ((0, _cutter(list(map(slice, starts, stops))), tuple(zip(offsets, parts, sizes))),)
 
 
 def _split(iovecs: Sequence[memoryview], nbytes: int) -> tuple[list, list]:
@@ -226,78 +248,37 @@ def _split(iovecs: Sequence[memoryview], nbytes: int) -> tuple[list, list]:
     return head, tail
 
 
-class _LaneIO:
-    """Chosen slots of files of stripes, moved batch by batch between a file and lanes.
-    Such a file holds per_stripe blocks of block_size bytes per stripe after base bytes
-    and ends at byte end: past it a read gives zeros and a write is cut off.  Lane i
-    holds slot slots[i] of each stripe of a batch, the lanes end to end in a buffer the
-    caller gives ``transfers``, which cuts the views each read or write moves through."""
-
-    def __init__(self, base: int, per_stripe: int, block_size: int, slots: tuple[int, ...] | range, end: int):
-        self.base, self.per_stripe, self.block_size, self.slots, self.end = base, per_stripe, block_size, slots, end
-        self.bytes_read = 0
-
-    def transfers(self, m: int, buf: memoryview) -> list:
-        """The (file offset from the batch's first stripe, iovecs, byte count) transfers
-        of a batch of m stripes whose lanes lie end to end from the start of buf."""
-        iovecs, moves = _shape(self.per_stripe, self.slots, m, self.block_size)
-        views = iovecs(buf)
-        return [(at, views[lo : lo + count], nbytes) for at, lo, count, nbytes in moves]
-
-    def read(self, fh: BinaryIO, first: int, transfers: Sequence[tuple]) -> None:
-        """Read the given transfers of stripes first on of fh, zeros past its end."""
-        fd, preadv, total = fh.fileno(), os.preadv, 0
-        start = self.base + block_index(first, 1, self.per_stripe) * self.block_size
-        end = self.end - start
-        for at, iovecs, nbytes in transfers:
-            got = preadv(fd, iovecs, start + at)
-            total += got
-            if got != nbytes or at + nbytes > end:  # only the end of the file may cut a read short
-                if got != max(0, min(nbytes, end - at)):
-                    raise IntegrityError(f"{fh.name} was truncated or grew: read to byte {start + at + got}")
-                for view in _split(iovecs, got)[1]:  # lanes past the end read as zeros
-                    view[:] = bytes(len(view))
-        self.bytes_read += total
-
-    def write(self, fh: BinaryIO, first: int, transfers: Sequence[tuple]) -> None:
-        """Write the given transfers of stripes first on of fh, up to its end."""
-        fd, start = fh.fileno(), self.base + block_index(first, 1, self.per_stripe) * self.block_size
-        for at, iovecs, nbytes in transfers:
-            if start + at + nbytes > self.end:
-                nbytes = max(0, self.end - start - at)
-                iovecs = _split(iovecs, nbytes)[0]
-            if nbytes and os.pwritev(fd, iovecs, start + at) != nbytes:
-                raise OSError(f"short write to {fh.name} at byte {start + at}")
+def _read(fh: BinaryIO, start: int, end: int, transfers: Sequence[tuple]) -> int:
+    """Read the (offset from byte start, iovecs, byte count) transfers of fh, which ends at
+    byte end: past it they read zeros.  Returns the bytes read."""
+    fd, preadv, total = fh.fileno(), os.preadv, 0
+    end -= start
+    for at, iovecs, nbytes in transfers:
+        got = preadv(fd, iovecs, start + at)
+        total += got
+        if got != nbytes or at + nbytes > end:  # only the end of the file may cut a read short
+            if got != max(0, min(nbytes, end - at)):
+                raise IntegrityError(f"{fh.name} was truncated or grew: read to byte {start + at + got}")
+            for view in _split(iovecs, got)[1]:  # lanes past the end read as zeros
+                view[:] = bytes(len(view))
+    return total
 
 
-@lru_cache(maxsize=64)
-def _layout(ends: tuple[tuple[tuple[int, Sequence[int]], ...], ...], sources: int) -> tuple:
-    """The lanes of a batch of files holding the (disk, rows) runs in ends, the first
-    sources of them read: every block the files hold, in disk-major order; the blocks no
-    source holds; and each file's first lane.  A plan reads a wanted disk whole and no
-    block of a lost one, so no disk is both read and output, and each file is one run."""
-    blocks = [[(d, j) for d, rows in disks for j in rows] for disks in ends]
-    read = set(chain.from_iterable(blocks[:sources]))
-    layout = sorted(read.union(*blocks))
-    return tuple(layout), tuple(b for b in layout if b not in read), tuple(layout.index(b[0]) for b in blocks)
-
-
-@lru_cache(maxsize=32)
-def _lanes(count: int, span: int) -> Callable[[Sequence], tuple]:
-    """Cut a buffer into count lanes of span bytes end to end."""
-    return _cutter([slice(j * span, (j + 1) * span) for j in range(count)])
-
-
-def _payload_disks(k: int, r: int) -> tuple[tuple[int, range], ...]:
-    """The payload's lanes as (disk, rows) runs: data disk d's strip is the d-th r slots."""
-    return tuple((d, range(1, r + 1)) for d in range(1, k + 1))
+def _write(fh: BinaryIO, start: int, end: int, transfers: Sequence[tuple]) -> None:
+    """Write the (offset from byte start, iovecs, byte count) transfers of fh up to byte end."""
+    fd = fh.fileno()
+    for at, iovecs, nbytes in transfers:
+        if start + at + nbytes > end:
+            nbytes = max(0, end - start - at)
+            iovecs = _split(iovecs, nbytes)[0]
+        if nbytes and os.pwritev(fd, iovecs, start + at) != nbytes:
+            raise OSError(f"short write to {fh.name} at byte {start + at}")
 
 
 def _shard_sink(fh: BinaryIO, header: ShardHeader) -> tuple:
     """fh, with header written, as the sink of every block of the header's disk."""
     fh.write(header.pack())
-    rows = range(1, header.r + 1)
-    return fh, header.lane_io(rows), ((header.disk_index, rows),)
+    return fh, HEADER_SIZE, header.file_size(), ((header.disk_index, range(1, header.r + 1)),)
 
 
 @contextmanager
@@ -335,44 +316,47 @@ def _arena(need: int, procs: int) -> list[memoryview]:
     return [whole[i * need : (i + 1) * need] for i in range(procs)]
 
 
-def _run_batches(planned: tuple, sources: Collection[tuple], sinks: Collection[tuple],
-                 stripe_count: int, n: int, block_size: int) -> int:
-    """Run a ``codec.plan`` on every batch of up to n stripes and return the XORs executed.
+def _run_batches(planned: tuple, sources: Sequence[tuple], sinks: Sequence[tuple],
+                 stripe_count: int, size: int) -> list[int]:
+    """Run a ``codec.plan`` on every batch of stripes and return the XORs executed, then
+    the bytes read from each source.
 
-    Sources and sinks are (file, ``_LaneIO``, its lanes as (disk, rows) runs) triples,
-    a sink's runs whole disks.  A batch reads every source, runs ``execute_schedule`` on exactly
-    the blocks the plan's schedule reads, raises IntegrityError where a block the plan
-    checks differs from the one output, and writes every sink from the blocks read or output.
-    Each source's ``_LaneIO`` then counts the bytes that every process read through it.
+    Sources and sinks are files of stripes, each (file, body offset, file end, (disk,
+    rows) runs), a sink's runs whole disks.  A batch, of ``_batch_stripes`` stripes, reads
+    every source, zeros past a file's end, runs ``execute_schedule`` on exactly the blocks
+    the plan's schedule reads, raises IntegrityError where a block the plan checks differs
+    from the one output, and writes every sink, up to its end, from the blocks read or output.
 
     Each process holds its lanes in its own slot of this thread's lane arena (see
-    ``_arena``), one lane of m blocks for every block read or written, laid out so that
-    every source and sink is one run of lanes (see ``_layout``): a source reads into its
-    run, the schedule's outputs that a sink writes are copied into theirs, and a sink
-    writes from its run.  The lanes, their (disk, row) map and every transfer are cut
-    once per batch size.
+    ``_arena``), laid out by ``_shape``: a source reads into its run of lanes, the
+    schedule's outputs that a sink writes are copied into theirs, and a sink writes from
+    its run.  The lanes, their (disk, row) map and every transfer are cut once per batch size.
 
     The batches are cut into contiguous ranges, one per process: this process runs
     the first range, in slot 0, and a forked child i each other one, in slot i (see
-    ``_forked.run_forked``)."""
+    ``_forked.run_forked``); each hands back its own counts, which are summed."""
     schedule, _, checked = planned
+    r = schedule.r
+    n = _batch_stripes(stripe_count, schedule.k * r * size)
     firsts = range(0, stripe_count, n)
     procs = max(1, min(_PROCESSES, len(firsts)))
     if not hasattr(os, "fork") or threading.active_count() > 1:
         procs = 1  # a forked child holds only the forking thread, and whatever locks the others held
-    ios = [io for _, io, _ in (*sources, *sinks)]
-    layout, made, starts = _layout(tuple(disks for _, _, disks in (*sources, *sinks)), len(sources))
-    slots = _arena(len(layout) * n * block_size, procs)
+    files = (*sources, *sinks)
+    runs = tuple(runs for *_, runs in files)
+    shape = _shape(runs, len(sources), r, n, size)  # of a full batch
+    slots = _arena(len(shape[0]) * n * size, procs)
 
-    def run_range(i: int) -> tuple[int, list[int]]:
-        xors, cut, slot = 0, {}, slots[i]  # cut: by batch size, its lanes and transfers
+    def run_range(i: int) -> list[int]:
+        counts, cut, slot = [0] * (1 + len(sources)), {}, slots[i]  # cut: by batch size
         mine = firsts[len(firsts) * i // procs : len(firsts) * (i + 1) // procs]
         for first in mine:
             m = min(n, stripe_count - first)
             if m not in cut:
-                span = m * block_size
-                lanes = dict(zip(layout, _lanes(len(layout), span)(slot)))
-                moves = (io.transfers(m, slot[at * span :]) for io, at in zip(ios, starts))
+                layout, made, lanes, moves = shape if m == n else _shape(runs, len(sources), r, m, size)
+                lanes = dict(zip(layout, lanes(slot)))
+                moves = ((iovecs(slot[at:]), transfers) for at, iovecs, transfers in moves)
+                moves = ([(at, views[part], nbytes) for at, part, nbytes in transfers] for views, transfers in moves)
                 # kept only while a later batch moves through the same views; the last batch
                 # cuts each file's transfers just before its move, so one holds few at a time
                 moves = list(moves) if first != mine[-1] else moves
@@ -380,28 +364,25 @@ def _run_batches(planned: tuple, sources: Collection[tuple], sinks: Collection[t
                 cut[m] = lanes, dict(zip(schedule.reads, map(pick, schedule.reads))), list(map(pick, made)), moves
             lanes, inputs, outs, moves = cut[m]
             moves = iter(moves)  # the sources' transfers, then the sinks'
-            for (fh, io, _), transfers in zip(sources, moves):
-                io.read(fh, first, transfers)
-            outputs, executed = execute_schedule(schedule, inputs, block_size)
+            starts = [base + block_index(first, 1, len(held) * r) * size for _, base, _, held in files]
+            for j, ((fh, _, end, _), start, transfers) in enumerate(zip(sources, starts, moves), start=1):
+                counts[j] += _read(fh, start, end, transfers)
+            outputs, executed = execute_schedule(schedule, inputs, size)
             # bytes against a memoryview compares byte by byte in Python; tobytes() makes it a memcmp
             if any(outputs[b] != lanes[b].tobytes() for b in checked):
                 raise IntegrityError("surviving blocks violate the parity relations")
             for view, b in zip(outs, made):
                 view[:] = outputs[b]
-            for (fh, io, _), transfers in zip(sinks, moves):
-                io.write(fh, first, transfers)
-            xors += executed
-        return xors, [io.bytes_read for _, io, _ in sources]  # a child's own: it forked before any read
+            for (fh, _, end, _), start, transfers in zip(sinks, starts[len(sources):], moves):
+                _write(fh, start, end, transfers)
+            counts[0] += executed
+        return counts
 
     if procs == 1:
-        return run_range(0)[0]
+        return run_range(0)
     from ._forked import run_forked  # pickle and signal load only for a split run
 
-    results = run_forked(run_range, procs)
-    for _, bytes_read in results[1:]:
-        for (_, io, _), nbytes in zip(sources, bytes_read):
-            io.bytes_read += nbytes
-    return sum(xors for xors, _ in results)
+    return list(map(sum, zip(*run_forked(run_range, procs))))
 
 
 @record
@@ -421,8 +402,8 @@ def encode_file(
     """Shard a file into k+2 shard files, parities via the optimal schedule.
 
     The shards appear only once every stripe has been encoded."""
-    if not 1 <= block_size < 1 << 32:  # the header stores it in 32 bits
-        raise ValueError(f"block size {block_size} outside [1, {(1 << 32) - 1}]")
+    if not 1 <= block_size <= _RW_MAX:  # one block must fit one read or write call
+        raise ValueError(f"block size {block_size} outside [1, {_RW_MAX}]")
     if code is None:
         code = construct(k)
     if code.k != k:
@@ -444,9 +425,8 @@ def encode_file(
         sinks = [_shard_sink(stack.enter_context(_replace_on_success(p)),
                              ShardHeader(k, r, d, block_size, stripe_count, payload_length))
                  for d, p in enumerate(paths, start=1)]
-        source = (src, _LaneIO(0, k * r, block_size, range(1, k * r + 1), payload_length), _payload_disks(k, r))
-        xor_total = _run_batches(planned, [source], sinks, stripe_count,
-                                 _batch_stripes(stripe_count, stripe_bytes), block_size)
+        source = (src, 0, payload_length, tuple((d, range(1, r + 1)) for d in range(1, k + 1)))
+        xor_total = _run_batches(planned, [source], sinks, stripe_count, block_size)[0]
     return EncodeReport(stripe_count, xor_total, tuple(str(p) for p in paths))
 
 
@@ -462,15 +442,13 @@ class DecodeReport:
 
 def _run_from_shards(files: dict[int, BinaryIO], header: ShardHeader, planned: tuple, sink: tuple) -> tuple:
     """Run a ``codec.plan`` on every batch of the stripes of the shard set in files,
-    reading the rows it names of each disk and writing the sink, a (file, ``_LaneIO``,
-    runs) triple as ``_run_batches`` takes.  Returns the blocks and the bytes read
-    from each shard in files, as the reads returned them, and the XORs executed."""
-    bs, stripe_count = header.block_size, header.stripe_count
-    n = _batch_stripes(stripe_count, header.k * header.r * bs)
-    _, rows, _ = planned
-    sources = {d: (files[d], header.lane_io(js), ((d, js),)) for d, js in rows.items()}
-    xor_total = _run_batches(planned, sources.values(), [sink], stripe_count, n, bs)
-    nbytes = {d: sources[d][1].bytes_read if d in sources else 0 for d in files}
+    reading the rows it names of each disk and writing the sink, a file of stripes as
+    ``_run_batches`` takes.  Returns the blocks and the bytes read from each shard in
+    files, as the reads returned them, and the XORs executed."""
+    bs, end, rows = header.block_size, header.file_size(), planned[1]
+    sources = [(files[d], HEADER_SIZE, end, ((d, js),)) for d, js in rows.items()]
+    xor_total, *counts = _run_batches(planned, sources, [sink], header.stripe_count, bs)
+    nbytes = dict.fromkeys(files, 0) | dict(zip(rows, counts))
     return {d: b // bs for d, b in nbytes.items()}, nbytes, xor_total
 
 
@@ -500,8 +478,8 @@ def decode_file(
             raise TooManyErasuresError(f"{len(missing)} shards missing; RAID-6 tolerates at most 2")
         planned = plan(code, missing, tuple(range(1, k + 1)))
         out = stack.enter_context(_replace_on_success(out_path))
-        payload = _LaneIO(0, k * r, header.block_size, range(1, k * r + 1), header.payload_length)
-        counts = _run_from_shards(files, header, planned, (out, payload, _payload_disks(k, r)))
+        payload = (out, 0, header.payload_length, tuple((d, range(1, r + 1)) for d in range(1, k + 1)))
+        counts = _run_from_shards(files, header, planned, payload)
     return DecodeReport(missing, header.stripe_count, header.payload_length, *counts)
 
 

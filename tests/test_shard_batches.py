@@ -197,3 +197,121 @@ def test_writes_cover_each_output_once_in_calls_of_up_to_iov_max(tmp_path, monke
             check([body], r * block_size)
     finally:
         shards._shape.cache_clear()
+
+
+class Spans:
+    """A stand-in buffer whose cut items are the (start, stop) of each slice taken."""
+
+    def __getitem__(self, key):
+        return key.start, key.stop
+
+
+@st.composite
+def file_sets(draw):
+    """(files, sources, r) as ``shards._shape`` takes them, the way plans make them: disks
+    1..D cut into runs of consecutive disks, each run one file; a source file reads any
+    rows of its disks, a sink file writes its disks whole, each either read whole by a
+    one-disk source or output by the schedule."""
+    r = draw(st.sampled_from([2, 4, 8]))
+    whole = tuple(range(1, r + 1))
+    disks = draw(st.integers(1, 5))
+    cuts = sorted(draw(st.sets(st.integers(2, disks), max_size=disks - 1))) if disks > 1 else []
+    groups = [range(a, b) for a, b in zip([1, *cuts], [*cuts, disks + 1])]
+    sources, sinks = [], []
+    for group in groups:
+        if draw(st.booleans()):
+            rows = st.sets(st.integers(1, r), min_size=1).map(lambda js: tuple(sorted(js)))
+            sources.append(tuple((d, draw(rows)) for d in group))
+        else:
+            sinks.append(tuple((d, whole) for d in group))
+            sources += [((d, whole),) for d in group if draw(st.booleans())]
+    return (*sources, *sinks), len(sources), r
+
+
+@settings(max_examples=200, deadline=None)
+@given(file_sets(), st.integers(1, 5), st.sampled_from([1, 3, 8]), st.sampled_from([1, 2, 3, 1024]),
+       st.sampled_from([1, 2, 3, None]))
+def test_one_layout_moves_every_block_of_every_file_once(case, m, size, iov_max, cap_blocks):
+    files, sources, r = case
+    cap = shards._RW_MAX if cap_blocks is None else cap_blocks * size
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shards, "_IOV_MAX", iov_max)
+        patch.setattr(shards, "_RW_MAX", cap)
+        shards._shape.cache_clear()
+        try:
+            layout, made, lanes, moves = shards._shape(files, sources, r, m, size)
+        finally:
+            shards._shape.cache_clear()
+    index = {b: i for i, b in enumerate(layout)}
+    read = {(d, j) for runs in files[:sources] for d, rows in runs for j in rows}
+    assert made == tuple(b for b in layout if b not in read)
+    assert lanes(Spans()) == tuple((i * m * size, (i + 1) * m * size) for i in range(len(layout)))
+    for runs, (first, iovecs, transfers) in zip(files, moves):
+        held = [(d, j) for d, rows in runs for j in rows]
+        lanes = [index[b] for b in held]
+        assert lanes == list(range(lanes[0], lanes[0] + len(held)))  # one run of lanes
+        assert first == lanes[0] * m * size
+        # where block_index puts each held block of each stripe, in bytes from the batch's first
+        where = {
+            shards.block_index(s, n * r + j, len(runs) * r) * size: ((d, j), s)
+            for s in range(m) for n, (d, rows) in enumerate(runs) for j in rows
+        }
+        spans, positions, last = iovecs(Spans()), [], -1
+        for at, part, nbytes in transfers:
+            assert at > last  # ascending
+            views = spans[part]
+            assert 1 <= len(views) <= iov_max and nbytes <= cap
+            pos = at
+            for start, stop in views:
+                for off in range(start, stop, size):
+                    (d, j), s = where[pos]
+                    assert first + off == index[d, j] * m * size + s * size
+                    positions.append(pos)
+                    pos += size
+            assert pos - at == nbytes
+            last = pos - 1
+        assert positions == sorted(where)  # every byte of every held block once, in file order
+
+
+def test_no_call_moves_more_than_the_byte_cap(tmp_path, monkeypatch):
+    """With the per-call byte cap at 3 blocks, encode, decodes and repairs stay exact and
+    no preadv or pwritev moves more: a transfer that would pass the cap starts a new one."""
+    k, block_size = 3, 8
+    code = CODES[k]
+    stripes = 3
+    payload = random.Random(13).randbytes(stripes * k * code.r * block_size - 5)
+    src, sh, out = tmp_path / "in.bin", tmp_path / "sh", tmp_path / "out.bin"
+    src.write_bytes(payload)
+    moved = []
+
+    def recorded(original):
+        def call(fd, buffers, offset):
+            moved.append(sum(map(len, buffers)))
+            return original(fd, buffers, offset)
+
+        return call
+
+    shards._shape.cache_clear()
+    monkeypatch.setattr(shards, "_RW_MAX", 3 * block_size)
+    monkeypatch.setattr(shards, "BATCH_BYTES", 1)  # one stripe a batch
+    monkeypatch.setattr(shards, "_PROCESSES", 1)  # a forked child's calls would not be recorded
+    monkeypatch.setattr(os, "preadv", recorded(os.preadv))
+    monkeypatch.setattr(os, "pwritev", recorded(os.pwritev))
+    try:
+        shards.encode_file(src, sh, k, block_size)
+        files = expected_shards(code, payload, block_size, stripes)
+        assert {d: (sh / shards.shard_name(d)).read_bytes() for d in files} == files
+        for lost in ((), (1,), (k + 1,), (2, k + 2)):
+            for d in lost:
+                (sh / shards.shard_name(d)).unlink()
+            shards.decode_file(sh, out)
+            assert out.read_bytes() == payload, lost
+            for d in lost:
+                (sh / shards.shard_name(d)).write_bytes(files[d])
+        for victim in range(1, k + 3):
+            (sh / shards.shard_name(victim)).unlink()
+            shards.repair_shard(sh)
+            assert (sh / shards.shard_name(victim)).read_bytes() == files[victim]
+    finally:
+        shards._shape.cache_clear()
+    assert moved and max(moved) == 3 * block_size

@@ -64,7 +64,7 @@ def test_encode_decode_roundtrip_sizes(tmp_path, size):
     assert report.payload_length == size
 
 
-@pytest.mark.parametrize("block_size", [0, -1, 5_000_000_000])
+@pytest.mark.parametrize("block_size", [0, -1, 0x7FFFF001, 5_000_000_000])
 def test_block_size_out_of_range_is_a_usage_error(tmp_path, capsys, block_size):
     src = make_file(tmp_path, 100)
     out = tmp_path / "sh"
@@ -709,6 +709,76 @@ def test_cli_decode_meter(tmp_path, capsys):
     text = capsys.readouterr().out
     assert f"read from shard 1: {4 * stripes} blocks ({4 * 32 * stripes} bytes)" in text
     assert f"{8 * stripes} block XORs" in text
+
+
+def cli_stdout(tmp_path, monkeypatch, capsys) -> dict[str, str]:
+    """The standard output of each command of a short session, in text and --json
+    modes, run from tmp_path so that every path printed is relative."""
+    monkeypatch.chdir(tmp_path)
+    Path("in.bin").write_bytes(random.Random(31).randbytes(3000))
+    got = {}
+
+    def run(name, *argv):
+        assert main(list(argv)) == 0, name
+        got[name] = capsys.readouterr().out
+
+    for mode in ((), ("--json",)):
+        tag = "json" if mode else "text"
+        run(f"encode {tag}", "encode", "in.bin", "--k", "3", "--block-size", "32", "--out-dir", "sh", *mode)
+        os.remove(Path("sh", shards.shard_name(2)))
+        run(f"repair {tag}", "repair", "sh", *mode)
+        os.remove(Path("sh", shards.shard_name(1)))
+        os.remove(Path("sh", shards.shard_name(5)))
+        run(f"decode {tag}", "decode", "sh", "--out", "out.bin", *mode)
+        assert Path("out.bin").read_bytes() == Path("in.bin").read_bytes()
+        run(f"analyze {tag}", "analyze", "--k", "3", *mode)
+        run(f"simulate {tag}", "simulate", "--k", "3", "--stripes", "4", *mode)
+    return got
+
+
+# recorded at e809c94, before the shard commands shared one output path
+CLI_STDOUT = {
+    'encode text': 'encoded in.bin: 4 stripes, 5 shards, 128 block XORs\n',
+    'repair text': (
+        'repaired shard 2 -> sh/shard_02.mdr: 4 stripes, 64 block XORs\n'
+        '  read from shard 1: 16 blocks (512 bytes)\n'
+        '  read from shard 3: 16 blocks (512 bytes)\n'
+        '  read from shard 4: 16 blocks (512 bytes)\n'
+        '  read from shard 5: 16 blocks (512 bytes)\n'
+    ),
+    'decode text': (
+        'decoded 3000 bytes from sh (missing shards: 1, 5), 64 block XORs\n'
+        '  read from shard 2: 32 blocks (1024 bytes)\n'
+        '  read from shard 3: 32 blocks (1024 bytes)\n'
+        '  read from shard 4: 32 blocks (1024 bytes)\n'
+    ),
+    'analyze text': (
+        'code: k=3, r=8\n'
+        'update disk I/O: 5/2 (2.5 parity blocks per update)\n'
+        'repair plans meet the I/O bounds exactly: True\n'
+        'encode schedule: 32 XORs/stripe (4 per coded block pair)\n'
+        'repair schedule: 16 XORs per rebuilt strip\n'
+        'decode schedules: at most 42 XORs/stripe with up to two disks lost\n'
+    ),
+    'simulate text': (
+        "[conventional] disks modeled as independent FIFO servers (no bus contention); the failed disk's logical role rotates across the basic roles per stripe\n"
+        '  recovery time: 24.20 ms; summed read time per survivor, mean over survivors: 96.55 ms\n'
+        '  blocks read: 96 (ratio vs conventional 1.0000); background requests: 0\n'
+        "[mdr] disks modeled as independent FIFO servers (no bus contention); the failed disk's logical role rotates across the basic roles per stripe\n"
+        '  recovery time: 24.18 ms; summed read time per survivor, mean over survivors: 48.20 ms\n'
+        '  blocks read: 64 (ratio vs conventional 0.6667); background requests: 0\n'
+        '  read ratio 0.6667, access-time ratio 0.4993, recovery-time ratio 0.9992\n'
+    ),
+    'encode json': '{"stripes": 4, "xor_count": 128, "shards": ["sh/shard_01.mdr", "sh/shard_02.mdr", "sh/shard_03.mdr", "sh/shard_04.mdr", "sh/shard_05.mdr"]}\n',
+    'repair json': '{"disk_index": 2, "shard": "sh/shard_02.mdr", "stripes": 4, "xor_count": 64, "blocks_read_per_shard": {"1": 16, "3": 16, "4": 16, "5": 16}, "bytes_read_per_shard": {"1": 512, "3": 512, "4": 512, "5": 512}}\n',
+    'decode json': '{"missing": [1, 5], "stripes": 4, "bytes": 3000, "xor_count": 64, "blocks_read_per_shard": {"2": 32, "3": 32, "4": 32}, "bytes_read_per_shard": {"2": 1024, "3": 1024, "4": 1024}}\n',
+    'analyze json': '{"k": 3, "r": 8, "update_io": [5, 2], "lower_bounds_met": true, "encode_xors": 32, "repair_xors": 16, "decode_xors": 42}\n',
+    'simulate json': '{"conventional": {"strategy": "conventional", "notes": "disks modeled as independent FIFO servers (no bus contention); the failed disk\'s logical role rotates across the basic roles per stripe", "total_time_ms": 24.204800000000045, "per_disk_access_ms": {"2": 96.55296000000013, "3": 96.55296000000004, "4": 96.55296000000004, "5": 96.55296000000018}, "avg_access_ms": 96.5529600000001, "blocks_read_per_disk": {"2": 24, "3": 24, "4": 24, "5": 24}, "total_blocks_read": 96, "read_volume_ratio": [1, 1], "background_requests": 0}, "mdr": {"strategy": "mdr", "notes": "disks modeled as independent FIFO servers (no bus contention); the failed disk\'s logical role rotates across the basic roles per stripe", "total_time_ms": 24.184320000000046, "per_disk_access_ms": {"2": 48.204799999999985, "3": 48.204799999999985, "4": 48.204799999999985, "5": 48.204799999999985}, "avg_access_ms": 48.204799999999985, "blocks_read_per_disk": {"2": 16, "3": 16, "4": 16, "5": 16}, "total_blocks_read": 64, "read_volume_ratio": [2, 3], "background_requests": 0}, "read_ratio": [2, 3], "access_time_ratio": 0.4992576095025977, "recovery_time_ratio": 0.9991538868323638}\n',
+}
+
+
+def test_cli_stdout_matches_the_recorded_text(tmp_path, monkeypatch, capsys):
+    assert cli_stdout(tmp_path, monkeypatch, capsys) == CLI_STDOUT
 
 
 def test_cli_decode_with_losses_and_exit_codes(tmp_path):
