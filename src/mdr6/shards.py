@@ -23,15 +23,14 @@ source and sink files.  They run one batch loop, ``_run_batches``: each
 batch reads the lanes of its sources, runs ``execute_schedule`` on them,
 checks the blocks the plan names and writes the lanes of its sinks.  The
 lanes live in the calling thread's lane arena, one shared mapping kept
-across calls, disk-major, so that each file is one run of lanes.  A run of
-several batches is split into contiguous ranges of batches, one per
-process, up to one per CPU this process may run on (``_PROCESSES``): the
-caller runs the first range and a forked child each other one, all through
-the files already opened and checked, each in its own slot of the arena.
-Each process hands back its XOR and read-byte counts (a child its
-exception, too) through shared memory, and the reports sum them.  A run of
-one batch, a threaded caller or a platform without ``os.fork`` runs in one
-process.
+across calls, every block at its lane's offset.  A run of several batches
+is split into contiguous ranges of batches, one per process, up to one per
+CPU this process may run on (``_PROCESSES``): the caller runs the first
+range and a forked child each other one, all through the files already
+opened and checked, each in its own part of the arena.  Each process
+hands back its XOR and read-byte counts (a child its exception, too)
+through shared memory, and the reports sum them.  A run of one batch, a
+threaded caller or a platform without ``os.fork`` runs in one process.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ import struct
 import threading
 from contextlib import ExitStack, contextmanager
 from functools import lru_cache
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence
@@ -65,7 +63,7 @@ _RW_MAX = 0x7FFFF000  # the most bytes Linux's read(2) and write(2) move in one 
 # processes a run of several batches is split across, at most one per batch
 _PROCESSES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 # each thread's lane arena; a forked child drops the forking thread's, which it would
-# share with its parent, and a batch child keeps its slot through the call's own views
+# share with its parent, and a batch child keeps its part through the call's own view
 _kept = threading.local()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=lambda: vars(_kept).clear())
@@ -117,8 +115,8 @@ class ShardHeader:
         header = cls(k, r, disk_index, block_size, stripe_count, payload_length)
         if not 1 <= disk_index <= k + 2:
             raise IntegrityError(f"disk index {disk_index} outside [1, {k + 2}]")
-        if not block_size:
-            raise IntegrityError("shard block size is 0")
+        if not 1 <= block_size <= _RW_MAX:  # one block must fit one read or write call
+            raise IntegrityError(f"shard block size {block_size} outside [1, {_RW_MAX}]")
         if payload_length > block_index(stripe_count, 1, k * r) * block_size:
             raise IntegrityError("payload length exceeds shard-set capacity")
         return header
@@ -193,49 +191,42 @@ def _cutter(keys: Sequence) -> Callable[[Sequence], tuple]:
 @lru_cache(maxsize=64)
 def _shape(files: tuple, sources: int, r: int, m: int, size: int) -> tuple:
     """How batches of m stripes of size-byte blocks move between a set of files of stripes
-    and one buffer of lanes, each lane the m blocks of one (disk, row) end to end.  files
-    gives each file's (disk, rows) runs, the first sources of them read and the rest
-    written: such a file holds len(runs) * r blocks per stripe, run n's row j in slot
-    n * r + j, placed by ``block_index``.  Returns:
+    and one buffer of lanes, lane i the m blocks of one (disk, row) end to end from byte
+    i * m * size.  files gives each file's (disk, rows) runs, the first sources of them read
+    and the rest written: such a file holds len(runs) * r blocks per stripe, run n's row j
+    in slot n * r + j, placed by ``block_index``.  Returns:
     - the lanes' blocks, every block the files hold in disk-major order;
-    - the blocks no source holds;
+    - the blocks no source holds, which a sink writes from the schedule's outputs;
     - the lane cutter of the buffer;
-    - each file's first lane, as a byte offset in the buffer, its iovecs from there, as a
-      cutter, and its transfers, as (file offset from the batch's first stripe, slice of
-      the iovecs, byte count).
+    - each file's iovecs, as a cutter of the buffer, and its transfers, as (file offset
+      from the batch's first stripe, slice of the iovecs, byte count).
     An iovec spans blocks adjacent both in the file and in the buffer, and a transfer is
-    one run of the file in up to IOV_MAX iovecs and _RW_MAX bytes.  A plan reads a wanted
-    disk whole and no block of a lost one, so no disk is both read and written from its
-    schedule's outputs, and each file is one run of lanes."""
-    blocks = [[(d, j) for d, rows in runs for j in rows] for runs in files]
-    read = set(chain.from_iterable(blocks[:sources]))
-    layout = sorted(read.union(*blocks))
-    made, firsts = tuple(b for b in layout if b not in read), [layout.index(held[0]) for held in blocks]
-    if any(layout[at : at + len(held)] != held for at, held in zip(firsts, blocks)):
-        raise ValueError(f"the blocks of some of {files} are no run of lanes")
-    bounds = list(range(0, (len(layout) + 1) * m * size, m * size))  # one int per lane boundary
-    lanes = _cutter(list(map(slice, bounds, bounds[1:])))
-    if len(files) > 1:  # each file's moves are its shape's, with run numbers for disks, shared by that shape
-        shapes = (tuple((n, rows) for n, (_, rows) in enumerate(runs)) for runs in files)
-        moves = (_shape((one,), 0, r, m, size)[3][0][1:] for one in shapes)
-        return tuple(layout), made, lanes, tuple((at * m * size, *move) for at, move in zip(firsts, moves))
-    (runs,) = files
-    slots = [n * r + j for n, (_, rows) in enumerate(runs) for j in rows]
-    # lists of ints, which the garbage collector does not track
-    starts, stops, offsets, firsts, sizes, end = [], [], [], [], [], None
-    for s in range(m):
-        for i, slot in enumerate(slots):
-            at, start = block_index(s, slot, len(runs) * r) * size, (i * m + s) * size
-            if at == end and stops[-1] == start and sizes[-1] + size <= _RW_MAX:
-                stops[-1] += size
-            else:
-                if at != end or len(starts) - firsts[-1] == _IOV_MAX or sizes[-1] + size > _RW_MAX:
-                    offsets.append(at), firsts.append(len(starts)), sizes.append(0)
-                starts.append(start), stops.append(start + size)
-            sizes[-1] += size
-            end = at + size
-    parts = map(slice, firsts, firsts[1:] + [len(starts)])
-    return tuple(layout), made, lanes, ((0, _cutter(list(map(slice, starts, stops))), tuple(zip(offsets, parts, sizes))),)
+    one run of the file in up to IOV_MAX iovecs and _RW_MAX bytes."""
+    read = {(d, j) for runs in files[:sources] for d, rows in runs for j in rows}
+    layout = sorted({(d, j) for runs in files for d, rows in runs for j in rows})
+    lane = {b: i * m for i, b in enumerate(layout)}  # each block's lane, as its first block in the buffer
+    edges = list(range(0, (len(layout) * m + 1) * size, size))  # one int per block boundary, shared by its slices
+    moves, shared = [], {}  # shared: one of each distinct transfers tuple, for files of one shape
+    for runs in files:
+        placed = [(n * r + j, lane[d, j]) for n, (d, rows) in enumerate(runs) for j in rows]
+        # lists of ints, which the garbage collector does not track
+        starts, stops, offsets, firsts, sizes, end = [], [], [], [], [], None
+        for s in range(m):
+            for slot, first in placed:
+                at, start = block_index(s, slot, len(runs) * r) * size, first + s
+                if at == end and stops[-1] == start and sizes[-1] + size <= _RW_MAX:
+                    stops[-1] += 1
+                else:
+                    if at != end or len(starts) - firsts[-1] == _IOV_MAX or sizes[-1] + size > _RW_MAX:
+                        offsets.append(at), firsts.append(len(starts)), sizes.append(0)
+                    starts.append(start), stops.append(start + 1)
+                sizes[-1] += size
+                end = at + size
+        transfers = tuple(zip(offsets, map(slice, firsts, firsts[1:] + [len(starts)]), sizes))
+        iovecs = map(slice, map(edges.__getitem__, starts), map(edges.__getitem__, stops))
+        moves.append((_cutter(list(iovecs)), shared.setdefault((len(starts), *offsets, *firsts, *sizes), transfers)))
+    lanes = _cutter([slice(edges[i], edges[i + m]) for i in range(0, len(layout) * m, m)])
+    return tuple(layout), tuple(b for b in layout if b not in read), lanes, tuple(moves)
 
 
 def _split(iovecs: Sequence[memoryview], nbytes: int) -> tuple[list, list]:
@@ -301,19 +292,18 @@ def _replace_on_success(path: Path) -> Iterator[BinaryIO]:
         raise
 
 
-def _arena(need: int, procs: int) -> list[memoryview]:
-    """procs slots of need bytes each in this thread's lane arena, an anonymous shared
-    mapping: forked children write their own slots in it with no copy-on-write.  The arena
-    is kept for the thread's later calls, and grown when one needs more, unless need
-    exceeds 4 * BATCH_BYTES; a forked child drops it (see ``_kept``)."""
+def _arena(need: int) -> memoryview:
+    """A view of this thread's lane arena, an anonymous shared mapping of at least need
+    bytes, in which the processes of a split call write their own parts with no
+    copy-on-write.  It is kept for the thread's later calls, and grown when one needs
+    more, unless need exceeds 4 * BATCH_BYTES; a forked child drops it (see ``_kept``)."""
     arena = getattr(_kept, "arena", None)
-    if arena is None or len(arena) < need * procs:
+    if arena is None or len(arena) < need:
         from mmap import mmap  # loads only with the first arena
 
-        arena = mmap(-1, need * procs)
+        arena = mmap(-1, need)
     _kept.arena = arena if need <= 4 * BATCH_BYTES else None
-    whole = memoryview(arena)
-    return [whole[i * need : (i + 1) * need] for i in range(procs)]
+    return memoryview(arena)
 
 
 def _run_batches(planned: tuple, sources: Sequence[tuple], sinks: Sequence[tuple],
@@ -327,14 +317,14 @@ def _run_batches(planned: tuple, sources: Sequence[tuple], sinks: Sequence[tuple
     the plan's schedule reads, raises IntegrityError where a block the plan checks differs
     from the one output, and writes every sink, up to its end, from the blocks read or output.
 
-    Each process holds its lanes in its own slot of this thread's lane arena (see
-    ``_arena``), laid out by ``_shape``: a source reads into its run of lanes, the
-    schedule's outputs that a sink writes are copied into theirs, and a sink writes from
-    its run.  The lanes, their (disk, row) map and every transfer are cut once per batch size.
+    Each process holds its lanes in its own part of this thread's lane arena (see
+    ``_arena``), laid out by ``_shape``: a source reads into its lanes, the schedule's
+    outputs that a sink writes are copied into theirs, and a sink writes from its lanes.
+    The lanes, their (disk, row) map and every transfer are cut once per batch size.
 
-    The batches are cut into contiguous ranges, one per process: this process runs
-    the first range, in slot 0, and a forked child i each other one, in slot i (see
-    ``_forked.run_forked``); each hands back its own counts, which are summed."""
+    The batches are cut into contiguous ranges, one per process: this process runs the
+    first range, in the arena's first part, and a forked child i each other one, in part
+    i (see ``_forked.run_forked``); each hands back its own counts, which are summed."""
     schedule, _, checked = planned
     r = schedule.r
     n = _batch_stripes(stripe_count, schedule.k * r * size)
@@ -345,17 +335,18 @@ def _run_batches(planned: tuple, sources: Sequence[tuple], sinks: Sequence[tuple
     files = (*sources, *sinks)
     runs = tuple(runs for *_, runs in files)
     shape = _shape(runs, len(sources), r, n, size)  # of a full batch
-    slots = _arena(len(shape[0]) * n * size, procs)
+    need = len(shape[0]) * n * size  # one process's lanes
+    arena = _arena(procs * need)
 
     def run_range(i: int) -> list[int]:
-        counts, cut, slot = [0] * (1 + len(sources)), {}, slots[i]  # cut: by batch size
+        counts, cut, buf = [0] * (1 + len(sources)), {}, arena[i * need :]  # cut: by batch size
         mine = firsts[len(firsts) * i // procs : len(firsts) * (i + 1) // procs]
         for first in mine:
             m = min(n, stripe_count - first)
             if m not in cut:
                 layout, made, lanes, moves = shape if m == n else _shape(runs, len(sources), r, m, size)
-                lanes = dict(zip(layout, lanes(slot)))
-                moves = ((iovecs(slot[at:]), transfers) for at, iovecs, transfers in moves)
+                lanes = dict(zip(layout, lanes(buf)))
+                moves = ((iovecs(buf), transfers) for iovecs, transfers in moves)
                 moves = ([(at, views[part], nbytes) for at, part, nbytes in transfers] for views, transfers in moves)
                 # kept only while a later batch moves through the same views; the last batch
                 # cuts each file's transfers just before its move, so one holds few at a time

@@ -125,6 +125,24 @@ def test_a_kept_arena_hands_no_bytes_to_the_next_call(tmp_path, monkeypatch, bat
         assert (sh / shards.shard_name(d)).read_bytes() == files[d], d
 
 
+def test_the_keep_bound_counts_the_lanes_of_every_process(tmp_path, monkeypatch, lost_data):
+    """A split call keeps its arena only while the lanes of all its processes fit the
+    bound, so what a thread keeps does not grow with the number of CPUs."""
+    sh, payload = lost_data
+    out = tmp_path / "out.bin"
+    monkeypatch.setattr(shards, "_PROCESSES", 2)
+    vars(shards._kept).clear()
+    report = shards.decode_file(sh, out)
+    # the rows read of each stripe, and those of lost disk 1, which the schedule outputs
+    one = (sum(report.blocks_read_per_shard.values()) // STRIPES + construct(K).r) * PER_BATCH * BS
+    assert len(shards._kept.arena) == 2 * one
+    assert 2 * one <= 4 * shards.BATCH_BYTES < 4 * one
+    monkeypatch.setattr(shards, "_PROCESSES", 4)
+    shards.decode_file(sh, out)
+    assert shards._kept.arena is None
+    assert out.read_bytes() == payload
+
+
 def test_a_call_above_the_keep_bound_keeps_no_arena(tmp_path, monkeypatch):
     src = tmp_path / "in.bin"
     src.write_bytes(random.Random(13).randbytes(3 * STRIPE - 5))

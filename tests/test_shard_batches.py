@@ -208,15 +208,15 @@ class Spans:
 
 @st.composite
 def file_sets(draw):
-    """(files, sources, r) as ``shards._shape`` takes them, the way plans make them: disks
-    1..D cut into runs of consecutive disks, each run one file; a source file reads any
-    rows of its disks, a sink file writes its disks whole, each either read whole by a
-    one-disk source or output by the schedule."""
+    """(files, sources, r) as ``shards._shape`` takes them: disks 1..D dealt out to files,
+    so that a file may hold disks that others lie between, in any order; a source file
+    reads any rows of its disks, a sink file writes its disks whole, each either read
+    whole by a one-disk source or output by the schedule."""
     r = draw(st.sampled_from([2, 4, 8]))
     whole = tuple(range(1, r + 1))
     disks = draw(st.integers(1, 5))
-    cuts = sorted(draw(st.sets(st.integers(2, disks), max_size=disks - 1))) if disks > 1 else []
-    groups = [range(a, b) for a, b in zip([1, *cuts], [*cuts, disks + 1])]
+    owners = draw(st.lists(st.integers(0, disks - 1), min_size=disks, max_size=disks))
+    groups = [draw(st.permutations([d for d in range(1, disks + 1) if owners[d - 1] == g])) for g in set(owners)]
     sources, sinks = [], []
     for group in groups:
         if draw(st.booleans()):
@@ -246,11 +246,7 @@ def test_one_layout_moves_every_block_of_every_file_once(case, m, size, iov_max,
     read = {(d, j) for runs in files[:sources] for d, rows in runs for j in rows}
     assert made == tuple(b for b in layout if b not in read)
     assert lanes(Spans()) == tuple((i * m * size, (i + 1) * m * size) for i in range(len(layout)))
-    for runs, (first, iovecs, transfers) in zip(files, moves):
-        held = [(d, j) for d, rows in runs for j in rows]
-        lanes = [index[b] for b in held]
-        assert lanes == list(range(lanes[0], lanes[0] + len(held)))  # one run of lanes
-        assert first == lanes[0] * m * size
+    for runs, (iovecs, transfers) in zip(files, moves):
         # where block_index puts each held block of each stripe, in bytes from the batch's first
         where = {
             shards.block_index(s, n * r + j, len(runs) * r) * size: ((d, j), s)
@@ -265,12 +261,30 @@ def test_one_layout_moves_every_block_of_every_file_once(case, m, size, iov_max,
             for start, stop in views:
                 for off in range(start, stop, size):
                     (d, j), s = where[pos]
-                    assert first + off == index[d, j] * m * size + s * size
+                    assert off == index[d, j] * m * size + s * size
                     positions.append(pos)
                     pos += size
             assert pos - at == nbytes
             last = pos - 1
         assert positions == sorted(where)  # every byte of every held block once, in file order
+
+
+def test_one_layout_entry_per_file_set(tmp_path):
+    """An encode, a full decode and a Q repair, each of one batch, lay out three file
+    sets: files of one shape given their rows as a range or a tuple add no entry."""
+    k = 6
+    src, sh = tmp_path / "in.bin", tmp_path / "sh"
+    src.write_bytes(random.Random(14).randbytes(64 << 10))
+    shards._shape.cache_clear()
+    try:
+        shards.encode_file(src, sh, k, 512)
+        shards.decode_file(sh, tmp_path / "out.bin")
+        (sh / shards.shard_name(k + 2)).unlink()
+        shards.repair_shard(sh)
+        assert shards._shape.cache_info().currsize == 3
+    finally:
+        shards._shape.cache_clear()
+    assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
 
 
 def test_no_call_moves_more_than_the_byte_cap(tmp_path, monkeypatch):

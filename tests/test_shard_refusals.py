@@ -3,6 +3,7 @@ beside it: every refusal exits 2 (or 1 for a bad command line) and leaves
 no output, no temporary file and every shard as it was."""
 
 import json
+import os
 import random
 import struct
 import tempfile
@@ -72,6 +73,20 @@ def test_a_header_shorter_than_its_fixed_size_is_refused(tmp_path, capsys, shard
         ShardHeader.unpack(b"")
     (sh / shard_name(1)).unlink()
     assert_refused(sh, capsys, "shard file shorter than its header",
+                   ["decode", str(sh), "--out", str(tmp_path / "out.bin")], ["repair", str(sh)])
+
+
+def test_a_block_size_above_one_read_call_is_refused(tmp_path, capsys, monkeypatch, shard_set):
+    # such a block would be cut short by the one preadv that reads it, so the header is refused
+    size = shards._RW_MAX + 1
+    sh = lay_out(tmp_path, {**shard_set, shard_name(2): with_field(shard_set[shard_name(2)], "<I", 14, size)})
+    (sh / shard_name(1)).unlink()
+
+    def no_body_read(*args):
+        raise AssertionError("a body byte was read")
+
+    monkeypatch.setattr(os, "preadv", no_body_read)
+    assert_refused(sh, capsys, f"shard block size {size} outside [1, {shards._RW_MAX}]",
                    ["decode", str(sh), "--out", str(tmp_path / "out.bin")], ["repair", str(sh)])
 
 
