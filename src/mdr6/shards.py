@@ -24,13 +24,14 @@ batch reads the lanes of its sources, runs ``execute_schedule`` on them,
 checks the blocks the plan names and writes the lanes of its sinks.  The
 lanes live in the calling thread's lane arena, one shared mapping kept
 across calls, every block at its lane's offset.  A run of several batches
-is split into contiguous ranges of batches, one per process, up to one per
-CPU this process may run on (``_PROCESSES``): the caller runs the first
-range and a forked child each other one, all through the files already
-opened and checked, each in its own part of the arena.  Each process
-hands back its XOR and read-byte counts (a child its exception, too)
-through shared memory, and the reports sum them.  A run of one batch, a
-threaded caller or a platform without ``os.fork`` runs in one process.
+and at least ``_SPLIT_BYTES`` of stripe data is split across processes, up
+to one per CPU this process may run on (``_PROCESSES``): the caller and a
+forked child per other CPU each claim the next batch no process has taken,
+until none is left, all through the files already opened and checked, each
+in its own part of the arena.  Each process hands back its XOR and
+read-byte counts (a child its exception, too) through shared memory, and
+the reports sum them.  A smaller run, a threaded caller or a platform
+without ``os.fork`` or ``os.memfd_create`` runs in one process.
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ _IOV_MAX = os.sysconf("SC_IOV_MAX")
 _RW_MAX = 0x7FFFF000  # the most bytes Linux's read(2) and write(2) move in one call
 # processes a run of several batches is split across, at most one per batch
 _PROCESSES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+# stripe data below which a run stays in one process, as each process's fixed cost (its
+# fork, page faults and first touch of its lanes) outweighs its share of the work: on a
+# 2-CPU VM, at k=3 and 6 with 512 B and 4 KiB blocks, a split and one process cross
+# between 4 and 6 MiB, and a split wins from 8 MiB
+_SPLIT_BYTES = 6 << 20
 # each thread's lane arena; a forked child drops the forking thread's, which it would
 # share with its parent, and a batch child keeps its part through the call's own view
 _kept = threading.local()
@@ -322,15 +328,19 @@ def _run_batches(planned: tuple, sources: Sequence[tuple], sinks: Sequence[tuple
     outputs that a sink writes are copied into theirs, and a sink writes from its lanes.
     The lanes, their (disk, row) map and every transfer are cut once per batch size.
 
-    The batches are cut into contiguous ranges, one per process: this process runs the
-    first range, in the arena's first part, and a forked child i each other one, in part
-    i (see ``_forked.run_forked``); each hands back its own counts, which are summed."""
+    A run of at least _SPLIT_BYTES of stripe data is split: this process, in the arena's
+    first part, and each forked child i, in part i, claim the next batch no process has
+    taken, in file order, until none is left (see ``_forked.run_forked``).  Every batch
+    moves at its own offsets, so the order in which they run does not matter; each
+    process hands back its own counts, which are summed."""
     schedule, _, checked = planned
     r = schedule.r
     n = _batch_stripes(stripe_count, schedule.k * r * size)
     firsts = range(0, stripe_count, n)
     procs = max(1, min(_PROCESSES, len(firsts)))
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    if stripe_count * schedule.k * r * size < _SPLIT_BYTES:
+        procs = 1  # a fork's fixed cost would outweigh the time it saves
+    if not hasattr(os, "fork") or not hasattr(os, "memfd_create") or threading.active_count() > 1:
         procs = 1  # a forked child holds only the forking thread, and whatever locks the others held
     files = (*sources, *sinks)
     runs = tuple(runs for *_, runs in files)
@@ -338,19 +348,19 @@ def _run_batches(planned: tuple, sources: Sequence[tuple], sinks: Sequence[tuple
     need = len(shape[0]) * n * size  # one process's lanes
     arena = _arena(procs * need)
 
-    def run_range(i: int) -> list[int]:
+    def run_claims(i: int, claims: Iterator[int]) -> list[int]:
         counts, cut, buf = [0] * (1 + len(sources)), {}, arena[i * need :]  # cut: by batch size
-        mine = firsts[len(firsts) * i // procs : len(firsts) * (i + 1) // procs]
-        for first in mine:
+        for first in claims:
             m = min(n, stripe_count - first)
             if m not in cut:
                 layout, made, lanes, moves = shape if m == n else _shape(runs, len(sources), r, m, size)
                 lanes = dict(zip(layout, lanes(buf)))
                 moves = ((iovecs(buf), transfers) for iovecs, transfers in moves)
                 moves = ([(at, views[part], nbytes) for at, part, nbytes in transfers] for views, transfers in moves)
-                # kept only while a later batch moves through the same views; the last batch
-                # cuts each file's transfers just before its move, so one holds few at a time
-                moves = list(moves) if first != mine[-1] else moves
+                # kept only while a later batch may move through the same views; the last batch,
+                # claimed last of all, cuts each file's transfers just before its move, so one
+                # holds few at a time
+                moves = list(moves) if first != firsts[-1] else moves
                 pick = lanes.__getitem__
                 cut[m] = lanes, dict(zip(schedule.reads, map(pick, schedule.reads))), list(map(pick, made)), moves
             lanes, inputs, outs, moves = cut[m]
@@ -370,10 +380,10 @@ def _run_batches(planned: tuple, sources: Sequence[tuple], sinks: Sequence[tuple
         return counts
 
     if procs == 1:
-        return run_range(0)
+        return run_claims(0, iter(firsts))
     from ._forked import run_forked  # pickle and signal load only for a split run
 
-    return list(map(sum, zip(*run_forked(run_range, procs))))
+    return list(map(sum, zip(*run_forked(run_claims, procs, firsts))))
 
 
 @record

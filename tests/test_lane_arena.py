@@ -24,7 +24,9 @@ ROUNDS = 6  # decodes per thread or process, so that theirs overlap
 
 @pytest.fixture
 def batches(monkeypatch):
+    """Batches of PER_BATCH stripes, split wherever _PROCESSES allows however small the call."""
     monkeypatch.setattr(shards, "BATCH_BYTES", PER_BATCH * STRIPE)
+    monkeypatch.setattr(shards, "_SPLIT_BYTES", 0)
 
 
 @pytest.fixture
