@@ -23,9 +23,6 @@ from .codec import (
     XorSchedule,
     build_encode_schedule,
     build_repair_schedule,
-    decode,
-    encode_naive,
-    execute_repair,
     execute_schedule,
     repair_plan,
     verify_schedule,
@@ -43,9 +40,6 @@ __all__ = [
     "code_from_document",
     "code_to_document",
     "construct",
-    "decode",
-    "encode_naive",
-    "execute_repair",
     "execute_schedule",
     "extend",
     "generator_submatrices",

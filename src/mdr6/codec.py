@@ -8,8 +8,10 @@ paths coexist on purpose:
   both take and return one stripe's blocks as a {(disk, row): bytes} map,
   the map schedules run on, and are the test reference for everything
   else;
-* every other linear map is an ``XorSchedule`` run by ``execute_schedule``,
-  one op per lane of blocks (the same block of a whole batch of stripes).
+* every other linear map is an ``XorSchedule`` run by ``execute_schedule``:
+  its ops are plain (target, sources) pairs, target := XOR of sources,
+  each run once per lane of blocks (the same block of a whole batch of
+  stripes).
   ``plan`` gives every command its schedule, the rows it reads of each
   disk and the blocks it checks: ``build_encode_schedule`` (the minimum
   2(k-1) XORs per stripe row for recursion-built codes), ``repair_plan``
@@ -50,6 +52,7 @@ from .code import MdrCode, generator_submatrices, is_recursive_mdr
 from .f2 import BitMatrix
 
 Buffer = tuple  # ("in", disk, row) | ("tmp", ...) | ("out", disk, row)
+Op = tuple  # (target, sources): target := XOR of sources, one source copies
 
 
 class IntegrityError(Exception):
@@ -57,17 +60,10 @@ class IntegrityError(Exception):
 
 
 @record
-class XorOp:
-    """target := XOR of sources (a single source is a block copy)."""
-
-    target: Buffer
-    sources: tuple[Buffer, ...]
-
-
-@record
 class XorSchedule:
     """Ordered XOR operations with named shared intermediates.
 
+    Each op is a (target, sources) pair: target := XOR of sources.
     Buffer ids: ("in", disk, row) for input blocks, ("tmp", ...) for
     intermediates and ("out", disk, row) for produced blocks.  Every
     source is defined (or is an input) before its first use.
@@ -75,24 +71,24 @@ class XorSchedule:
 
     k: int
     r: int
-    ops: tuple[XorOp, ...]
+    ops: tuple[Op, ...]
 
     @cached_property
     def xor_count(self) -> int:
-        return sum(len(op.sources) - 1 for op in self.ops)
+        return sum(len(sources) - 1 for _, sources in self.ops)
 
     @cached_property
     def reads(self) -> frozenset[tuple[int, int]]:
         """The (disk, row) of every input block the ops use."""
         return frozenset(
-            (src[1], src[2]) for op in self.ops for src in op.sources if src[0] == "in"
+            (src[1], src[2]) for _, sources in self.ops for src in sources if src[0] == "in"
         )
 
     @cached_property
     def writes(self) -> frozenset[tuple[int, int]]:
         """The (disk, row) of every block the schedule outputs."""
         return frozenset(
-            (op.target[1], op.target[2]) for op in self.ops if op.target[0] == "out"
+            (target[1], target[2]) for target, _ in self.ops if target[0] == "out"
         )
 
     @cached_property
@@ -122,21 +118,21 @@ def _slot_program(schedule: XorSchedule) -> tuple:
     # the value it writes is ever read (outputs are, at the end)
     live: set[Buffer] = {("out", disk, row) for disk, row in schedule.writes}
     last_reads: list[tuple[set[Buffer], bool]] = []
-    for op in reversed(ops):
-        read = op.target in live
-        live.discard(op.target)
-        last_reads.append(({src for src in op.sources if src not in live}, read))
-        live.update(op.sources)
+    for target, sources in reversed(ops):
+        read = target in live
+        live.discard(target)
+        last_reads.append(({src for src in sources if src not in live}, read))
+        live.update(sources)
     inputs = tuple(sorted(schedule.reads))
     slot_of: dict[Buffer, int] = {("in", *block): n for n, block in enumerate(inputs)}
     free: list[int] = []
     slots = len(inputs)
     steps = []
-    for op, (done, read) in zip(ops, reversed(last_reads)):
-        if not op.sources:
+    for (buf, sources), (done, read) in zip(ops, reversed(last_reads)):
+        if not sources:
             raise ValueError("schedule op with no sources")
         try:
-            first, *rest = (slot_of[src] for src in op.sources)
+            first, *rest = (slot_of[src] for src in sources)
         except KeyError as exc:
             raise ValueError(f"schedule source {exc.args[0]} used before definition") from None
         free.extend(slot_of.pop(src) for src in done)
@@ -145,7 +141,7 @@ def _slot_program(schedule: XorSchedule) -> tuple:
         else:
             target, slots = slots, slots + 1
         if read:
-            slot_of[op.target] = target
+            slot_of[buf] = target
         else:
             free.append(target)
         steps.append((target, first, tuple(rest)))
@@ -197,16 +193,16 @@ def _hand_schedule(code: MdrCode, failed: int) -> XorSchedule:
     def prefix(t: int, row: int) -> Buffer:  # XOR of data disks 1..t
         return left(t, row) if t < at else right(t + 1, row)
 
-    ops: list[XorOp] = []
+    ops: list[Op] = []
     for row in p_rows:
         for t in range(2, at):
-            ops.append(XorOp(left(t, row), (left(t - 1, row), ("in", t, row))))
+            ops.append((left(t, row), (left(t - 1, row), ("in", t, row))))
         for s in range(k, at, -1):
-            ops.append(XorOp(right(s, row), (right(s + 1, row), ("in", s, row))))
+            ops.append((right(s, row), (right(s + 1, row), ("in", s, row))))
         if 1 < at <= k:
-            ops.append(XorOp(("out", at, row), (left(at - 1, row), right(at + 1, row))))
+            ops.append((("out", at, row), (left(at - 1, row), right(at + 1, row))))
         elif k == 1:  # each run is one input block: copy it
-            ops.append(XorOp(("out", at, row), (("in", 3 - at, row),)))
+            ops.append((("out", at, row), (("in", 3 - at, row),)))
     skip = min(failed, k)
     for q_row, out_row in zip(q_rows, out_rows):
         srcs: list[Buffer] = [("in", k + 2, q_row)] if failed else []
@@ -214,7 +210,7 @@ def _hand_schedule(code: MdrCode, failed: int) -> XorSchedule:
             h = 1 << (t - 1)
             if t != skip:
                 srcs.append(prefix(t, q_row - h) if (q_row - 1) & h else ("in", t, q_row + h))
-        ops.append(XorOp(("out", failed or k + 2, out_row), tuple(srcs)))
+        ops.append((("out", failed or k + 2, out_row), tuple(srcs)))
     return XorSchedule(k, r, tuple(ops))
 
 
@@ -273,7 +269,7 @@ def execute_schedule(
 
 def _compile_ops(
     code: MdrCode, candidates: Sequence[Buffer], targets: Sequence[tuple[int, int]]
-) -> tuple[XorOp, ...]:
+) -> tuple[Op, ...]:
     """One op per target block (disk, row), rebuilding it from a subset of
     the candidate input blocks and possibly one earlier target.
 
@@ -328,10 +324,10 @@ def _compile_ops(
         del cost[t]
         base, combo = origin[t], combos[t]
         if base is None:
-            ops.append(XorOp(("out", *targets[t]), tuple(sources(combo))))
+            ops.append((("out", *targets[t]), tuple(sources(combo))))
         else:
             diff = sources(combo ^ combos[base])
-            ops.append(XorOp(("out", *targets[t]), (("out", *targets[base]), *diff)))
+            ops.append((("out", *targets[t]), (("out", *targets[base]), *diff)))
         for u, c in cost.items():
             w = (combo ^ combos[u]).bit_count()
             if w < c:
@@ -484,16 +480,16 @@ def parity_schedule(code: MdrCode, parities: tuple[int, ...]) -> XorSchedule:
     Q alone still reuses the P prefix sums, and P alone of a
     recursion-built code is its row-parity chain, (k-1)r XORs."""
     needed: set[Buffer] = set()
-    kept: list[XorOp] = []
-    for op in reversed(build_encode_schedule(code).ops):
-        if op.target in needed or op.target[0] == "out" and op.target[1] in parities:
-            needed.update(op.sources)
-            kept.append(op)
+    kept: list[Op] = []
+    for target, sources in reversed(build_encode_schedule(code).ops):
+        if target in needed or target[0] == "out" and target[1] in parities:
+            needed.update(sources)
+            kept.append((target, sources))
     # only the ops that touch the other parity's outputs are remade
     tmp = {buf: ("tmp", *buf[1:]) for buf in needed if buf[0] == "out" and buf[1] not in parities}
-    kept = [op if tmp.keys().isdisjoint((op.target, *op.sources)) else
-            XorOp(tmp.get(op.target, op.target), tuple(tmp.get(b, b) for b in op.sources))
-            for op in kept]
+    kept = [(t, srcs) if tmp.keys().isdisjoint((t, *srcs)) else
+            (tmp.get(t, t), tuple(tmp.get(b, b) for b in srcs))
+            for t, srcs in kept]
     return XorSchedule(code.k, code.r, tuple(reversed(kept)))
 
 
@@ -588,13 +584,13 @@ def verify_schedule(code: MdrCode, schedule: XorSchedule) -> bool:
         return False
     expected = _data_coefficients(code)
     env = dict(expected)
-    for op in schedule.ops:
+    for target, sources in schedule.ops:
         acc = 0
-        for src in op.sources:
+        for src in sources:
             if src not in env:
                 return False
             acc ^= env[src]
-        env[op.target] = acc
+        env[target] = acc
     return all(
         env[("out", disk, j)] == expected.get(("in", disk, j)) for disk, j in schedule.writes
     )

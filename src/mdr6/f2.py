@@ -85,6 +85,10 @@ class BitMatrix:
             masks.extend(chunk >> (i * cols) & low for i in range(count))
         return cls(n, cols, tuple(masks))
 
+    def to_bitstrings(self) -> list[str]:
+        """The rows as from_bitstrings takes them."""
+        return [format(m, f"0{self.cols}b")[::-1] for m in self.row_bits]
+
     @classmethod
     def from_blocks(cls, grid: Sequence[Sequence["BitMatrix"]]) -> "BitMatrix":
         """Assemble a block matrix from a 2-D grid of compatible blocks."""
@@ -104,23 +108,6 @@ class BitMatrix:
                     shift += width
                 masks.append(mask)
         return cls(len(masks), sum(col_widths), tuple(masks))
-
-    # -- element access ----------------------------------------------------
-
-    def get(self, i: int, j: int) -> int:
-        if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-            raise ValueError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
-        return (self.row_bits[i - 1] >> (j - 1)) & 1
-
-    def to_rows(self) -> list[list[int]]:
-        return [[(m >> j) & 1 for j in range(self.cols)] for m in self.row_bits]
-
-    def to_bitstrings(self) -> list[str]:
-        return [format(m, f"0{self.cols}b")[::-1] for m in self.row_bits]
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.row_bits)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -153,12 +140,6 @@ class BitMatrix:
                 cur ^= low
             out.append(acc)
         return BitMatrix(self.rows, other.cols, tuple(out))
-
-    __matmul__ = mul
-
-    def transpose(self) -> "BitMatrix":
-        strings = self.to_bitstrings()
-        return BitMatrix.from_bitstrings(["".join(t) for t in zip(*strings)])
 
     def rank(self) -> int:
         """Row rank via elimination with last-nonzero-column pivoting.
@@ -224,9 +205,3 @@ class BitMatrix:
                 mask |= ((bits >> (j - 1)) & 1) << pos
             masks.append(mask)
         return BitMatrix(len(row_set), len(col_set), tuple(masks))
-
-    def count_nonzero_columns(self) -> int:
-        acc = 0
-        for mask in self.row_bits:
-            acc |= mask
-        return acc.bit_count()

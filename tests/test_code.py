@@ -33,8 +33,8 @@ from mdr6.f2 import BitMatrix
 def test_initial_code_matrices():
     code = initial_code()
     assert code.k == 1 and code.r == 2
-    assert code.b_matrices[0].to_rows() == [[0, 1], [0, 0]]
-    assert code.b_matrices[1].to_rows() == [[0, 0], [1, 0]]
+    assert code.b_matrices[0] == BitMatrix.from_rows([[0, 1], [0, 0]])
+    assert code.b_matrices[1] == BitMatrix.from_rows([[0, 0], [1, 0]])
     assert [list(s.q_rows) for s in code.strategies] == [[1], [2]]
     assert verify_mds(code)
     assert verify_repair_optimal(code)
@@ -43,24 +43,24 @@ def test_initial_code_matrices():
 def test_extend_initial_frozen_values():
     code = extend(initial_code())
     assert (code.k, code.r) == (2, 4)
-    assert code.b_matrices[0].to_rows() == [
+    assert code.b_matrices[0] == BitMatrix.from_rows([
         [0, 1, 0, 0],
         [1, 0, 0, 0],
         [0, 0, 0, 1],
         [0, 0, 1, 0],
-    ]
-    assert code.b_matrices[1].to_rows() == [
+    ])
+    assert code.b_matrices[1] == BitMatrix.from_rows([
         [0, 0, 1, 0],
         [0, 0, 0, 1],
         [0, 0, 0, 0],
         [0, 0, 0, 0],
-    ]
-    assert code.b_matrices[2].to_rows() == [
+    ])
+    assert code.b_matrices[2] == BitMatrix.from_rows([
         [0, 0, 0, 0],
         [0, 0, 0, 0],
         [1, 0, 0, 0],
         [0, 1, 0, 0],
-    ]
+    ])
     assert [list(s.q_rows) for s in code.strategies] == [[1, 3], [1, 2], [3, 4]]
     assert [list(s.basic_rows) for s in code.strategies] == [[1, 3], [1, 2], [3, 4]]
 
@@ -70,9 +70,9 @@ def test_extend_doubles_rows():
 
 
 def test_generator_submatrices():
-    assert generator_submatrices(initial_code())[0].to_rows() == [[0, 1], [1, 0]]
+    assert generator_submatrices(initial_code())[0] == BitMatrix.from_rows([[0, 1], [1, 0]])
     a1 = generator_submatrices(construct(2))[0]
-    assert a1.to_rows() == [[0, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1], [0, 1, 1, 0]]
+    assert a1 == BitMatrix.from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1], [0, 1, 1, 0]])
 
 
 def test_generator_sums_cancel_last_matrix():
@@ -151,7 +151,7 @@ def test_verify_mds_rejects_degenerate():
 def test_verify_repair_optimal_detects_nonzero_block():
     code = construct(2)
     # flip one bit of B_2 inside (q_rows(1), complement(basic_rows(1)))
-    tampered_rows = code.b_matrices[1].to_rows()
+    tampered_rows = [[m >> j & 1 for j in range(4)] for m in code.b_matrices[1].row_bits]
     tampered_rows[0][1] ^= 1  # row 1 in R_1={1,3}, col 2 in complement({1,3})
     mats = (code.b_matrices[0], BitMatrix.from_rows(tampered_rows), code.b_matrices[2])
     tampered = MdrCode(2, 4, mats, code.strategies)
@@ -287,6 +287,15 @@ def test_document_strategies_optional_but_checked():
     bad["strategies"][0]["q_rows"] = [2, 4]  # breaks the block condition
     with pytest.raises(ValueError):
         code_from_document(bad)
+
+
+def test_a_code_without_strategies_writes_null_and_round_trips():
+    code = construct(3)
+    bare = MdrCode(code.k, code.r, code.b_matrices, None)
+    text = json.dumps(code_to_document(bare))
+    assert json.loads(text) == {**code_to_document(code), "strategies": None}
+    assert '"strategies": null' in text
+    assert code_from_document(json.loads(text)) == bare
 
 
 @pytest.mark.parametrize("key", ["q_rows", "basic_rows"])

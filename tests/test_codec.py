@@ -13,7 +13,6 @@ from mdr6.analysis import search_repair_optimal
 from mdr6.code import MdrCode, construct
 from mdr6.codec import (
     IntegrityError,
-    XorOp,
     XorSchedule,
     build_encode_schedule,
     build_repair_schedule,
@@ -115,20 +114,20 @@ def test_encode_schedule_counts_and_soundness(k):
     assert sched.xor_count == 2 * (k - 1) * code.r
     assert verify_schedule(code, sched)
     if k >= 2:  # every P block ends a prefix run; no op copies a block
-        assert all(len(op.sources) > 1 for op in sched.ops)
+        assert all(len(sources) > 1 for _, sources in sched.ops)
 
 
 def test_encode_schedule_k1_q_is_copies():
     sched = build_encode_schedule(construct(1))
-    q_ops = [op for op in sched.ops if op.target[:2] == ("out", 3)]
-    assert all(len(op.sources) == 1 for op in q_ops)
+    q_ops = [sources for target, sources in sched.ops if target[:2] == ("out", 3)]
+    assert all(len(sources) == 1 for sources in q_ops)
     assert sched.xor_count == 0
 
 
 def test_encode_schedule_k3_q_cost():
     sched = build_encode_schedule(construct(3))
     q_xors = sum(
-        len(op.sources) - 1 for op in sched.ops if op.target[:2] == ("out", 5)
+        len(sources) - 1 for target, sources in sched.ops if target[:2] == ("out", 5)
     )
     assert q_xors == (3 - 1) * 2**3  # 2 XORs per Q block
 
@@ -383,15 +382,15 @@ def test_execute_schedule_missing_source():
 
 
 def test_execute_schedule_rejects_an_op_with_no_sources():
-    sched = XorSchedule(1, 1, (XorOp(("out", 2, 1), (("in", 1, 1),)), XorOp(("out", 3, 1), ())))
+    sched = XorSchedule(1, 1, ((("out", 2, 1), (("in", 1, 1),)), (("out", 3, 1), ())))
     with pytest.raises(ValueError, match="no sources"):
         execute_schedule(sched, {(1, 1): bytes(BS)}, BS)
 
 
 def test_execute_schedule_rejects_a_source_used_before_definition():
     ops = (
-        XorOp(("out", 2, 1), (("in", 1, 1), ("tmp", "t"))),
-        XorOp(("tmp", "t"), (("in", 1, 1),)),
+        (("out", 2, 1), (("in", 1, 1), ("tmp", "t"))),
+        (("tmp", "t"), (("in", 1, 1),)),
     )
     with pytest.raises(ValueError, match="before definition"):
         execute_schedule(XorSchedule(1, 1, ops), {(1, 1): bytes(BS)}, BS)
@@ -399,9 +398,9 @@ def test_execute_schedule_rejects_a_source_used_before_definition():
 
 def test_execute_schedule_reuses_the_slot_of_a_value_read_for_the_last_time():
     # a chain of 200 intermediates holds two values at a time, not 200
-    ops = [XorOp(("tmp", 1), (("in", 1, 1), ("in", 2, 1)))]
-    ops += [XorOp(("tmp", n), (("tmp", n - 1), ("in", 1 + n % 2, 1))) for n in range(2, 201)]
-    ops.append(XorOp(("out", 3, 1), (("tmp", 200),)))
+    ops = [(("tmp", 1), (("in", 1, 1), ("in", 2, 1)))]
+    ops += [(("tmp", n), (("tmp", n - 1), ("in", 1 + n % 2, 1))) for n in range(2, 201)]
+    ops.append((("out", 3, 1), (("tmp", 200),)))
     sched = XorSchedule(2, 1, tuple(ops))
     _, slots, _, _ = sched._program
     assert slots <= len(sched.reads) + 2
@@ -438,7 +437,7 @@ def random_schedules(draw):
         else:
             target = ("tmp", n)
             tmps.append(target)
-        ops.append(XorOp(target, tuple(sources)))
+        ops.append((target, tuple(sources)))
         if target not in defined:
             defined.append(target)
     return XorSchedule(4, 4, tuple(ops))
@@ -447,11 +446,11 @@ def random_schedules(draw):
 def evaluate(schedule, values):
     """The plain reference: every buffer by name in one dict."""
     env = {("in", *block): value for block, value in values.items()}
-    for op in schedule.ops:
+    for target, sources in schedule.ops:
         acc = 0
-        for src in op.sources:
+        for src in sources:
             acc ^= env[src]
-        env[op.target] = acc
+        env[target] = acc
     return {buf[1:]: value for buf, value in env.items() if buf[0] == "out"}
 
 
@@ -482,7 +481,7 @@ def test_repair_schedule_counts_and_soundness(k):
         survivors = [d for d in range(1, k + 3) if d != failed]
         assert {d: len(rows) for d, rows in sched.rows_by_disk.items()} == dict.fromkeys(survivors, r // 2)
         if k >= 2:  # a run that meets no other ends in the rebuilt block itself
-            assert all(len(op.sources) > 1 for op in sched.ops), failed
+            assert all(len(sources) > 1 for _, sources in sched.ops), failed
 
 
 @pytest.mark.parametrize("k, xors", enumerate([0, 6, 26, 82, 226, 578, 1410, 3330], start=1))
@@ -521,7 +520,7 @@ def test_repair_schedule_executes_like_plan(k):
 def test_repair_schedule_k1_copies():
     sched = build_repair_schedule(construct(1), 1)
     assert sched.xor_count == 0
-    assert all(len(op.sources) == 1 for op in sched.ops)
+    assert all(len(sources) == 1 for _, sources in sched.ops)
 
 
 def test_repair_schedule_k3_total():
@@ -541,8 +540,8 @@ def test_repair_schedule_reads_match_plan():
         plan = repair_plan(code, failed)
         touched = {
             (src[1], src[2])
-            for op in sched.ops
-            for src in op.sources
+            for _, sources in sched.ops
+            for src in sources
             if src[0] == "in"
         }
         assert touched == plan.reads

@@ -4,7 +4,7 @@ import pytest
 
 from mdr6._record import record
 from mdr6.code import RepairStrategy, code_from_document, code_to_document, construct
-from mdr6.codec import XorOp, XorSchedule, build_encode_schedule
+from mdr6.codec import XorSchedule, build_encode_schedule
 from mdr6.f2 import BitMatrix
 from mdr6.shards import ShardHeader
 from mdr6.sim import DiskModel, SimConfig
@@ -82,15 +82,15 @@ def test_instances_refuse_assignment_and_deletion():
 
 def test_repr_names_every_field():
     assert repr(RepairStrategy((1, 3), (2, 4))) == "RepairStrategy(q_rows=(1, 3), basic_rows=(2, 4))"
-    assert repr(XorOp(("out", 3, 1), (("in", 1, 1),))) == (
-        "XorOp(target=('out', 3, 1), sources=(('in', 1, 1),))"
+    assert repr(XorSchedule(1, 1, ((("out", 3, 1), (("in", 1, 1),)),))) == (
+        "XorSchedule(k=1, r=1, ops=((('out', 3, 1), (('in', 1, 1),)),))"
     )
 
 
 def test_a_fresh_schedule_fills_its_cached_properties():
     ops = (
-        XorOp(("tmp", 1), (("in", 1, 1), ("in", 2, 1))),
-        XorOp(("out", 3, 1), (("tmp", 1), ("in", 2, 2))),
+        (("tmp", 1), (("in", 1, 1), ("in", 2, 1))),
+        (("out", 3, 1), (("tmp", 1), ("in", 2, 2))),
     )
     schedule = XorSchedule(2, 2, ops)
     assert schedule.xor_count == 2

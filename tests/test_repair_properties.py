@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from mdr6.analysis import search_repair_optimal
 from mdr6.code import construct, is_recursive_mdr
 from mdr6.codec import (
-    XorOp,
     XorSchedule,
     build_encode_schedule,
     decode,
@@ -58,11 +57,11 @@ def flat_inputs(schedule):
     """Each block the schedule writes, as the set of input blocks whose XOR
     it is: the sources of the one flat op that would compute it."""
     env = {}
-    for op in schedule.ops:
+    for target, sources in schedule.ops:
         acc = frozenset()
-        for src in op.sources:
+        for src in sources:
             acc ^= {src[1:]} if src[0] == "in" else env[src]
-        env[op.target] = acc
+        env[target] = acc
     return {block: env[("out", *block)] for block in schedule.writes}
 
 
@@ -167,14 +166,14 @@ def test_verify_schedule_accepts_built_schedules_and_rejects_tampering(code):
         assert not verify_schedule(other, schedule)
         if not schedule.ops:
             continue
-        last = schedule.ops[-1]
+        target, sources = schedule.ops[-1]
         # a dropped source changes the block the last op writes
-        assert not verify_schedule(code, _with_last_op(schedule, XorOp(last.target, last.sources[:-1])))
+        assert not verify_schedule(code, _with_last_op(schedule, (target, sources[:-1])))
         # an op removed leaves its column partly written
         assert not verify_schedule(code, _with_last_op(schedule, None))
         # a block of the output disk added twice cancels out, so only the read is wrong
         own = ("in", min(schedule.writes)[0], 1)
-        doubled = XorOp(last.target, (*last.sources, own, own))
+        doubled = (target, (*sources, own, own))
         assert not verify_schedule(code, _with_last_op(schedule, doubled))
 
 

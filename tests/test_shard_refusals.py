@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from mdr6 import shards
 from mdr6.cli import main
-from mdr6.code import code_to_document, construct
+from mdr6.code import code_from_document, code_to_document, construct
 from mdr6.shards import HEADER_SIZE, MAGIC, ShardHeader, shard_name
+from test_shards_cli import swapped_document
 
 K, R, BS = 3, 8, 8
 PAYLOAD = random.Random(7).randbytes(K * R * BS + 5)  # two stripes, the last ragged
@@ -46,15 +47,18 @@ def lay_out(directory: Path, files: dict) -> Path:
     return sh
 
 
-def assert_refused(sh: Path, capsys, message: str, *commands: list) -> None:
-    """Each command exits 2 with message and changes nothing: no output file
-    and every file in the shard directory as it was."""
-    before = snapshot(sh)
+def assert_refused(sh: Path, capsys, message: str | None, *commands: list) -> None:
+    """Each command exits 2 with message (with None, any integrity error) and
+    changes nothing: no output or temporary file beside the shard directory
+    and every file in it as it was."""
+    before, beside = snapshot(sh), sorted(sh.parent.iterdir())
     out = sh.parent / "out.bin"
     for command in commands or (["decode", str(sh), "--out", str(out)],):
         assert main(command) == 2, command
-        assert capsys.readouterr().err == f"integrity error: {message}\n"
+        err = capsys.readouterr().err
+        assert err.startswith("integrity error: ") if message is None else err == f"integrity error: {message}\n"
         assert snapshot(sh) == before
+        assert sorted(sh.parent.iterdir()) == beside
         assert not out.exists()
 
 
@@ -235,6 +239,72 @@ def test_a_code_without_strategies_repairs_every_disk_by_row_parity(tmp_path, ca
     analyzed = json.loads(capsys.readouterr().out)
     assert analyzed["lower_bounds_met"] is False
     assert analyzed["repair_xors"] == (K - 1) * R
+
+
+# -- silent wrong-output paths (ROADMAP "State"), each at k=3 with 512 B blocks ------
+
+SILENT_BS = 512
+SILENT_PAYLOAD = random.Random(11).randbytes(200_001)
+
+
+@pytest.fixture(scope="module")
+def silent_sets(tmp_path_factory) -> dict:
+    """The shard files of SILENT_PAYLOAD encoded at K, of other data of its
+    length, and of SILENT_PAYLOAD under the code with data disks 1 and 2
+    swapped, by name."""
+    tmp = tmp_path_factory.mktemp("silent")
+    sets = {}
+    for name, payload, code in [
+        ("plain", SILENT_PAYLOAD, None),
+        ("other", random.Random(12).randbytes(len(SILENT_PAYLOAD)), None),
+        ("swapped", SILENT_PAYLOAD, code_from_document(swapped_document(K))),
+    ]:
+        (tmp / name).write_bytes(payload)
+        shards.encode_file(tmp / name, tmp / f"{name}.sh", K, block_size=SILENT_BS, code=code)
+        sets[name] = snapshot(tmp / f"{name}.sh")
+    return sets
+
+
+@pytest.mark.xfail(raises=AssertionError, reason="silent path 1: decode of a lost data disk checks no "
+                   "parity; ROADMAP item 10 step 1 checks the unread parity halves")
+def test_a_flipped_payload_byte_with_a_data_shard_missing_is_refused(tmp_path, capsys, silent_sets):
+    files = dict(silent_sets["plain"])
+    del files[shard_name(1)]
+    blob = bytearray(files[shard_name(2)])
+    blob[HEADER_SIZE] ^= 1  # row 1 of stripe 1: payload, not the last stripe's padding
+    assert_refused(lay_out(tmp_path, {**files, shard_name(2): bytes(blob)}), capsys, None)
+
+
+@pytest.mark.xfail(raises=AssertionError, reason="silent path 2: repair reads no redundancy beyond its "
+                   "rebuild; ROADMAP item 2 checks each lane's CRC")
+def test_a_survivor_flipped_in_every_block_is_refused_by_a_parity_repair(tmp_path, capsys, silent_sets):
+    files = dict(silent_sets["plain"])
+    del files[shard_name(K + 1)]
+    blob = bytearray(files[shard_name(2)])
+    for at in range(HEADER_SIZE, len(blob), SILENT_BS):
+        blob[at] ^= 1
+    sh = lay_out(tmp_path, {**files, shard_name(2): bytes(blob)})
+    assert_refused(sh, capsys, None, ["repair", str(sh)])
+
+
+@pytest.mark.xfail(raises=AssertionError, reason="silent path 3: decode of a lost data disk checks no "
+                   "parity; ROADMAP item 10 step 1 checks the unread parity halves")
+def test_a_shard_of_another_encode_with_a_data_shard_missing_is_refused(tmp_path, capsys, silent_sets):
+    files = dict(silent_sets["plain"])
+    del files[shard_name(1)]
+    files[shard_name(2)] = silent_sets["other"][shard_name(2)]
+    assert_refused(lay_out(tmp_path, files), capsys, None)
+
+
+@pytest.mark.xfail(raises=AssertionError, reason="silent path 4: no header names its code; ROADMAP item 10 "
+                   "step 1 refuses the decode, and step 2's code digest the Q repair")
+def test_a_set_used_without_the_code_it_was_encoded_with_is_refused(tmp_path, capsys, silent_sets):
+    for lost, command in [(1, "decode"), (K + 2, "repair")]:
+        (tmp_path / command).mkdir()
+        files = {name: blob for name, blob in silent_sets["swapped"].items() if name != shard_name(lost)}
+        sh = lay_out(tmp_path / command, files)
+        argv = [command, str(sh)] + (["--out", str(sh.parent / "out.bin")] if command == "decode" else [])
+        assert_refused(sh, capsys, None, argv)
 
 
 # -- properties -----------------------------------------------------------------

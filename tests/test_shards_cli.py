@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from mdr6 import cli, shards
 from mdr6.cli import main
 from mdr6.analysis import search_repair_optimal
 from mdr6.code import code_from_document, code_to_document, construct, is_recursive_mdr
-from mdr6.codec import plan, repair_plan, verify_schedule
+from mdr6.codec import build_repair_schedule, plan, repair_plan, verify_schedule
 from mdr6.shards import ShardHeader, TooManyErasuresError
 from mdr6.sim import DiskModel, SimConfig, simulate
 
@@ -301,6 +302,26 @@ def test_encode_that_fails_leaves_no_shard(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+def test_a_short_write_fails_the_encode_and_leaves_no_shard(tmp_path, monkeypatch, capsys):
+    src = make_file(tmp_path, 3 * 8 * BS * 5, seed=53)
+    out = tmp_path / "fresh"
+    original, calls = os.pwritev, []
+
+    def short_first(fd, iovecs, offset):  # writes every byte, but the first call reports one fewer
+        calls.append(offset)
+        return original(fd, iovecs, offset) - (len(calls) == 1)
+
+    monkeypatch.setattr(os, "pwritev", short_first)
+    temporary = rf"{re.escape(str(out))}/\.shard_0[1-5]\.mdr\.tmp"
+    with pytest.raises(OSError, match=rf"^short write to {temporary} at byte \d+$"):
+        shards.encode_file(src, out, k=3, block_size=BS)
+    assert list(out.iterdir()) == []
+    calls.clear()
+    assert main(["encode", str(src), "--k", "3", "--block-size", str(BS), "--out-dir", str(out)]) == 1
+    assert re.fullmatch(rf"usage error: short write to {temporary} at byte \d+\n", capsys.readouterr().err)
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("k", [3, 6])
 def test_decode_reads_only_what_its_schedule_uses(tmp_path, k):
     r = construct(k).r
@@ -483,6 +504,8 @@ def test_a_lone_data_disk_of_a_loaded_code_takes_its_repair_plan(tmp_path, k, pl
     code = code_from_document(swapped_document(k))
     r = code.r
     assert {repair_plan(code, d).xor_count for d in range(1, k + 1)} == plan_xors
+    with pytest.raises(ValueError, match="^repair schedules exist only for recursion-built codes$"):
+        build_repair_schedule(code, 1)
     src = make_file(tmp_path, k * r * BS * 2 + 3, seed=70 + k)
     sh, out = tmp_path / "sh", tmp_path / "out.bin"
     stripes = shards.encode_file(src, sh, k, BS, code=code).stripe_count
@@ -1159,6 +1182,13 @@ def test_cli_simulate_csv_needs_one_strategy(tmp_path, capsys):
     assert not csv_path.exists()
 
 
+def test_cli_simulate_of_one_strategy_prints_its_report_document(capsys):
+    assert main(["simulate", "--k", "3", "--stripes", "4", "--strategy", "mdr", "--rate", "50",
+                 "--seed", "2", "--json"]) == 0
+    config = SimConfig(k=3, stripe_count=4, strategy="mdr", background_rate=50.0, seed=2)
+    assert capsys.readouterr().out == json.dumps(simulate(config, DiskModel()).to_document()) + "\n"
+
+
 def test_cli_simulate_k8_ratio(capsys):
     assert main(["simulate", "--k", "8", "--stripes", "4", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -1190,6 +1220,9 @@ def test_public_api_resolves():
         "xor_blocks",
         "IndexSet",
         "SingularMatrixError",
+        "decode",
+        "encode_naive",
+        "execute_repair",
     ):
         assert gone not in mdr6.__all__
         assert not hasattr(mdr6, gone)
