@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error or a batch process that died,
-2 data integrity failure, 3 unrecoverable erasure count.
+2 data integrity failure, 3 unrecoverable erasure count, 4 a block read or
+write of a shard, input or output file that failed (an I/O error).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INTEGRITY = 2
 EXIT_ERASURES = 3
+EXIT_IO = 4
 
 
 class UsageError(Exception):
@@ -335,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
+    except shards.TransferError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except ChildProcessError as exc:  # an OSError, but no fault of the command line
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

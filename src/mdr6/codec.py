@@ -13,15 +13,13 @@ paths coexist on purpose:
   each run once per lane of blocks (the same block of a whole batch of
   stripes).
   ``plan`` gives every command its schedule, the rows it reads of each
-  disk and the blocks it checks: ``build_encode_schedule`` (the minimum
-  2(k-1) XORs per stripe row for recursion-built codes), ``repair_plan``
-  (one disk from the minimum read set, at the minimum k-1 average XORs
-  per lost block for recursion-built codes), ``parity_schedule`` (the
-  part of the encode schedule that chosen parities need) or a compiled
-  rebuild of two lost disks.  One builder,
-  ``_hand_schedule``, derives both minimum-XOR schedules, encode and
-  basic-disk repair, from the closed form of the code's doubling
-  recursion.
+  disk and the blocks it checks; one function, ``_choose``, holds every
+  rule that picks the schedule.  Two builders, ``build_encode_schedule``
+  and ``build_repair_schedule`` (one basic disk), serve any code, and
+  only they choose between a compiled schedule and ``_hand_schedule``,
+  which derives a recursion-built code's minimum-XOR encode (2(k-1) per
+  stripe row) and basic-disk repair (k-1 per lost block on average) from
+  the closed form of its doubling recursion.
 
 Schedules that are not hand-derived are compiled by GF(2) elimination,
 which gives each target block as a flat XOR of input blocks, and then by
@@ -441,28 +439,21 @@ def decode(code: MdrCode, blocks: Mapping[tuple[int, int], bytes]) -> dict[tuple
     return {**blocks, **_to_blocks(missing, u, r, size)}
 
 
-# -- single-disk repair ------------------------------------------------------
+# -- choosing a schedule -----------------------------------------------------
 
 
 @lru_cache(maxsize=256)
-def repair_plan(code: MdrCode, failed: int) -> XorSchedule:
-    """Pick the rebuild schedule for one disk; its reads are the blocks
-    the rebuild needs.
-
-    The Q disk of any code is rebuilt by the part of its encode schedule
-    that Q needs, from the data blocks.  A basic disk of a recursion-built
-    code gets the minimum-XOR ``build_repair_schedule``, and one of any
-    other code a schedule compiled from the blocks its repair strategy
-    reads; with no strategies, from every row of the other basic disks
-    and of Q, Q listed last, which is the row-parity rebuild.
-    """
+def build_repair_schedule(code: MdrCode, failed: int) -> XorSchedule:
+    """Rebuild schedule for one basic disk (1 .. k+1) of any code: a
+    recursion-built code's ``_hand_schedule``, else one compiled from the
+    blocks the disk's repair strategy reads or, with no strategies, from
+    every row of the other basic disks and of Q, Q listed last, which is
+    the row-parity rebuild."""
     k, r = code.k, code.r
-    if not 1 <= failed <= k + 2:
-        raise ValueError(f"disk index {failed} outside [1, {k + 2}]")
-    if failed == k + 2:
-        return parity_schedule(code, (k + 2,))
+    if not 1 <= failed <= k + 1:
+        raise ValueError("repair schedules cover basic disks only")
     if is_recursive_mdr(code):
-        return build_repair_schedule(code, failed)
+        return _hand_schedule(code, failed)
     rows = basic_rows = q_rows = range(1, r + 1)  # with no strategies, every row: the row-parity rebuild
     if code.strategies is not None:
         strat = code.strategies[failed - 1]
@@ -473,7 +464,6 @@ def repair_plan(code: MdrCode, failed: int) -> XorSchedule:
     return XorSchedule(k, r, _compile_ops(code, candidates, targets))
 
 
-@lru_cache(maxsize=256)
 def parity_schedule(code: MdrCode, parities: tuple[int, ...]) -> XorSchedule:
     """The ops of the encode schedule that the given parity disks' outputs
     depend on, with the other parity's outputs turned into intermediates:
@@ -493,6 +483,37 @@ def parity_schedule(code: MdrCode, parities: tuple[int, ...]) -> XorSchedule:
     return XorSchedule(code.k, code.r, tuple(reversed(kept)))
 
 
+def _choose(code: MdrCode, missing: tuple[int, ...], want: tuple[int, ...]) -> tuple:
+    """The schedule that outputs the lost disks in want with those in missing
+    lost, and the surviving parity disks it re-encodes to be checked.
+
+    A lone lost basic disk that is wanted takes its ``build_repair_schedule``.
+    With no wanted data disk lost, ``parity_schedule`` makes the lost wanted
+    parities, or, if no wanted disk is lost, re-encodes the surviving ones,
+    which are checked.  Else the lost wanted disks are compiled from every
+    surviving block, data disks and P before Q, so with Q also lost row
+    parity rebuilds a data disk at k-1 XORs per block."""
+    k, r = code.k, code.r
+    lost = tuple(d for d in want if d in missing)
+    if len(missing) == 1 == len(lost) and lost[0] <= k + 1:
+        return build_repair_schedule(code, lost[0]), ()
+    if all(d > k for d in lost):
+        checked = () if lost else tuple(d for d in (k + 1, k + 2) if d not in missing)
+        return parity_schedule(code, tuple(sorted({*lost, *checked}))), checked
+    rows = range(1, r + 1)
+    candidates = [("in", d, j) for d in range(1, k + 3) if d not in missing for j in rows]
+    targets = [(d, j) for d in lost for j in rows]
+    return XorSchedule(k, r, _compile_ops(code, candidates, targets)), ()
+
+
+def repair_plan(code: MdrCode, failed: int) -> XorSchedule:
+    """The schedule ``plan`` rebuilds lost disk failed with, reading only
+    what the rebuild needs: Q's is the part of the encode schedule Q needs."""
+    if not 1 <= failed <= code.k + 2:
+        raise ValueError(f"disk index {failed} outside [1, {code.k + 2}]")
+    return _choose(code, (failed,), (failed,))[0]
+
+
 def execute_repair(
     schedule: XorSchedule, lanes: Mapping[tuple[int, int], bytes], block_size: int
 ) -> tuple[list[bytes], int]:
@@ -503,42 +524,14 @@ def execute_repair(
     return [outputs[block] for block in sorted(schedule.writes)], executed
 
 
-def build_repair_schedule(code: MdrCode, failed: int) -> XorSchedule:
-    """Minimum-XOR rebuild schedule for one basic disk of a recursion-built
-    code, ``_hand_schedule``: (k-1) XORs per rebuilt block on average."""
-    if not is_recursive_mdr(code):
-        raise ValueError("repair schedules exist only for recursion-built codes")
-    if not 1 <= failed <= code.k + 1:
-        raise ValueError("repair schedules cover basic disks only")
-    return _hand_schedule(code, failed)
-
-
 @lru_cache(maxsize=256)
 def plan(code: MdrCode, missing: tuple[int, ...], want: tuple[int, ...]) -> tuple:
-    """The schedule, the rows read from each present disk and the blocks
-    read that must equal what the schedule re-encodes, to output the disks
-    in want with those in missing lost; a present disk in want is read whole.
-
-    A lone lost disk that is wanted takes its ``repair_plan``.  With no wanted
-    data disk lost, ``parity_schedule`` makes the lost wanted parities and
-    re-encodes the surviving ones, which are checked; encode is
-    plan(code, (k+1, k+2), (k+1, k+2)).  Otherwise the lost wanted disks are
-    compiled from every surviving block, data disks and P before Q, so with
-    Q also lost row parity rebuilds a data disk at k-1 XORs per block.
-    """
-    k, r = code.k, code.r
-    rows = tuple(range(1, r + 1))
-    lost = tuple(d for d in want if d in missing)
-    checked = ()
-    if len(missing) == 1 and lost:
-        schedule = repair_plan(code, lost[0])
-    elif all(d > k for d in lost):
-        checked = tuple(d for d in (k + 1, k + 2) if d not in missing)
-        schedule = parity_schedule(code, tuple(sorted({*lost, *checked})))
-    else:
-        candidates = [("in", d, j) for d in range(1, k + 3) if d not in missing for j in rows]
-        targets = [(d, j) for d in lost for j in rows]
-        schedule = XorSchedule(k, r, _compile_ops(code, candidates, targets))
+    """``_choose``'s schedule, the rows read from each present disk (a
+    checked or wanted one whole) and the blocks checked, to output the disks
+    in want with those in missing lost.  Encode is plan(code, (k+1, k+2),
+    (k+1, k+2)), and plan(code, (), ()) checks both parities."""
+    schedule, checked = _choose(code, missing, want)
+    rows = tuple(range(1, code.r + 1))
     reads = dict(schedule.rows_by_disk)
     reads.update((d, rows) for d in (*want, *checked) if d not in missing)
     return schedule, MappingProxyType(dict(sorted(reads.items()))), tuple((d, j) for d in checked for j in rows)

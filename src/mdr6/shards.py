@@ -79,6 +79,11 @@ class TooManyErasuresError(Exception):
     """More shards are missing than the requested operation tolerates."""
 
 
+class TransferError(OSError):
+    """A block read or write that failed or came up short, named by file and byte offset;
+    its args, as an OSError's, pickle, so a batch process hands it back whole."""
+
+
 def block_index(stripe: int, slot: int, per_stripe: int) -> int:
     """Block ``slot`` (from 1) of a stripe (from 0) of a file of stripes of
     per_stripe blocks, counted in blocks from the file's body.  Format v1 lays stripes
@@ -251,7 +256,10 @@ def _read(fh: BinaryIO, start: int, end: int, transfers: Sequence[tuple]) -> int
     fd, preadv, total = fh.fileno(), os.preadv, 0
     end -= start
     for at, iovecs, nbytes in transfers:
-        got = preadv(fd, iovecs, start + at)
+        try:
+            got = preadv(fd, iovecs, start + at)
+        except OSError as exc:
+            raise TransferError(exc.errno, f"{exc.strerror}: reading {fh.name} at byte {start + at}") from None
         total += got
         if got != nbytes or at + nbytes > end:  # only the end of the file may cut a read short
             if got != max(0, min(nbytes, end - at)):
@@ -268,8 +276,12 @@ def _write(fh: BinaryIO, start: int, end: int, transfers: Sequence[tuple]) -> No
         if start + at + nbytes > end:
             nbytes = max(0, end - start - at)
             iovecs = _split(iovecs, nbytes)[0]
-        if nbytes and os.pwritev(fd, iovecs, start + at) != nbytes:
-            raise OSError(f"short write to {fh.name} at byte {start + at}")
+        try:
+            short = nbytes and os.pwritev(fd, iovecs, start + at) != nbytes
+        except OSError as exc:
+            raise TransferError(exc.errno, f"{exc.strerror}: writing {fh.name} at byte {start + at}") from None
+        if short:
+            raise TransferError(f"short write to {fh.name} at byte {start + at}")
 
 
 def _shard_sink(fh: BinaryIO, header: ShardHeader) -> tuple:

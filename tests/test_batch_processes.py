@@ -4,10 +4,12 @@ as one process, failures anywhere reaching the caller with nothing published
 and no process left, and one process wherever forking is unsafe or would
 not repay its cost."""
 
+import errno
 import itertools
 import mmap
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -194,6 +196,53 @@ def test_an_exception_that_does_not_pickle_arrives_by_name(tmp_path, monkeypatch
     in_child(monkeypatch, fail, shards.execute_schedule)
     with pytest.raises(RuntimeError, match=r"Local\('not picklable'\)"):
         shards.decode_file(sh, tmp_path / "out.bin")
+    assert no_child_left()
+
+
+def fail_io(monkeypatch, call, err, in_a_child):
+    """Patch os.<call> to raise OSError(err) in a forked child (in_a_child) or else in the
+    caller, and os.fork so that the caller, once it has forked, waits until the child
+    has failed: the child meets the fault before the caller claims any batch."""
+    parent, failed, fork, original = os.getpid(), mmap.mmap(-1, 1), os.fork, getattr(os, call)
+
+    def faulty(*args):
+        if (os.getpid() != parent) == in_a_child:
+            failed[0] = 1
+            raise OSError(err, os.strerror(err))
+        return original(*args)
+
+    def fork_then_wait():
+        pid = fork()
+        if pid:
+            wait_until(lambda: failed[0])
+        return pid
+
+    monkeypatch.setattr(os, call, faulty)
+    monkeypatch.setattr(os, "fork", fork_then_wait)
+
+
+@pytest.mark.parametrize("op, call, err", [
+    ("encode", "pwritev", errno.ENOSPC), ("repair", "pwritev", errno.ENOSPC), ("decode", "preadv", errno.EIO),
+])
+@pytest.mark.parametrize("in_a_child", [False, True])
+def test_a_failed_read_or_write_is_an_io_error_that_publishes_nothing(
+    tmp_path, monkeypatch, capsys, split, payload, op, call, err, in_a_child
+):
+    sh = run_op(op, tmp_path, payload)
+    before = sorted(sh.iterdir())
+    if not in_a_child:
+        monkeypatch.setattr(shards, "_PROCESSES", 1)
+    fail_io(monkeypatch, call, err, in_a_child)
+    argv = {
+        "encode": ["encode", str(payload), "--k", str(K), "--block-size", str(BS), "--out-dir", str(sh.with_name("fresh"))],
+        "decode": ["decode", str(sh), "--out", str(tmp_path / "out.bin")],
+        "repair": ["repair", str(sh)],
+    }[op]
+    assert main(argv) == 4
+    verb = "writing" if call == "pwritev" else "reading"
+    message = rf"I/O error: \[Errno {err}\] {os.strerror(err)}: {verb} {re.escape(str(tmp_path))}/\S+ at byte \d+\n"
+    assert re.fullmatch(message, capsys.readouterr().err)
+    assert_nothing_published(op, tmp_path, sh, before)
     assert no_child_left()
 
 

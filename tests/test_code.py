@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import mdr6.code
 from mdr6.cli import main
-from mdr6.codec import build_encode_schedule, repair_plan
+from mdr6.codec import build_encode_schedule, build_repair_schedule, plan, repair_plan
 from mdr6.code import (
     MdrCode,
     RepairStrategy,
@@ -113,7 +113,8 @@ def test_only_documents_are_verified(monkeypatch):
     code = code_from_document(code_to_document(construct(6)))
     assert sorted(calls) == ["verify_mds", "verify_repair_optimal"]
     build_encode_schedule.cache_clear()
-    repair_plan.cache_clear()
+    build_repair_schedule.cache_clear()
+    plan.cache_clear()  # it holds the builders' schedules, so it goes with them
     assert is_recursive_mdr(code)
     build_encode_schedule(code)
     for disk in range(1, code.k + 3):
