@@ -6,9 +6,10 @@ position or keyword, a field assigned in the class body has that value as
 its default, and ``__post_init__``, where the class has one, checks the
 values once they are set.  Instances compare equal only to instances of
 the same class with equal fields, hash by their fields, repr as
-``Name(field=value, ...)`` and refuse attribute assignment and deletion.
-Methods can still be set on the class, and ``functools.cached_property``
-still caches in each instance's ``__dict__``.
+``Name(field=value, ...)`` and refuse attribute assignment and deletion;
+the class's ``__match_args__`` names the fields in order.  Methods can
+still be set on the class, and ``functools.cached_property`` still
+caches in each instance's ``__dict__``.
 
 The methods are closures over the field names: defining a record
 compiles no generated source, and importing ``mdr6`` loads no
@@ -81,4 +82,5 @@ def record(cls: type) -> type:
     for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
         method.__qualname__ = f"{name}.{method.__name__}"
         setattr(cls, method.__name__, method)
+    cls.__match_args__ = names
     return cls

@@ -36,15 +36,6 @@ class IoReport:
     witness: BitMatrix
     search_space: int
 
-    def to_document(self) -> dict:
-        return {
-            "disk": self.disk,
-            "total": self.total,
-            "per_disk": {str(d): n for d, n in sorted(self.per_disk.items())},
-            "witness": self.witness.to_bitstrings(),
-            "search_space": self.search_space,
-        }
-
 
 @record
 class SearchResult:
@@ -53,17 +44,6 @@ class SearchResult:
     found: tuple[MdrCode, ...]
     exhausted: bool
     examined: int
-
-    def to_document(self) -> dict:
-        from .code import code_to_document
-
-        return {
-            "k": self.k,
-            "r": self.r,
-            "found": [code_to_document(c) for c in self.found],
-            "exhausted": self.exhausted,
-            "examined": self.examined,
-        }
 
 
 def _combo_tables(mats: list[BitMatrix], r: int) -> list[list[int]]:

@@ -17,6 +17,7 @@ from pathlib import Path
 from . import shards
 from .code import MdrCode, code_from_document, code_to_document, construct
 from .codec import IntegrityError, plan
+from .f2 import BitMatrix
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,15 +69,35 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _output(args, doc: dict, lines: list[str], reads: shards.RepairReport | shards.DecodeReport | None = None) -> int:
-    """Print doc as JSON with --json, else the text lines; a report's reads from each
-    shard, when given, join both."""
+def _document(value):
+    """value as JSON holds it: a dict with string keys (int keys sorted), a
+    list for a list or tuple, a code's document, a matrix's bit strings,
+    a fraction as [numerator, denominator] and a record as its fields."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, dict):
+        items = sorted(value.items()) if all(type(key) is int for key in value) else value.items()
+        return {str(key): _document(item) for key, item in items}
+    if isinstance(value, (list, tuple)):
+        return [_document(item) for item in value]
+    if isinstance(value, MdrCode):
+        return code_to_document(value)
+    if isinstance(value, BitMatrix):
+        return value.to_bitstrings()
+    if hasattr(value, "denominator"):
+        return [value.numerator, value.denominator]
+    return {name: _document(getattr(value, name)) for name in value.__match_args__}
+
+
+def _output(args, doc, lines: list[str], reads: shards.RepairReport | shards.DecodeReport | None = None) -> int:
+    """Print doc, a dict or a record, as JSON with --json, else the text lines; a
+    report's reads from each shard, when given, join both."""
     if reads is not None:
-        blocks, nbytes = sorted(reads.blocks_read_per_shard.items()), sorted(reads.bytes_read_per_shard.items())
-        doc["blocks_read_per_shard"] = {str(d): n for d, n in blocks}
-        doc["bytes_read_per_shard"] = {str(d): n for d, n in nbytes}
-        lines += [f"  read from shard {d}: {n} blocks ({b} bytes)" for (d, n), (_, b) in zip(blocks, nbytes)]
-    print(json.dumps(doc) if args.json else "\n".join(lines))
+        doc["blocks_read_per_shard"] = reads.blocks_read_per_shard
+        doc["bytes_read_per_shard"] = nbytes = reads.bytes_read_per_shard
+        lines += [f"  read from shard {d}: {n} blocks ({nbytes[d]} bytes)"
+                  for d, n in sorted(reads.blocks_read_per_shard.items())]
+    print(json.dumps(_document(doc)) if args.json else "\n".join(lines))
     return EXIT_OK
 
 
@@ -133,8 +154,7 @@ def cmd_analyze(args) -> int:
     out: dict = {"k": code.k, "r": code.r}
     lines = [f"code: k={code.k}, r={code.r}"]
 
-    ui = analysis.update_io(code)
-    out["update_io"] = [ui.numerator, ui.denominator]
+    ui = out["update_io"] = analysis.update_io(code)
     lines.append(f"update disk I/O: {ui} ({float(ui):g} parity blocks per update)")
 
     out["lower_bounds_met"] = analysis.check_lower_bounds(code)
@@ -158,16 +178,11 @@ def cmd_analyze(args) -> int:
     lines.append(f"decode schedules: at most {dec} XORs/stripe with up to two disks lost")
 
     if args.oracle:
-        reports = {}
-        for disk in range(1, code.k + 3):
-            rep = analysis.min_io_bruteforce(code, disk)
-            reports[disk] = rep
-            lines.append(f"minimum I/O to rebuild disk {disk}: {rep.total} blocks")
-        out["min_io"] = {str(d): rep.to_document() for d, rep in reports.items()}
+        out["min_io"] = reports = {d: analysis.min_io_bruteforce(code, d) for d in range(1, code.k + 3)}
+        lines += [f"minimum I/O to rebuild disk {d}: {rep.total} blocks" for d, rep in reports.items()]
 
     if args.search is not None:
-        result = analysis.search_repair_optimal(code.k, args.search, limit=args.limit)
-        out["search"] = result.to_document()
+        result = out["search"] = analysis.search_repair_optimal(code.k, args.search, limit=args.limit)
         if result.found:
             lines.append(
                 f"search (k={code.k}, r={args.search}): {len(result.found)} repair-optimal "
@@ -207,59 +222,42 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
         )
 
-    trace: list | None = [] if args.csv else None
-
-    def show(report: sim.SimReport) -> None:
-        if args.json:
-            return
-        print(f"[{report.strategy}] {report.notes}")
-        print(
+    def describe(report: sim.SimReport) -> list[str]:
+        return [
+            f"[{report.strategy}] {report.notes}",
             f"  recovery time: {report.total_time_ms:.2f} ms; "
-            f"summed read time per survivor, mean over survivors: {report.avg_access_ms:.2f} ms"
-        )
-        print(
+            f"summed read time per survivor, mean over survivors: {report.avg_access_ms:.2f} ms",
             f"  blocks read: {report.total_blocks_read} "
             f"(ratio vs conventional {float(report.read_volume_ratio):.4f}); "
-            f"background requests: {report.background_requests}"
-        )
+            f"background requests: {report.background_requests}",
+        ]
 
     if args.strategy == "compare":
         comparison = sim.compare(config("conventional"), config("mdr"), model)
-        show(comparison.base)
-        show(comparison.other)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "conventional": comparison.base.to_document(),
-                        "mdr": comparison.other.to_document(),
-                        "read_ratio": [
-                            comparison.read_ratio.numerator,
-                            comparison.read_ratio.denominator,
-                        ],
-                        "access_time_ratio": comparison.access_time_ratio,
-                        "recovery_time_ratio": comparison.recovery_time_ratio,
-                    }
-                )
-            )
-        else:
-            print(
-                f"  read ratio {float(comparison.read_ratio):.4f}, "
-                f"access-time ratio {comparison.access_time_ratio:.4f}, "
-                f"recovery-time ratio {comparison.recovery_time_ratio:.4f}"
-            )
+        doc = {
+            "conventional": comparison.base,
+            "mdr": comparison.other,
+            "read_ratio": comparison.read_ratio,
+            "access_time_ratio": comparison.access_time_ratio,
+            "recovery_time_ratio": comparison.recovery_time_ratio,
+        }
+        lines = [
+            *describe(comparison.base),
+            *describe(comparison.other),
+            f"  read ratio {float(comparison.read_ratio):.4f}, "
+            f"access-time ratio {comparison.access_time_ratio:.4f}, "
+            f"recovery-time ratio {comparison.recovery_time_ratio:.4f}",
+        ]
     else:
-        report = sim.simulate(config(args.strategy), model, trace=trace)
-        show(report)
-        if args.json:
-            print(json.dumps(report.to_document()))
-
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["completion_ms", "disk", "kind", "lba", "response_ms"])
-            writer.writerows(trace)
-    return EXIT_OK
+        trace: list | None = [] if args.csv else None
+        doc = sim.simulate(config(args.strategy), model, trace=trace)
+        lines = describe(doc)
+        if args.csv:
+            with open(args.csv, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["completion_ms", "disk", "kind", "lba", "response_ms"])
+                writer.writerows(trace)
+    return _output(args, doc, lines)
 
 
 @cache
@@ -343,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     except ChildProcessError as exc:  # an OSError, but no fault of the command line
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -447,17 +447,15 @@ def build_repair_schedule(code: MdrCode, failed: int) -> XorSchedule:
     """Rebuild schedule for one basic disk (1 .. k+1) of any code: a
     recursion-built code's ``_hand_schedule``, else one compiled from the
     blocks the disk's repair strategy reads or, with no strategies, from
-    every row of the other basic disks and of Q, Q listed last, which is
-    the row-parity rebuild."""
+    every row of the other basic disks, which is the row-parity rebuild."""
     k, r = code.k, code.r
     if not 1 <= failed <= k + 1:
         raise ValueError("repair schedules cover basic disks only")
     if is_recursive_mdr(code):
         return _hand_schedule(code, failed)
-    rows = basic_rows = q_rows = range(1, r + 1)  # with no strategies, every row: the row-parity rebuild
-    if code.strategies is not None:
-        strat = code.strategies[failed - 1]
-        basic_rows, q_rows = strat.basic_rows, strat.q_rows
+    rows = range(1, r + 1)
+    strat = code.strategies[failed - 1] if code.strategies else None
+    basic_rows, q_rows = (strat.basic_rows, strat.q_rows) if strat else (rows, ())  # else row parity
     candidates: list[Buffer] = [("in", d, j) for d in range(1, k + 2) if d != failed for j in basic_rows]
     candidates += [("in", k + 2, j) for j in q_rows]
     targets = [(failed, j) for j in rows]
@@ -488,7 +486,7 @@ def _choose(code: MdrCode, missing: tuple[int, ...], want: tuple[int, ...]) -> t
     lost, and the surviving parity disks it re-encodes to be checked.
 
     A lone lost basic disk that is wanted takes its ``build_repair_schedule``.
-    With no wanted data disk lost, ``parity_schedule`` makes the lost wanted
+    With no data disk lost, ``parity_schedule`` makes the lost wanted
     parities, or, if no wanted disk is lost, re-encodes the surviving ones,
     which are checked.  Else the lost wanted disks are compiled from every
     surviving block, data disks and P before Q, so with Q also lost row
@@ -497,7 +495,7 @@ def _choose(code: MdrCode, missing: tuple[int, ...], want: tuple[int, ...]) -> t
     lost = tuple(d for d in want if d in missing)
     if len(missing) == 1 == len(lost) and lost[0] <= k + 1:
         return build_repair_schedule(code, lost[0]), ()
-    if all(d > k for d in lost):
+    if all(d > k for d in missing):
         checked = () if lost else tuple(d for d in (k + 1, k + 2) if d not in missing)
         return parity_schedule(code, tuple(sorted({*lost, *checked}))), checked
     rows = range(1, r + 1)

@@ -101,19 +101,6 @@ class SimReport:
     read_volume_ratio: Fraction  # vs conventional row-parity baseline
     background_requests: int
 
-    def to_document(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "notes": self.notes,
-            "total_time_ms": self.total_time_ms,
-            "per_disk_access_ms": {str(d): t for d, t in sorted(self.per_disk_access_ms.items())},
-            "avg_access_ms": self.avg_access_ms,
-            "blocks_read_per_disk": {str(d): n for d, n in sorted(self.blocks_read_per_disk.items())},
-            "total_blocks_read": self.total_blocks_read,
-            "read_volume_ratio": [self.read_volume_ratio.numerator, self.read_volume_ratio.denominator],
-            "background_requests": self.background_requests,
-        }
-
 
 def _read_rows(code, strategy: str, failed_role: int) -> Mapping[int, Sequence[int]]:
     """Logical (disk -> rows) read to rebuild failed_role in one stripe."""

@@ -7,6 +7,7 @@ from operator import or_
 
 import pytest
 
+from mdr6 import analysis
 from mdr6.analysis import (
     check_lower_bounds,
     count_schedule_xors,
@@ -15,7 +16,15 @@ from mdr6.analysis import (
     search_repair_optimal,
     update_io,
 )
-from mdr6.code import construct, generator_submatrices, initial_code, verify_mds, verify_repair_optimal
+from mdr6.cli import _document
+from mdr6.code import (
+    code_to_document,
+    construct,
+    generator_submatrices,
+    initial_code,
+    verify_mds,
+    verify_repair_optimal,
+)
 from mdr6.codec import XorSchedule, build_encode_schedule, build_repair_schedule, repair_plan
 from mdr6.f2 import BitMatrix
 
@@ -53,13 +62,19 @@ def test_oracle_reports_search_space_and_witness():
     assert rep.search_space == 16
     assert isinstance(rep.witness, BitMatrix)
     assert sum(rep.per_disk.values()) == rep.total
-    doc = rep.to_document()
-    assert doc["total"] == 2
+    doc = _document(rep)
+    assert doc["total"] == 2 and doc["witness"] == rep.witness.to_bitstrings()
 
 
 def test_oracle_guards_large_r():
     with pytest.raises(ValueError):
         min_io_bruteforce(construct(3), 1)
+
+
+@pytest.mark.parametrize("disk", [0, 5])
+def test_oracle_refuses_a_disk_outside_the_code(disk):
+    with pytest.raises(ValueError, match=r"disk index .* outside \[1, 4\]"):
+        min_io_bruteforce(construct(2), disk)
 
 
 def test_zero_column_pair_bound():
@@ -181,9 +196,27 @@ def test_search_budget_gives_partial_result():
     assert result.examined <= 11
 
 
+def test_search_budget_can_run_out_in_a_leafs_strategy_scan(monkeypatch):
+    scans = []
+    first_feasible = analysis._first_feasible_strategy
+
+    def scan(mats, i, r):
+        strategy = first_feasible(mats, i, r)
+        scans.append((i, strategy is not None))
+        return strategy
+
+    monkeypatch.setattr(analysis, "_first_feasible_strategy", scan)
+    result = search_repair_optimal(1, 2, limit=32)
+    # step 33 would scan disk 2 of a leaf whose disk 1 has a strategy
+    assert (result.found, result.exhausted, result.examined) == ((), False, 33)
+    assert scans[-1] == (0, True)
+
+
 def test_search_document_reports_exhaustion():
-    doc = search_repair_optimal(1, 2).to_document()
+    result = search_repair_optimal(1, 2)
+    doc = _document(result)
     assert doc["exhausted"] is True
+    assert doc["found"] == [code_to_document(code) for code in result.found] != []
 
 
 def test_search_rejects_odd_r():

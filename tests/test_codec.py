@@ -14,6 +14,7 @@ from mdr6.code import MdrCode, construct
 from mdr6.codec import (
     IntegrityError,
     XorSchedule,
+    _compile_ops,
     build_encode_schedule,
     build_repair_schedule,
     decode,
@@ -394,6 +395,18 @@ def test_execute_schedule_rejects_a_source_used_before_definition():
     )
     with pytest.raises(ValueError, match="before definition"):
         execute_schedule(XorSchedule(1, 1, ops), {(1, 1): bytes(BS)}, BS)
+
+
+def test_verify_schedule_refuses_a_source_never_defined():
+    # every row of disk 1 written, nothing of it read, but from a value no op makes
+    ops = tuple((("out", 1, j), (("tmp", "never"),)) for j in range(1, 5))
+    assert not verify_schedule(construct(2), XorSchedule(2, 4, ops))
+
+
+def test_compile_refuses_a_target_outside_the_span_of_its_candidates():
+    # data disk 1's block is no XOR of data disk 2's blocks
+    with pytest.raises(ValueError, match=r"block \(1,1\) is not an XOR of the candidate blocks"):
+        _compile_ops(construct(2), [("in", 2, j) for j in range(1, 5)], [(1, 1)])
 
 
 def test_execute_schedule_reuses_the_slot_of_a_value_read_for_the_last_time():

@@ -107,6 +107,26 @@ def test_invert_examples():
     assert swap.invert() == swap
     with pytest.raises(ValueError, match="matrix of rank < 2 has no inverse"):
         BitMatrix.from_rows([[1, 1], [1, 1]]).invert()
+    with pytest.raises(ValueError, match="only square matrices can be inverted"):
+        BitMatrix.zeros(2, 3).invert()
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [([[0, 1], [1]], "ragged row lengths"), ([[0, 1], [1, 2]], "entries must be 0 or 1")],
+)
+def test_from_rows_rejects_ragged_or_non_binary_rows(entries, message):
+    with pytest.raises(ValueError, match=message):
+        BitMatrix.from_rows(entries)
+
+
+def test_from_blocks_examples():
+    eye, zero = BitMatrix.identity(2), BitMatrix.zeros(2, 2)
+    assert BitMatrix.from_blocks([[eye, zero], [zero, eye]]) == BitMatrix.identity(4)
+    with pytest.raises(ValueError, match="inconsistent block widths"):
+        BitMatrix.from_blocks([[eye, zero], [BitMatrix.zeros(2, 3), eye]])
+    with pytest.raises(ValueError, match="inconsistent block heights"):
+        BitMatrix.from_blocks([[eye, BitMatrix.zeros(3, 2)]])
 
 
 def test_submatrix_examples():

@@ -115,3 +115,17 @@ def test_a_plan_with_nothing_lost_or_wanted_reads_every_disk_and_checks_both_par
     assert rows == dict.fromkeys(range(1, k + 3), every)
     assert checked == tuple((p, j) for p in (k + 1, k + 2) for j in every)
     assert schedule == build_encode_schedule(code)
+
+
+@pytest.mark.parametrize("name", CODES)
+@pytest.mark.parametrize("k", range(2, 5))
+def test_no_plan_reads_a_lost_disk(name, k):
+    # every loss of up to two disks, against every want of up to two disks
+    code = CODES[name](k)
+    disks = range(1, k + 3)
+    sets = [s for n in range(3) for s in combinations(disks, n)]
+    for missing in sets:
+        for want in sets:
+            schedule, rows, _ = plan(code, missing, want)
+            assert not rows.keys() & set(missing), (missing, want)
+            assert verify_schedule(code, schedule), (missing, want)

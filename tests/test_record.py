@@ -30,6 +30,13 @@ def test_defaults_apply():
     assert type(code)(code.k, code.r, code.b_matrices).strategies is None
 
 
+def test_match_args_name_the_fields_in_order():
+    assert SimConfig.__match_args__ == ("k", "stripe_count", "strategy", "block_size", "background_rate", "seed")
+    match BitMatrix(2, 3, (1, 6)):
+        case BitMatrix(rows, cols, bits):
+            assert (rows, cols, bits) == (2, 3, (1, 6))
+
+
 @pytest.mark.parametrize(
     "args, kwargs, message",
     [

@@ -624,11 +624,12 @@ def test_cli_decode_into_a_missing_directory_names_the_output(tmp_path, capsys):
     (sh / shards.shard_name(2)).unlink()
     before = sorted(tmp_path.rglob("*"))
     shard_bytes = {p.name: p.read_bytes() for p in sh.iterdir()}
-    out = tmp_path / "nodir" / "x.bin"
-    assert main(["decode", str(sh), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"usage error: [Errno 2] No such file or directory: '{out}'\n"
-    assert sorted(tmp_path.rglob("*")) == before
-    assert {p.name: p.read_bytes() for p in sh.iterdir()} == shard_bytes
+    for name in ("x.bin", "x.mdr"):  # a shard-named output in a missing directory clashes with no set
+        out = tmp_path / "nodir" / name
+        assert main(["decode", str(sh), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"usage error: [Errno 2] No such file or directory: '{out}'\n"
+        assert sorted(tmp_path.rglob("*")) == before
+        assert {p.name: p.read_bytes() for p in sh.iterdir()} == shard_bytes
 
 
 def test_cli_decode_names_a_temp_file_that_cannot_be_opened(tmp_path, capsys):
@@ -754,7 +755,14 @@ def cli_stdout(tmp_path, monkeypatch, capsys) -> dict[str, str]:
         run(f"decode {tag}", "decode", "sh", "--out", "out.bin", *mode)
         assert Path("out.bin").read_bytes() == Path("in.bin").read_bytes()
         run(f"analyze {tag}", "analyze", "--k", "3", *mode)
+        run(f"analyze oracle {tag}", "analyze", "--k", "2", "--oracle", *mode)
+        run(f"analyze search {tag}", "analyze", "--k", "3", "--search", "2", *mode)
+        run(f"analyze search limit {tag}", "analyze", "--k", "2", "--search", "2", "--limit", "5", *mode)
+        run(f"analyze search found {tag}", "analyze", "--k", "1", "--search", "2", "--limit", "40", *mode)
         run(f"simulate {tag}", "simulate", "--k", "3", "--stripes", "4", *mode)
+        for strategy in ("mdr", "conventional"):
+            run(f"simulate {strategy} {tag}", "simulate", "--k", "4", "--stripes", "8", "--strategy", strategy,
+                "--rate", "50", *mode)
     return got
 
 
@@ -796,6 +804,62 @@ CLI_STDOUT = {
     'decode json': '{"missing": [1, 5], "stripes": 4, "bytes": 3000, "xor_count": 64, "blocks_read_per_shard": {"2": 32, "3": 32, "4": 32}, "bytes_read_per_shard": {"2": 1024, "3": 1024, "4": 1024}}\n',
     'analyze json': '{"k": 3, "r": 8, "update_io": [5, 2], "lower_bounds_met": true, "encode_xors": 32, "repair_xors": 16, "decode_xors": 42}\n',
     'simulate json': '{"conventional": {"strategy": "conventional", "notes": "disks modeled as independent FIFO servers (no bus contention); the failed disk\'s logical role rotates across the basic roles per stripe", "total_time_ms": 24.204800000000045, "per_disk_access_ms": {"2": 96.55296000000013, "3": 96.55296000000004, "4": 96.55296000000004, "5": 96.55296000000018}, "avg_access_ms": 96.5529600000001, "blocks_read_per_disk": {"2": 24, "3": 24, "4": 24, "5": 24}, "total_blocks_read": 96, "read_volume_ratio": [1, 1], "background_requests": 0}, "mdr": {"strategy": "mdr", "notes": "disks modeled as independent FIFO servers (no bus contention); the failed disk\'s logical role rotates across the basic roles per stripe", "total_time_ms": 24.184320000000046, "per_disk_access_ms": {"2": 48.204799999999985, "3": 48.204799999999985, "4": 48.204799999999985, "5": 48.204799999999985}, "avg_access_ms": 48.204799999999985, "blocks_read_per_disk": {"2": 16, "3": 16, "4": 16, "5": 16}, "total_blocks_read": 64, "read_volume_ratio": [2, 3], "background_requests": 0}, "read_ratio": [2, 3], "access_time_ratio": 0.4992576095025977, "recovery_time_ratio": 0.9991538868323638}\n',
+    # recorded at bf63c66, before every --json report went through one encoder
+    'analyze oracle text': (
+        'code: k=2, r=4\n'
+        'update disk I/O: 9/4 (2.25 parity blocks per update)\n'
+        'repair plans meet the I/O bounds exactly: True\n'
+        'encode schedule: 8 XORs/stripe (2 per coded block pair)\n'
+        'repair schedule: 4 XORs per rebuilt strip\n'
+        'decode schedules: at most 8 XORs/stripe with up to two disks lost\n'
+        'minimum I/O to rebuild disk 1: 6 blocks\n'
+        'minimum I/O to rebuild disk 2: 6 blocks\n'
+        'minimum I/O to rebuild disk 3: 6 blocks\n'
+        'minimum I/O to rebuild disk 4: 8 blocks\n'
+    ),
+    'analyze search text': (
+        'code: k=3, r=8\n'
+        'update disk I/O: 5/2 (2.5 parity blocks per update)\n'
+        'repair plans meet the I/O bounds exactly: True\n'
+        'encode schedule: 32 XORs/stripe (4 per coded block pair)\n'
+        'repair schedule: 16 XORs per rebuilt strip\n'
+        'decode schedules: at most 42 XORs/stripe with up to two disks lost\n'
+        'search (k=3, r=2): no repair-optimal code exists\n'
+    ),
+    'analyze search limit text': (
+        'code: k=2, r=4\n'
+        'update disk I/O: 9/4 (2.25 parity blocks per update)\n'
+        'repair plans meet the I/O bounds exactly: True\n'
+        'encode schedule: 8 XORs/stripe (2 per coded block pair)\n'
+        'repair schedule: 4 XORs per rebuilt strip\n'
+        'decode schedules: at most 8 XORs/stripe with up to two disks lost\n'
+        'search (k=2, r=2): none found before the budget ran out\n'
+    ),
+    'analyze search found text': (
+        'code: k=1, r=2\n'
+        'update disk I/O: 2 (2 parity blocks per update)\n'
+        'repair plans meet the I/O bounds exactly: True\n'
+        'encode schedule: 0 XORs/stripe (0 per coded block pair)\n'
+        'repair schedule: 0 XORs per rebuilt strip\n'
+        'decode schedules: at most 0 XORs/stripe with up to two disks lost\n'
+        'search (k=1, r=2): 2 repair-optimal code(s), exhausted=False, 41 steps\n'
+    ),
+    'simulate mdr text': (
+        "[mdr] disks modeled as independent FIFO servers (no bus contention); the failed disk's logical role rotates across the basic roles per stripe\n"
+        '  recovery time: 24.70 ms; summed read time per survivor, mean over survivors: 97.47 ms\n'
+        '  blocks read: 320 (ratio vs conventional 0.6250); background requests: 0\n'
+    ),
+    'simulate conventional text': (
+        "[conventional] disks modeled as independent FIFO servers (no bus contention); the failed disk's logical role rotates across the basic roles per stripe\n"
+        '  recovery time: 24.74 ms; summed read time per survivor, mean over survivors: 196.46 ms\n'
+        '  blocks read: 512 (ratio vs conventional 1.0000); background requests: 0\n'
+    ),
+    'analyze oracle json': '{"k": 2, "r": 4, "update_io": [9, 4], "lower_bounds_met": true, "encode_xors": 8, "repair_xors": 4, "decode_xors": 8, "min_io": {"1": {"disk": 1, "total": 6, "per_disk": {"2": 2, "3": 2, "4": 2}, "witness": ["0100", "1000", "0000", "0000"], "search_space": 65536}, "2": {"disk": 2, "total": 6, "per_disk": {"1": 2, "3": 2, "4": 2}, "witness": ["0000", "0000", "1000", "0100"], "search_space": 65536}, "3": {"disk": 3, "total": 6, "per_disk": {"1": 2, "2": 2, "4": 2}, "witness": ["0010", "0001", "0000", "0000"], "search_space": 65536}, "4": {"disk": 4, "total": 8, "per_disk": {"1": 4, "2": 4, "3": 0}, "witness": ["0000", "0000", "0000", "0000"], "search_space": 65536}}}\n',
+    'analyze search json': '{"k": 3, "r": 8, "update_io": [5, 2], "lower_bounds_met": true, "encode_xors": 32, "repair_xors": 16, "decode_xors": 42, "search": {"k": 3, "r": 2, "found": [], "exhausted": true, "examined": 5072}}\n',
+    'analyze search limit json': '{"k": 2, "r": 4, "update_io": [9, 4], "lower_bounds_met": true, "encode_xors": 8, "repair_xors": 4, "decode_xors": 8, "search": {"k": 2, "r": 2, "found": [], "exhausted": false, "examined": 6}}\n',
+    'analyze search found json': '{"k": 1, "r": 2, "update_io": [2, 1], "lower_bounds_met": true, "encode_xors": 0, "repair_xors": 0, "decode_xors": 0, "search": {"k": 1, "r": 2, "found": [{"version": 1, "k": 1, "r": 2, "b_matrices": [["10", "00"], ["01", "10"]], "strategies": [{"q_rows": [1], "basic_rows": [2]}, {"q_rows": [1], "basic_rows": [1]}]}, {"version": 1, "k": 1, "r": 2, "b_matrices": [["10", "00"], ["00", "01"]], "strategies": [{"q_rows": [1], "basic_rows": [2]}, {"q_rows": [2], "basic_rows": [1]}]}], "exhausted": false, "examined": 41}}\n',
+    'simulate mdr json': '{"strategy": "mdr", "notes": "disks modeled as independent FIFO servers (no bus contention); the failed disk\'s logical role rotates across the basic roles per stripe", "total_time_ms": 24.696320000000195, "per_disk_access_ms": {"2": 97.47455999999988, "3": 97.47455999999988, "4": 97.47455999999988, "5": 97.47455999999988, "6": 97.47455999999988}, "avg_access_ms": 97.47455999999988, "blocks_read_per_disk": {"2": 64, "3": 64, "4": 64, "5": 64, "6": 64}, "total_blocks_read": 320, "read_volume_ratio": [5, 8], "background_requests": 0}\n',
+    'simulate conventional json': '{"strategy": "conventional", "notes": "disks modeled as independent FIFO servers (no bus contention); the failed disk\'s logical role rotates across the basic roles per stripe", "total_time_ms": 24.737280000000194, "per_disk_access_ms": {"2": 196.17792000000117, "3": 196.17792000000088, "4": 196.87424000000112, "5": 196.87424000000112, "6": 196.17792000000134}, "avg_access_ms": 196.45644800000113, "blocks_read_per_disk": {"2": 96, "3": 96, "4": 112, "5": 112, "6": 96}, "total_blocks_read": 512, "read_volume_ratio": [1, 1], "background_requests": 0}\n',
 }
 
 
@@ -874,11 +938,12 @@ def test_cli_header_k_outside_the_built_in_codes_exit_code(tmp_path, capsys, k):
         ({"version": 1, "k": "1", "r": 2, "b_matrices": []}, "'k'"),
         ({"version": 1, "k": 1, "r": 2, "b_matrices": [["01", "00"], ["00", "10"]],
           "strategies": [{"q_rows": [1]}, {"q_rows": [2], "basic_rows": [2]}]}, "'basic_rows'"),
+        ("{not json", "Expecting property name"),  # a str is the file's text, not a document
     ],
 )
 def test_cli_malformed_code_document_is_a_usage_error(tmp_path, capsys, doc, field):
     path = tmp_path / "code.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert main(["encode", str(tmp_path / "none.bin"), "--code", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and field in err
@@ -1181,11 +1246,26 @@ def test_cli_simulate_csv_needs_one_strategy(tmp_path, capsys):
     assert not csv_path.exists()
 
 
+def test_cli_simulate_prints_no_report_when_its_trace_cannot_be_written(tmp_path, capsys):
+    csv_path = tmp_path / "nodir" / "trace.csv"
+    for mode in ((), ("--json",)):
+        assert main(["simulate", "--k", "2", "--stripes", "3", "--strategy", "mdr", "--csv", str(csv_path), *mode]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"usage error: [Errno 2] No such file or directory: '{csv_path}'\n"
+
+
 def test_cli_simulate_of_one_strategy_prints_its_report_document(capsys):
     assert main(["simulate", "--k", "3", "--stripes", "4", "--strategy", "mdr", "--rate", "50",
                  "--seed", "2", "--json"]) == 0
-    config = SimConfig(k=3, stripe_count=4, strategy="mdr", background_rate=50.0, seed=2)
-    assert capsys.readouterr().out == json.dumps(simulate(config, DiskModel()).to_document()) + "\n"
+    # recorded at bf63c66
+    assert capsys.readouterr().out == (
+        '{"strategy": "mdr", "notes": "disks modeled as independent FIFO servers (no bus contention); the failed'
+        ' disk\'s logical role rotates across the basic roles per stripe", "total_time_ms": 24.184320000000046,'
+        ' "per_disk_access_ms": {"2": 48.204799999999985, "3": 48.204799999999985, "4": 48.204799999999985,'
+        ' "5": 48.204799999999985}, "avg_access_ms": 48.204799999999985, "blocks_read_per_disk": {"2": 16,'
+        ' "3": 16, "4": 16, "5": 16}, "total_blocks_read": 64, "read_volume_ratio": [2, 3],'
+        ' "background_requests": 0}\n'
+    )
 
 
 def test_cli_simulate_k8_ratio(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mdr6.cli import _document
 from mdr6.sim import HEADER_NOTE, DiskModel, SimConfig, SimReport, compare, simulate
 
 MODEL = DiskModel()
@@ -192,8 +193,9 @@ def test_trace_rows_recorded(rate, seed):
 def test_report_header_notes_divergence():
     report = simulate(SimConfig(k=2, stripe_count=2, strategy="mdr"), MODEL)
     assert "bus" in report.notes
-    doc = report.to_document()
-    assert doc["strategy"] == "mdr"
+    doc = _document(report)
+    assert doc["strategy"] == "mdr" and doc["notes"] == report.notes
+    assert list(doc) == list(SimReport.__match_args__)
 
 
 def test_load_the_survivors_cannot_serve_is_refused():
