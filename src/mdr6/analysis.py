@@ -168,18 +168,11 @@ def update_io(code: MdrCode) -> Fraction:
     return 1 + Fraction(ones, k * r)
 
 
-@record
-class XorCountReport:
-    total: int
-    average_per_block: Fraction  # XORs per block the schedule writes
-
-
-def count_schedule_xors(schedule: XorSchedule, code: MdrCode) -> XorCountReport:
-    """Validate a schedule symbolically, then report its XOR totals."""
+def count_schedule_xors(schedule: XorSchedule, code: MdrCode) -> int:
+    """Validate a schedule symbolically, then return its XOR count."""
     if not codec.verify_schedule(code, schedule):
         raise ValueError("schedule does not rebuild the columns it writes")
-    total = schedule.xor_count
-    return XorCountReport(total, Fraction(total, max(1, len(schedule.writes))))
+    return schedule.xor_count
 
 
 def _first_feasible_strategy(

@@ -97,7 +97,7 @@ def _output(args, doc, lines: list[str], reads: shards.RepairReport | shards.Dec
         doc["bytes_read_per_shard"] = nbytes = reads.bytes_read_per_shard
         lines += [f"  read from shard {d}: {n} blocks ({nbytes[d]} bytes)"
                   for d, n in sorted(reads.blocks_read_per_shard.items())]
-    print(json.dumps(_document(doc)) if args.json else "\n".join(lines))
+    print(json.dumps(_document(doc), allow_nan=False) if args.json else "\n".join(lines))
     return EXIT_OK
 
 
@@ -146,6 +146,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from fractions import Fraction
+
     from . import analysis  # the offline tools load only for the commands that use them
 
     code = _load_code_arg(args)
@@ -160,21 +162,19 @@ def cmd_analyze(args) -> int:
     out["lower_bounds_met"] = analysis.check_lower_bounds(code)
     lines.append(f"repair plans meet the I/O bounds exactly: {out['lower_bounds_met']}")
 
-    def xors(missing: tuple[int, ...], want: tuple[int, ...]) -> analysis.XorCountReport:
+    def xors(missing: tuple[int, ...], want: tuple[int, ...]) -> int:
         return analysis.count_schedule_xors(plan(code, missing, want)[0], code)
 
     k = code.k
-    enc, rep = xors((k + 1, k + 2), (k + 1, k + 2)), xors((1,), (1,))
+    enc = out["encode_xors"] = xors((k + 1, k + 2), (k + 1, k + 2))
+    rep = out["repair_xors"] = xors((1,), (1,))
     lost = [*combinations(range(1, k + 3), 1), *combinations(range(1, k + 3), 2)]
-    dec = max(xors(missing, tuple(range(1, k + 1))).total for missing in lost)
-    out["encode_xors"] = enc.total
-    out["repair_xors"] = rep.total
-    out["decode_xors"] = dec
+    dec = out["decode_xors"] = max(xors(missing, tuple(range(1, k + 1))) for missing in lost)
     lines.append(
-        f"encode schedule: {enc.total} XORs/stripe "
-        f"({2 * enc.average_per_block} per coded block pair)"
+        f"encode schedule: {enc} XORs/stripe "
+        f"({Fraction(enc, code.r)} per coded block pair)"  # r pairs of P and Q blocks
     )
-    lines.append(f"repair schedule: {rep.total} XORs per rebuilt strip")
+    lines.append(f"repair schedule: {rep} XORs per rebuilt strip")
     lines.append(f"decode schedules: at most {dec} XORs/stripe with up to two disks lost")
 
     if args.oracle:
@@ -211,16 +211,13 @@ def cmd_simulate(args) -> int:
         transfer_bytes_per_ms=args.transfer,
         seq_window_blocks=args.seq_window,
     )
-
-    def config(strategy: str) -> sim.SimConfig:
-        return sim.SimConfig(
-            k=args.k,
-            stripe_count=args.stripes,
-            strategy=strategy,
-            block_size=args.block_size,
-            background_rate=args.rate,
-            seed=args.seed,
-        )
+    config = sim.SimConfig(
+        k=args.k,
+        stripe_count=args.stripes,
+        block_size=args.block_size,
+        background_rate=args.rate,
+        seed=args.seed,
+    )
 
     def describe(report: sim.SimReport) -> list[str]:
         return [
@@ -233,24 +230,17 @@ def cmd_simulate(args) -> int:
         ]
 
     if args.strategy == "compare":
-        comparison = sim.compare(config("conventional"), config("mdr"), model)
-        doc = {
-            "conventional": comparison.base,
-            "mdr": comparison.other,
-            "read_ratio": comparison.read_ratio,
-            "access_time_ratio": comparison.access_time_ratio,
-            "recovery_time_ratio": comparison.recovery_time_ratio,
-        }
+        doc = sim.compare(config, model)
         lines = [
-            *describe(comparison.base),
-            *describe(comparison.other),
-            f"  read ratio {float(comparison.read_ratio):.4f}, "
-            f"access-time ratio {comparison.access_time_ratio:.4f}, "
-            f"recovery-time ratio {comparison.recovery_time_ratio:.4f}",
+            *describe(doc.conventional),
+            *describe(doc.mdr),
+            f"  read ratio {float(doc.read_ratio):.4f}, "
+            f"access-time ratio {doc.access_time_ratio:.4f}, "
+            f"recovery-time ratio {doc.recovery_time_ratio:.4f}",
         ]
     else:
         trace: list | None = [] if args.csv else None
-        doc = sim.simulate(config(args.strategy), model, trace=trace)
+        doc = sim.simulate(config, model, args.strategy, trace=trace)
         lines = describe(doc)
         if args.csv:
             with open(args.csv, "w", newline="") as fh:

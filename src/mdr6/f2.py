@@ -12,11 +12,6 @@ from typing import Sequence
 from ._record import record
 
 
-# bits of a matrix parsed by one int() in BitMatrix.from_bitstrings; each
-# row is then one shift of that int, so this bounds the quadratic part
-_PARSE_BITS = 1 << 12
-
-
 @record
 class BitMatrix:
     """Immutable binary matrix; addition is XOR, products are over GF(2)."""
@@ -61,13 +56,7 @@ class BitMatrix:
 
     @classmethod
     def from_bitstrings(cls, rows: Sequence[str]) -> "BitMatrix":
-        """Rows of '0'/'1' characters, leftmost character is column 1.
-
-        The whole matrix is checked and parsed at once: its rows joined
-        and reversed are one binary number whose row i is the cols bits
-        from bit i*cols up.  Up to _PARSE_BITS bits go to one int(), so
-        wide matrices still parse in linear time.
-        """
+        """Rows of '0'/'1' characters, leftmost character is column 1."""
         cols = len(rows[0]) if rows else 0
         if not cols:
             raise ValueError("a matrix needs at least one row and one column")
@@ -77,13 +66,7 @@ class BitMatrix:
         if set(map(len, rows)) != {cols} or joined.count("0") + joined.count("1") != len(joined):
             bad = next(s for s in rows if len(s) != cols or s.count("0") + s.count("1") != cols)
             raise ValueError(f"bad row bitstring {bad!r}")
-        n, step, low = len(rows), max(1, _PARSE_BITS // cols), (1 << cols) - 1
-        masks: list[int] = []
-        for start in range(0, n, step):
-            count = min(step, n - start)
-            chunk = int(joined[start * cols : (start + count) * cols][::-1], 2)
-            masks.extend(chunk >> (i * cols) & low for i in range(count))
-        return cls(n, cols, tuple(masks))
+        return cls(len(rows), cols, tuple(int(row[::-1], 2) for row in rows))
 
     def to_bitstrings(self) -> list[str]:
         """The rows as from_bitstrings takes them."""

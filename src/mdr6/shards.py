@@ -37,6 +37,7 @@ without ``os.fork`` or ``os.memfd_create`` runs in one process.
 from __future__ import annotations
 
 import os
+import stat
 import struct
 import threading
 from contextlib import ExitStack, contextmanager
@@ -475,7 +476,8 @@ def decode_file(
     With no data shard missing the surviving P and Q are still checked
     against the data batch by batch, so silent corruption is reported
     instead of propagated.  The output appears only once every stripe has
-    been decoded, and never as a shard file of the set itself.
+    been decoded, never as a shard file of the set itself, and never in
+    place of an entry that is not a regular file.
     """
     out_path = Path(out_path)
     try:  # only a *.mdr name is read back as a shard, and a missing directory holds none
@@ -484,6 +486,12 @@ def decode_file(
         clash = False
     if clash:
         raise ValueError(f"output {out_path} would be taken for a shard of {shard_dir}; write it elsewhere")
+    try:  # the finished output is renamed over this name, which would replace a FIFO, link or device
+        mode = os.lstat(out_path).st_mode
+    except FileNotFoundError:  # nothing there: the output is a new file
+        mode = stat.S_IFREG
+    if not stat.S_ISREG(mode):
+        raise ValueError(f"output {out_path} exists and is not a regular file; write to a new name")
     with ExitStack() as stack:
         files, header, code, missing = _open_shard_set(stack, Path(shard_dir), code)
         k, r = header.k, header.r

@@ -59,8 +59,8 @@ class DiskModel:
     seq_window_blocks: int = 512
 
     def __post_init__(self) -> None:
-        if min(self.seek_ms, self.rotational_ms, self.transfer_bytes_per_ms) <= 0:
-            raise ValueError("disk model parameters must be positive")
+        if not all(0 < v < math.inf for v in (self.seek_ms, self.rotational_ms, self.transfer_bytes_per_ms)):
+            raise ValueError("disk model parameters must be positive and finite")
         if self.seq_window_blocks < 1:
             raise ValueError("sequential window must be at least one block")
 
@@ -69,20 +69,17 @@ class DiskModel:
 class SimConfig:
     k: int
     stripe_count: int
-    strategy: str  # "conventional" | "mdr"
     block_size: int = 512
     background_rate: float = 0.0  # requests/s against surviving disks; 0 = offline
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.strategy not in ("conventional", "mdr"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.stripe_count < 1:
             raise ValueError("stripe_count must be at least 1")
         if self.block_size < 1 or self.k < 1:
             raise ValueError("bad code parameters")
-        if self.background_rate < 0:
-            raise ValueError("background rate cannot be negative")
+        if not 0 <= self.background_rate < math.inf:
+            raise ValueError("background rate cannot be negative, infinite or NaN")
 
 
 @record
@@ -114,10 +111,12 @@ def _read_rows(code, strategy: str, failed_role: int) -> Mapping[int, Sequence[i
 def simulate(
     config: SimConfig,
     model: DiskModel,
+    strategy: str,
     trace: list[tuple[float, int, str, int, float]] | None = None,
 ) -> SimReport:
-    """Deterministic rebuild of one failed physical disk, served in arrival
-    order by the FIFO recurrence of the module docstring.
+    """Deterministic rebuild of one failed physical disk under strategy,
+    "conventional" or "mdr", served in arrival order by the FIFO recurrence
+    of the module docstring.
 
     If ``trace`` is a list, it receives one sorted (completion_ms, disk,
     kind, lba, response_ms) row per request ended by the end of the rebuild.
@@ -125,6 +124,8 @@ def simulate(
     survivors busy all the time: rate * (seek + rotational + transfer)
     / (k+1) reaches 1.
     """
+    if strategy not in ("conventional", "mdr"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     transfer = config.block_size / model.transfer_bytes_per_ms
     reposition = model.seek_ms + model.rotational_ms
     load = config.background_rate / 1000.0 * (reposition + transfer) / (config.k + 1)
@@ -142,7 +143,7 @@ def simulate(
 
     survivors_phys = [d for d in range(1, n_disks + 1) if d != FAILED_DISK]
     role_reads = {
-        role: _read_rows(code, config.strategy, role) for role in range(1, k + 2)
+        role: _read_rows(code, strategy, role) for role in range(1, k + 2)
     }
     free = dict.fromkeys(range(1, n_disks + 1), 0.0)
     head: dict[int, int] = {}
@@ -201,7 +202,7 @@ def simulate(
     total_read = sum(blocks_read.values())
     baseline = config.stripe_count * k * r
     return SimReport(
-        strategy=config.strategy,
+        strategy=strategy,
         notes=HEADER_NOTE,
         total_time_ms=finish_time,
         per_disk_access_ms=dict(access_ms),
@@ -215,26 +216,21 @@ def simulate(
 
 @record
 class ComparisonReport:
-    base: SimReport
-    other: SimReport
+    conventional: SimReport
+    mdr: SimReport
     read_ratio: Fraction
     access_time_ratio: float
     recovery_time_ratio: float
 
 
-def compare(
-    base_config: SimConfig, other_config: SimConfig, model: DiskModel
-) -> ComparisonReport:
-    """Run two configs that differ only in strategy; ratios are other/base."""
-    for name in ("k", "stripe_count", "block_size", "background_rate", "seed"):
-        if getattr(base_config, name) != getattr(other_config, name):
-            raise ValueError(f"configs differ in {name}, not only in strategy")
-    base = simulate(base_config, model)
-    other = simulate(other_config, model)
+def compare(config: SimConfig, model: DiskModel) -> ComparisonReport:
+    """Run config under both strategies; ratios are mdr/conventional."""
+    conventional = simulate(config, model, "conventional")
+    mdr = simulate(config, model, "mdr")
     return ComparisonReport(
-        base=base,
-        other=other,
-        read_ratio=Fraction(other.total_blocks_read, base.total_blocks_read),
-        access_time_ratio=other.avg_access_ms / base.avg_access_ms,
-        recovery_time_ratio=other.total_time_ms / base.total_time_ms,
+        conventional=conventional,
+        mdr=mdr,
+        read_ratio=Fraction(mdr.total_blocks_read, conventional.total_blocks_read),
+        access_time_ratio=mdr.avg_access_ms / conventional.avg_access_ms,
+        recovery_time_ratio=mdr.total_time_ms / conventional.total_time_ms,
     )

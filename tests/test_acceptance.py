@@ -164,24 +164,21 @@ def test_criterion_8_simulation_trends():
     ok = True
     for k in (2, 3, 8):
         stripes = 6
-        conv = SimConfig(k=k, stripe_count=stripes, strategy="conventional")
-        mdr = SimConfig(k=k, stripe_count=stripes, strategy="mdr")
-        comp = compare(conv, mdr, model)
+        comp = compare(SimConfig(k=k, stripe_count=stripes), model)
         r = 1 << k
         ok = ok and all(
-            n == stripes * r // 2 for n in comp.other.blocks_read_per_disk.values()
+            n == stripes * r // 2 for n in comp.mdr.blocks_read_per_disk.values()
         )
         ok = ok and comp.read_ratio == Fraction(k + 1, 2 * k)
         ok = ok and comp.access_time_ratio < 1.0
     for block_size in (512, 4096):
         comp = compare(
-            SimConfig(k=4, stripe_count=5, strategy="conventional", block_size=block_size),
-            SimConfig(k=4, stripe_count=5, strategy="mdr", block_size=block_size),
+            SimConfig(k=4, stripe_count=5, block_size=block_size),
             DiskModel(seek_ms=3.0, rotational_ms=2.0, transfer_bytes_per_ms=50_000.0),
         )
         ok = ok and comp.access_time_ratio < 1.0
-    cfg = SimConfig(k=3, stripe_count=8, strategy="mdr", background_rate=300.0, seed=77)
-    ok = ok and simulate(cfg, model) == simulate(cfg, model)
+    cfg = SimConfig(k=3, stripe_count=8, background_rate=300.0, seed=77)
+    ok = ok and simulate(cfg, model, "mdr") == simulate(cfg, model, "mdr")
     report(8, "sim: exact read ratio (k+1)/2k, access ratio < 1, deterministic", ok)
     assert ok
 

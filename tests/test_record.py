@@ -7,7 +7,7 @@ from mdr6.code import RepairStrategy, code_from_document, code_to_document, cons
 from mdr6.codec import XorSchedule, build_encode_schedule
 from mdr6.f2 import BitMatrix
 from mdr6.shards import ShardHeader
-from mdr6.sim import DiskModel, SimConfig
+from mdr6.sim import ComparisonReport, DiskModel, SimConfig
 
 
 def test_positional_and_keyword_construction_agree():
@@ -20,10 +20,10 @@ def test_positional_and_keyword_construction_agree():
 
 
 def test_defaults_apply():
-    config = SimConfig(3, 4, "mdr")
+    config = SimConfig(3, 4)
     assert (config.block_size, config.background_rate, config.seed) == (512, 0.0, 0)
-    assert config == SimConfig(k=3, stripe_count=4, strategy="mdr", block_size=512, background_rate=0.0, seed=0)
-    assert SimConfig(3, 4, "mdr", 4096).block_size == 4096
+    assert config == SimConfig(k=3, stripe_count=4, block_size=512, background_rate=0.0, seed=0)
+    assert SimConfig(3, 4, 4096).block_size == 4096
     assert DiskModel() == DiskModel(8.0, 4.0, 100_000.0, 512)
     assert DiskModel(seek_ms=3.0).rotational_ms == 4.0
     code = construct(2)
@@ -31,7 +31,10 @@ def test_defaults_apply():
 
 
 def test_match_args_name_the_fields_in_order():
-    assert SimConfig.__match_args__ == ("k", "stripe_count", "strategy", "block_size", "background_rate", "seed")
+    assert SimConfig.__match_args__ == ("k", "stripe_count", "block_size", "background_rate", "seed")
+    assert ComparisonReport.__match_args__ == (
+        "conventional", "mdr", "read_ratio", "access_time_ratio", "recovery_time_ratio"
+    )
     match BitMatrix(2, 3, (1, 6)):
         case BitMatrix(rows, cols, bits):
             assert (rows, cols, bits) == (2, 3, (1, 6))

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -441,7 +442,7 @@ def test_simulator_and_shards_place_blocks_with_one_function(tmp_path, monkeypat
     monkeypatch.setattr(os, "pwritev", recorded)
     try:
         trace: list = []
-        simulate(SimConfig(k=k, stripe_count=2, strategy="mdr"), DiskModel(), trace=trace)
+        simulate(SimConfig(k=k, stripe_count=2), DiskModel(), "mdr", trace=trace)
         writes = [lba for _, _, kind, lba, _ in trace if kind == "write"]
         assert writes == [reversed_tail(s, j, r) for s in range(2) for j in range(1, r + 1)]
         plans = [repair_plan(construct(k), s % (k + 1) + 1).rows_by_disk for s in range(2)]
@@ -615,6 +616,34 @@ def test_cli_decode_refuses_an_output_among_the_shards(tmp_path, capsys):
         assert {p.name: p.read_bytes() for p in sh.iterdir()} == before
     assert main(["decode", str(sh), "--out", str(tmp_path / "restored.mdr")]) == 0
     assert (tmp_path / "restored.mdr").read_bytes() == src.read_bytes()
+
+
+def test_cli_decode_refuses_an_output_that_is_not_a_regular_file(tmp_path, capsys):
+    # the finished output is renamed over its name, which would turn a FIFO
+    # into a file, replace a link instead of its target, or fail on a
+    # directory only after every stripe was decoded
+    src = make_file(tmp_path, 3000, seed=17)
+    sh = tmp_path / "sh"
+    shards.encode_file(src, sh, k=3, block_size=BS)
+    target = tmp_path / "target.bin"
+    target.write_bytes(b"kept")
+    fifo, link, dangling, directory = (tmp_path / name for name in ("out.fifo", "link", "dangling", "dir"))
+    os.mkfifo(fifo)
+    os.symlink(target, link)
+    os.symlink(tmp_path / "absent", dangling)
+    directory.mkdir()
+    for out in (fifo, link, dangling, directory):
+        assert main(["decode", str(sh), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: output {out} exists and is not a regular file; write to a new name\n"
+        )
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.readlink(link) == str(target) and os.readlink(dangling) == str(tmp_path / "absent")
+    assert target.read_bytes() == b"kept" and not (tmp_path / "absent").exists()
+    assert directory.is_dir() and not any(directory.iterdir())
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+    assert main(["decode", str(sh), "--out", str(target)]) == 0  # a regular file is still replaced
+    assert target.read_bytes() == src.read_bytes()
 
 
 def test_cli_decode_into_a_missing_directory_names_the_output(tmp_path, capsys):
@@ -983,7 +1012,7 @@ def test_importing_the_cli_builds_no_parser():
 def test_importing_the_cli_loads_no_offline_tool_or_introspection_module():
     # what every encode, decode and repair process pays before its first byte;
     # mmap loads with the first lane arena
-    unwanted = ["dataclasses", "inspect", "mmap", "mdr6.analysis", "mdr6.sim"]
+    unwanted = ["dataclasses", "fractions", "inspect", "mmap", "mdr6.analysis", "mdr6.sim"]
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys, mdr6.cli; print([m for m in {unwanted!r} if m in sys.modules])"],
         env=_src_env(), capture_output=True, text=True, timeout=120,
@@ -1237,6 +1266,21 @@ def test_cli_simulate_refuses_load_the_survivors_cannot_serve(capsys):
             "--rotational-ms", "0.5", "--transfer", "1e6", "--seq-window", "2"]
     assert main(args) == 1
     assert "usage error: background rate 300 req/s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [("--rate", "nan"), ("--seek-ms", "inf")])
+def test_cli_simulate_refuses_non_finite_parameters(capsys, option, value):
+    # a NaN rate passes a plain `< 0` check and runs offline, and a NaN time prints "nan ms"
+    assert main(["simulate", "--k", "2", "--stripes", "2", option, value, "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: ") and "finite" in err
+
+
+def test_output_refuses_a_value_json_does_not_allow(capsys):
+    args = cli.build_parser().parse_args(["simulate", "--k", "2", "--json"])
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._output(args, {"avg_access_ms": float("nan")}, [])
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_simulate_csv_needs_one_strategy(tmp_path, capsys):
